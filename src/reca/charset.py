@@ -119,6 +119,15 @@ class CharsetError(ValueError):
     """A card contained a character outside the machine character set."""
 
 
+# every character that encodes under the default aliases without a note:
+# the glyphs, their lowercase forms and the aliases themselves
+_DEFAULT_WORD = {
+    ch: w
+    for ch in (*WORD_BY_CHAR, *map(str.lower, WORD_BY_CHAR), *DEFAULT_ALIASES)
+    if (w := WORD_BY_CHAR.get(DEFAULT_ALIASES.get(ch, ch).upper())) is not None
+}
+
+
 def encode_card(text, aliases=DEFAULT_ALIASES, strict=False, diagnostics=None):
     """Turn one source line into exactly 80 storage words.
 
@@ -127,6 +136,14 @@ def encode_card(text, aliases=DEFAULT_ALIASES, strict=False, diagnostics=None):
     strict=True they raise instead, otherwise a note is appended to the
     diagnostics list if one is given.
     """
+    if aliases is DEFAULT_ALIASES:
+        try:
+            words = [_DEFAULT_WORD[ch] for ch in text[:80]]
+        except KeyError:
+            pass  # the loop below reports the character
+        else:
+            words.extend([BLANK] * (80 - len(words)))
+            return words
     words = []
     for col, ch in enumerate(text[:80], start=1):
         ch = aliases.get(ch, ch)
@@ -144,4 +161,5 @@ def encode_card(text, aliases=DEFAULT_ALIASES, strict=False, diagnostics=None):
 
 def decode_words(words):
     """Render a sequence of storage words as text."""
-    return "".join(char_of(w) for w in words)
+    char = CHAR_BY_WORD.get
+    return "".join([char(w, " ") for w in words])

@@ -42,7 +42,6 @@ class Terminated(Exception):
 
 def monitor(sess):
     """Scan cards until compilation starts; returns when ( is consumed."""
-    sess.error_flag = 1
     while True:
         sess.reader.force_refill()
         w = sess.read_echo()

@@ -244,7 +244,6 @@ def execute(sess):
     except (ValueError, ZeroDivisionError, OverflowError):
         sess.emit_line(ARITHMETIC_FAULT)
         sess.errors_emitted = True
-        sess.error_flag = -21
     if error < 0:
         sess.diagnose(error)
     sess.stack_top = im

@@ -52,6 +52,8 @@ class CardReader:
     sources maps a unit number to a callable returning the next source
     line as a string, or None at end of input.  One shared card buffer is
     used regardless of unit, matching the original single-record design.
+    Each card is held twice: as encoded, and with the keypunch
+    substitutions made for reads from the card unit.
     """
 
     def __init__(self, sources, strict=False):
@@ -59,6 +61,7 @@ class CardReader:
         self.strict = strict
         self.diagnostics = []
         self.record = [charset.BLANK] * 80
+        self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
 
     def force_refill(self):
@@ -80,16 +83,16 @@ class CardReader:
         self.record = charset.encode_card(
             line, strict=self.strict, diagnostics=self.diagnostics
         )
+        keypunch = charset.KEYPUNCH_MAP.get
+        self.translated = [keypunch(w, w) for w in self.record]
         self.cursor = 0
 
     def read(self, unit):
         """Next character word from the given unit, refilling as needed."""
         if self.cursor >= 80:
             self._refill(unit)
-        w = self.record[self.cursor]
+        w = (self.translated if unit == 2 else self.record)[self.cursor]
         self.cursor += 1
-        if unit == 2:
-            w = charset.translate_keypunch(w)
         return w
 
 
@@ -117,8 +120,24 @@ class LineWriter:
         if not self.echo:
             return
         self.buffer.append(word)
-        if len(self.buffer) >= self.width(unit):
+        if len(self.buffer) >= self.widths.get(unit, 80):
             self._emit(unit)
+
+    def put_words(self, words, unit):
+        """Append several characters, flushing exactly where repeated put
+        would: whenever the buffer reaches the unit width."""
+        if not self.echo:
+            return
+        buffer = self.buffer
+        width = self.widths.get(unit, 80)
+        start = 0
+        while start < len(words):
+            # an overfull buffer (the unit narrowed) takes one more word
+            stop = start + max(width - len(buffer), 1)
+            buffer.extend(words[start:stop])
+            start = stop
+            if len(buffer) >= width:
+                self._emit(unit)
 
     def flush(self, unit):
         """Release the buffered line if nonempty; always leaves it empty."""

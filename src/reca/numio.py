@@ -2,26 +2,30 @@
 
 All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
-parser consumes characters from the session's reader and leaves the
-terminating character latched in sess.iac without consuming it into the
-token.  The formatter writes the fixed 13-character scientific form
-[blank][sign]d.dddddE[sign]dd through the session's line buffer.
+parser consumes characters through a read callable and stops at the first
+character that does not fit the token; in a session that character stays
+latched in sess.iac.  The formatter builds the fixed 13-character
+scientific form [blank][sign]d.dddddE[sign]dd as storage words and puts
+them on the session's line in one call.
 """
 
 import struct
 
 from . import charset
+from .iosys import CardReader
 
-_pack = struct.pack
-_unpack = struct.unpack
+_F32 = struct.Struct("f")
+_pack = _F32.pack
+_unpack = _F32.unpack
 
 
 def f32(x):
     """Round a Python float to the nearest IEEE single precision value."""
-    return _unpack("f", _pack("f", x))[0]
+    return _unpack(_pack(x))[0]
 
 
 ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
+FIELD_WIDTH = 13
 
 # parse modes
 SILENT_FLOAT = 0
@@ -41,58 +45,47 @@ def parse_number(sess, mode):
     the token; an empty token is zero.
     """
     if mode == ECHO_INT:
-        return _parse_int(sess)
-    writer = sess.writer
-    saved_echo = writer.echo
-    if mode == SILENT_FLOAT:
-        writer.echo = False
-    try:
-        return _parse_float(sess)
-    finally:
-        writer.echo = saved_echo
+        return _parse_int(sess.read_echo)[0]
+    read = sess.read_char if mode == SILENT_FLOAT else sess.read_echo
+    return _parse_float(read)[0]
 
 
-def _read(sess):
-    w = sess.read_char()
-    sess.put_char(w)
-    return w
-
-
-def _parse_float(sess):
+def _parse_float(read):
+    """(value, terminator word) of a float token read word by word."""
     sign = 1.0
     exp_sign = 1
     exponent = 0
     frac = 0  # 0 until a point is seen, then counts characters past it
     value = 0.0
-    w = _read(sess)
+    w = read()
     while w == charset.BLANK:
-        w = _read(sess)
+        w = read()
     if w == charset.MINUS:
         sign = -1.0
-        w = _read(sess)
+        w = read()
     elif w in (charset.PLUS, charset.AMPERSAND):
-        w = _read(sess)
+        w = read()
     while True:
         if frac > 0:
             frac += 1
         elif w == charset.DOT:
             frac += 1
-            w = _read(sess)
+            w = read()
             continue
         if w == charset.LETTER_E:
-            w = _read(sess)
+            w = read()
             if w == charset.MINUS:
                 exp_sign = -1
-                w = _read(sess)
+                w = read()
             elif w in (charset.PLUS, charset.AMPERSAND):
-                w = _read(sess)
+                w = read()
             while charset.is_digit_word(w):
                 exponent = 10 * exponent + charset.digit_value(w)
-                w = _read(sess)
+                w = read()
             break
         if charset.is_digit_word(w):
             value = f32(value * 10.0 + charset.digit_value(w))
-            w = _read(sess)
+            w = read()
             continue
         break
     if frac > 0:
@@ -102,28 +95,29 @@ def _parse_float(sess):
         scale = f32(10.0 ** exponent)
     except OverflowError:
         scale = float("inf")  # out of range; arithmetic on it faults later
-    return f32(sign * value * scale)
+    return f32(sign * value * scale), w
 
 
-def _parse_int(sess):
+def _parse_int(read):
+    """(value, terminator word) of an integer token read word by word."""
     sign = 1
     value = 0
-    w = _read(sess)
+    w = read()
     while w == charset.BLANK:
-        w = _read(sess)
+        w = read()
     if w == charset.MINUS:
         sign = -1
-        w = _read(sess)
+        w = read()
     elif w in (charset.PLUS, charset.AMPERSAND):
-        w = _read(sess)
+        w = read()
     while charset.is_digit_word(w):
         value = 10 * value + charset.digit_value(w)
-        w = _read(sess)
-    return sign * value
+        w = read()
+    return sign * value, w
 
 
-def format_scientific(sess, value):
-    """Append a float to the output line as [blank][sign]d.dddddE[sign]dd.
+def scientific_words(value):
+    """The 13 storage words of value as [blank][sign]d.dddddE[sign]dd.
 
     The mantissa is normalized by repeated float32 multiplies into [1, 10)
     (overshoot then divide back, so the rounding trail matches the
@@ -132,62 +126,69 @@ def format_scientific(sess, value):
     """
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
-    # leave room for a full field on the line
-    if len(sess.writer.buffer) > 107:
-        sess.flush()
-    put = sess.put_char
+    pack = _pack
+    unpack = _unpack
     k = 0
     sign = charset.MINUS if value < 0 else charset.BLANK
-    put(charset.BLANK)
     v = value if value >= 0 else -value
     if v > 0:
         while v < 10.0:
-            v = f32(v * 10.0)
+            v = unpack(pack(v * 10.0))[0]
             k -= 1
         while v >= 10.0:
-            v = f32(v * 0.1)
+            v = unpack(pack(v * 0.1))[0]
             k += 1
-    v = f32(v + ROUND_HALF_DIGIT)
+    v = unpack(pack(v + ROUND_HALF_DIGIT))[0]
     if v >= 10.0:
         # rounding carried into a new leading digit
-        v = f32(v * 0.1)
+        v = unpack(pack(v * 0.1))[0]
         k += 1
-    put(sign)
+    # digit_word(n) is n * 256 - 4032
     n = int(v)
-    put(charset.digit_word(n))
-    put(charset.DOT)
+    words = [charset.BLANK, sign, n * 256 - 4032, charset.DOT]
     for _ in range(5):
-        v = f32(10.0 * f32(v - n))
+        v = unpack(pack(10.0 * unpack(pack(v - n))[0]))[0]
         n = int(v)
-        put(charset.digit_word(n))
-    put(charset.LETTER_E)
+        words.append(n * 256 - 4032)
+    words.append(charset.LETTER_E)
     if k < 0:
-        put(charset.MINUS)
+        words.append(charset.MINUS)
         k = -k
     else:
-        put(charset.BLANK)
+        words.append(charset.BLANK)
     if k > 99:
         # unreachable for float32 magnitudes, kept as a hard stop
         raise OverflowError("exponent does not fit in two digits")
-    put(charset.digit_word(k // 10))
-    put(charset.digit_word(k % 10))
+    words.append(k // 10 * 256 - 4032)
+    words.append(k % 10 * 256 - 4032)
+    return words
+
+
+def format_scientific(sess, value):
+    """Append value's 13-character field to the session's output line,
+    first releasing the line if the field would not fit in the unit's
+    width."""
+    words = scientific_words(value)
+    writer = sess.writer
+    unit = sess.output_unit
+    if len(writer.buffer) > writer.width(unit) - FIELD_WIDTH:
+        writer.flush(unit)
+    writer.put_words(words, unit)
 
 
 def format_number(value):
     """Standalone formatting helper: the 13-character field as a string."""
-    from .session import Session
-
-    sess = Session(cards=iter(()))
-    format_scientific(sess, f32(value))
-    text = charset.decode_words(sess.writer.buffer)
-    sess.writer.clear()
-    return text
+    return charset.decode_words(scientific_words(f32(value)))
 
 
 def parse_text(text, mode=ECHO_FLOAT):
-    """Standalone parsing helper: (value, terminator character)."""
-    from .session import Session
+    """Standalone parsing helper: (value, terminator character).
 
-    sess = Session(cards=iter([text]))
-    value = parse_number(sess, mode)
-    return value, charset.char_of(sess.iac)
+    text is read as one card on the card unit, so the keypunch
+    substitutions apply; reading past its 80 columns raises EndOfInput.
+    """
+    cards = iter([text])
+    reader = CardReader({2: lambda: next(cards, None)})
+    parse = _parse_int if mode == ECHO_INT else _parse_float
+    value, w = parse(lambda: reader.read(2))
+    return value, charset.char_of(w)

@@ -2,8 +2,9 @@
 
 A session owns the program store, the dispatch tables, the value stack,
 the ten variables, the constant pool, and the shared card reader and line
-writer.  Definitions, variables, and stack contents persist across the
-programs of one session; the store grows until erased.
+writer.  Definitions and variables persist across the programs of one
+session, and the store grows until erased; the value stack is emptied
+after each run.
 
 The cycle runs forever: scan cards for a program, compile it, run it if
 its name is blank, and go round again.  A compile diagnostic discards the
@@ -58,7 +59,6 @@ class Session:
         self.input_unit = 2 if cards is not None else 6
         self.output_unit = 3
         self.iac = 0              # last character read or emitted by name
-        self.error_flag = 1
         self.errors_emitted = False
         self.cancelled = False
         self.max_steps = cfg.max_steps
@@ -109,7 +109,6 @@ class Session:
         self.writer.emit_text(PAGE_EJECT, self.output_unit)
 
     def diagnose(self, code):
-        self.error_flag = code
         self.errors_emitted = True
         self.writer.emit_message(code, self.output_unit)
 

@@ -1,7 +1,7 @@
 """Character set representations and translations."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reca import charset
@@ -117,3 +117,30 @@ def test_word_roundtrip(ch):
 def test_card_decode_roundtrip(text):
     words = charset.encode_card(text)
     assert charset.decode_words(words).rstrip(" ") == text.rstrip(" ")
+
+
+CARD_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(ALL_CHARS + [c.lower() for c in ALL_CHARS] + ["~"]),
+        st.characters(),
+    ),
+    max_size=100,
+)
+
+
+@given(CARD_TEXT, st.booleans())
+@example("ab~" * 30, False)
+@example("x" * 79 + "~{", True)   # the bad character lies past column 80
+@example("x" * 40 + "\u0131", True)  # dotless i folds to I, but only in the loop
+def test_encode_card_fast_path_matches_loop(text, strict):
+    def encode(aliases):
+        notes = []
+        try:
+            words = charset.encode_card(text, aliases=aliases, strict=strict,
+                                        diagnostics=notes)
+        except charset.CharsetError as exc:
+            return str(exc), notes
+        return words, notes
+
+    # an equal but distinct aliases dict always takes the per-character loop
+    assert encode(charset.DEFAULT_ALIASES) == encode(dict(charset.DEFAULT_ALIASES))

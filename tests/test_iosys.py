@@ -1,6 +1,8 @@
 """Card reader, line writer, and the diagnostic catalog."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reca import charset
 from reca.iosys import MESSAGES, CardReader, EndOfInput, LineWriter
@@ -52,6 +54,32 @@ def collect_writer(widths=None):
 def put_text(w, text, unit):
     for ch in text:
         w.put(charset.WORD_BY_CHAR[ch], unit)
+
+
+GLYPH_WORDS = sorted(charset.CHAR_BY_WORD)
+
+
+def words_from(start, count):
+    return [GLYPH_WORDS[i % len(GLYPH_WORDS)] for i in range(start, start + count)]
+
+
+@given(st.integers(0, 260), st.integers(0, 260), st.integers(0, 62),
+       st.sampled_from([1, 3]), st.sampled_from([1, 3]),
+       st.sampled_from([80, 120]), st.booleans())
+@example(100, 30, 0, 3, 1, 120, True)  # the buffer is already past the new unit's width
+@example(67, 13, 0, 3, 3, 80, True)   # the field fills the line exactly
+def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, width, echo):
+    one, one_lines = collect_writer(widths={3: width})
+    many, many_lines = collect_writer(widths={3: width})
+    for w in words_from(start, n_before):
+        one.put(w, before_unit)
+        many.put(w, before_unit)
+    one.echo = many.echo = echo
+    words = words_from(start + n_before, n)
+    for w in words:
+        one.put(w, unit)
+    many.put_words(words, unit)
+    assert (many_lines, many.buffer) == (one_lines, one.buffer)
 
 
 def test_writer_explicit_flush():

@@ -1,13 +1,17 @@
 """Numeric parsing and formatting in float32."""
 
+import ast
 import math
 import random
 import re
+from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reca.numio import ECHO_INT, f32, format_number, parse_text
+from reca import charset, numio
+from reca.numio import ECHO_INT, f32, format_number, parse_text, scientific_words
+from reca.session import Session
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
 
@@ -94,3 +98,71 @@ def test_parse_formats_back(v):
     parsed, term = parse_text(text)
     assert term == "'"
     assert math.isclose(parsed, f32(value_of(format_number(v))), rel_tol=1e-6, abs_tol=1e-9)
+
+
+def reference_words(value):
+    """The formatter as it was before scientific_words: one f32 call per
+    rounding step and one put per character."""
+    out = []
+    put = out.append
+    if value - value != 0:
+        raise OverflowError("value is not representable")
+    k = 0
+    sign = charset.MINUS if value < 0 else charset.BLANK
+    put(charset.BLANK)
+    v = value if value >= 0 else -value
+    if v > 0:
+        while v < 10.0:
+            v = f32(v * 10.0)
+            k -= 1
+        while v >= 10.0:
+            v = f32(v * 0.1)
+            k += 1
+    v = f32(v + numio.ROUND_HALF_DIGIT)
+    if v >= 10.0:
+        v = f32(v * 0.1)
+        k += 1
+    put(sign)
+    n = int(v)
+    put(charset.digit_word(n))
+    put(charset.DOT)
+    for _ in range(5):
+        v = f32(10.0 * f32(v - n))
+        n = int(v)
+        put(charset.digit_word(n))
+    put(charset.LETTER_E)
+    if k < 0:
+        put(charset.MINUS)
+        k = -k
+    else:
+        put(charset.BLANK)
+    put(charset.digit_word(k // 10))
+    put(charset.digit_word(k % 10))
+    return out
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, width=32))
+@example(0.0)
+@example(-0.0)
+@example(f32(1e-45))            # smallest subnormal
+@example(f32(1.1754942e-38))    # largest subnormal
+@example(f32(1.1754944e-38))    # smallest normal
+@example(f32(3.4028235e38))     # largest finite
+@example(f32(-3.4028235e38))
+@example(f32(9.9999999))        # rounds up to 10 before normalizing
+@example(f32(9.999995))         # the rounding bias carries into the exponent
+@example(f32(-0.99999994))
+def test_scientific_words_match_reference(v):
+    assert scientific_words(v) == reference_words(v)
+
+
+def test_standalone_helpers_build_no_session(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Session constructed")
+
+    monkeypatch.setattr(Session, "__init__", refuse)
+    assert format_number(1e20) == "  1.00000E 20"
+    assert parse_text("1.5'") == (1.5, "'")
+    tree = ast.parse(Path(numio.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "session" not in imported

@@ -1,5 +1,7 @@
 """Session lifecycle, alternate units, and the command line front end."""
 
+import pytest
+
 from reca.cli import main
 from reca.session import Session, SessionConfig, run_deck
 
@@ -40,6 +42,21 @@ def test_punch_unit_collects_lines():
     assert "HELLO" in sess.punch
     # nothing from the program body went to the printer
     assert all("HELLO" not in line for line in sess.output)
+
+
+FIELD_150 = "  1.50000E 00"
+
+
+@pytest.mark.parametrize("cards, config, fields_per_line", [
+    (["* ($10$'/1.5'OL.,X,)"], None, [9, 1]),
+    (["* ($8$'/1.5'OL.,X,)"], SessionConfig(width=80), [6, 2]),
+    (["*O1 ($8$'/1.5'OL.,X,)"], None, [6, 2]),  # the console is 80 wide
+])
+def test_fields_never_split_across_lines(cards, config, fields_per_line):
+    sess, status = run_deck(cards, config=config)
+    assert status == 0
+    printed = [line for line in sess.output if FIELD_150 in line]
+    assert printed == [FIELD_150 * n for n in fields_per_line]
 
 
 def test_keyboard_source_drives_session():
