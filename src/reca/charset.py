@@ -128,7 +128,7 @@ _DEFAULT_WORD = {
 }
 
 
-def encode_card(text, aliases=DEFAULT_ALIASES, strict=False, diagnostics=None):
+def encode_card(text, strict=False, diagnostics=None):
     """Turn one source line into exactly 80 storage words.
 
     Lowercase is folded to uppercase, short lines are blank-padded, long
@@ -136,25 +136,21 @@ def encode_card(text, aliases=DEFAULT_ALIASES, strict=False, diagnostics=None):
     strict=True they raise instead, otherwise a note is appended to the
     diagnostics list if one is given.
     """
-    if aliases is DEFAULT_ALIASES:
-        try:
-            words = [_DEFAULT_WORD[ch] for ch in text[:80]]
-        except KeyError:
-            pass  # the loop below reports the character
-        else:
-            words.extend([BLANK] * (80 - len(words)))
-            return words
-    words = []
-    for col, ch in enumerate(text[:80], start=1):
-        ch = aliases.get(ch, ch)
-        w = WORD_BY_CHAR.get(ch.upper())
-        if w is None:
-            if strict:
-                raise CharsetError(f"column {col}: character {ch!r} not in character set")
-            if diagnostics is not None:
-                diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
-            w = BLANK
-        words.append(w)
+    text = text[:80]
+    words = list(map(_DEFAULT_WORD.get, text))
+    if None in words:
+        for col, ch in enumerate(text, start=1):
+            if words[col - 1] is not None:
+                continue
+            # other characters whose uppercase is a glyph, such as dotless i
+            w = WORD_BY_CHAR.get(ch.upper())
+            if w is None:
+                if strict:
+                    raise CharsetError(f"column {col}: character {ch!r} not in character set")
+                if diagnostics is not None:
+                    diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
+                w = BLANK
+            words[col - 1] = w
     words.extend([BLANK] * (80 - len(words)))
     return words
 

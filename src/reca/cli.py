@@ -76,6 +76,8 @@ def main(argv=None):
         return 2
     finally:
         signal.signal(signal.SIGINT, previous)
+    for note in sess.reader.diagnostics:
+        print(f"reca: {note}", file=sys.stderr)
 
     if args.punch is not None:
         try:

@@ -17,8 +17,6 @@ from . import charset, numio, tables
 from .store import RECURSIVE_MARK
 from .tables import DECLARED_RECURSIVE, Subroutine
 
-_MONITOR = tables.monitor_table()
-
 # compile outcomes
 CONTINUE = 0
 IMMEDIATE = 1
@@ -34,6 +32,12 @@ BAD_UNIT = -9
 CONSTANT_EXCESS = -10
 BAD_NUMBER = -11
 RESERVED_OP = -15
+
+
+# monitor command letters, as storage words
+_INPUT, _OUTPUT, _TERMINATE, _ERASE, _RECURSIVE, _SUPPRESS = _COMMANDS = tuple(
+    charset.WORD_BY_CHAR[c] for c in "IOTENS"
+)
 
 
 class Terminated(Exception):
@@ -60,8 +64,7 @@ def monitor(sess):
             _begin_program(sess)
             return
         sess.put_char(w)
-        command = _MONITOR[charset.class_code(w)]
-        if command == 0:
+        if w not in _COMMANDS:
             continue
         arg = sess.read_char()
         if arg == charset.LPAREN:
@@ -69,33 +72,33 @@ def monitor(sess):
             return
         sess.put_char(arg)
         code = charset.class_code(arg)
-        if command == tables.MON_INPUT:
+        if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
                 sess.input_unit = code - 49
             else:
                 sess.diagnose(BAD_UNIT)
-        elif command == tables.MON_OUTPUT:
+        elif w == _OUTPUT:
             if 50 <= code <= 52:  # glyphs 1..3
                 sess.output_unit = code - 49
             else:
                 sess.diagnose(BAD_UNIT)
-        elif command == tables.MON_TERMINATE:
+        elif w == _TERMINATE:
             sess.flush()
             raise Terminated
-        elif command == tables.MON_ERASE:
+        elif w == _ERASE:
             sess.store.ilc = 1
             sess.compile_code = tables.compile_table()
             sess.exec_code = tables.exec_table()
             sess.constants_used = 0
             sess.constants_committed = 0
-        elif command == tables.MON_RECURSIVE:
+        elif w == _RECURSIVE:
             if sess.compile_code[code] == tables.QUOTE_PREFIX:
                 w2 = sess.read_char()
                 sess.put_char(w2)
                 code = tables.quote_extend(charset.class_code(w2))
             sess.compile_code[code] = tables.PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
-        elif command == tables.MON_SUPPRESS:
+        elif w == _SUPPRESS:
             sess.writer.echo = False
 
 
@@ -141,15 +144,12 @@ def compile_program(sess):
             return outcome
         elif cls == tables.SEQUENT:
             frame = sess.frames[-1]
-            st.cells[st.ilc] = frame[2]
-            frame[2] = st.ilc
-            st.ilc += 1
+            frame[2] = st.emit(frame[2])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
         elif cls == tables.REPEAT:
             frame = sess.frames[-1]
-            st.cells[st.ilc] = frame[0]
-            st.ilc += 1
+            st.emit(frame[0])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
         elif cls == tables.OPERATOR:
@@ -192,25 +192,23 @@ def _abort(sess, code):
 def _close_paren(sess):
     st = sess.store
     frames = sess.frames
-    if len(frames) > 1:
-        # thread this exit into the enclosing frame's false chain
-        parent = frames[-2]
-        st.cells[st.ilc] = parent[1]
-        parent[1] = st.ilc
-    st.ilc += 1
     frame = frames.pop()
+    if frames:
+        # thread this exit into the enclosing frame's false chain
+        frames[-1][1] = st.emit(frames[-1][1])
+    else:
+        st.emit(0)  # the program's false exit
     st.fill_chain(frame[1], st.ilc)
     st.fill_chain(frame[2], st.ilc)
     if frames:
         return CONTINUE
     # level zero: seal the program and read the three name characters
-    st.cells[st.ilc - 1] = 0
     st.cells[st.ilc] = st.ilc0
     name1 = charset.class_code(sess.read_echo())
     name2 = tables.quote_extend(charset.class_code(sess.read_echo()))
     name3 = sess.read_echo()
     sess.flush()
-    if name3 == charset.LETTER_L or sess.listing_always:
+    if name3 == charset.LETTER_L or sess.config.listing_always:
         for line in st.dump_listing(st.ilc0, st.ilc):
             sess.emit_line(line)
     st.ilc += 1
@@ -256,9 +254,7 @@ def _emit_atom(sess, code, n_args, numeric, link):
             st.emit(w)
     if link:
         frame = sess.frames[-1]
-        st.cells[st.ilc] = frame[1]
-        frame[1] = st.ilc
-        st.ilc += 1
+        frame[1] = st.emit(frame[1])
     return 0
 
 
@@ -272,9 +268,7 @@ def _compile_counter(sess, code):
     st.emit(-n)
     st.emit(-n)
     frame = sess.frames[-1]
-    st.cells[st.ilc] = frame[1]
-    frame[1] = st.ilc
-    st.ilc += 1
+    frame[1] = st.emit(frame[1])
     return 0
 
 

@@ -16,7 +16,7 @@ import math
 import struct
 
 from . import charset, numio
-from .iosys import ARITHMETIC_FAULT, INTERRUPT_NOTICE
+from .iosys import ARITHMETIC_FAULT, INTERRUPT_NOTICE, EndOfInput
 from .store import RECURSIVE_MARK
 from .tables import DECLARED_RECURSIVE
 
@@ -38,18 +38,22 @@ _unpack = struct.unpack
 
 
 def _read_datum(sess):
-    """Runtime numeric input: blanks, then '/number' ; None on bad shape."""
-    while True:
-        w = sess.read_char()
-        if w != charset.BLANK:
-            break
-    if w != charset.QUOTE:
+    """Runtime numeric input: blanks, then '/number' ; None on bad shape
+    or when the data cards run out."""
+    try:
+        while True:
+            w = sess.read_char()
+            if w != charset.BLANK:
+                break
+        if w != charset.QUOTE:
+            return None
+        if sess.read_char() != charset.SLASH:
+            return None
+        value = numio.parse_number(sess, numio.SILENT_FLOAT)
+        while sess.iac == charset.BLANK:
+            sess.read_char()
+    except EndOfInput:
         return None
-    if sess.read_char() != charset.SLASH:
-        return None
-    value = numio.parse_number(sess, numio.SILENT_FLOAT)
-    while sess.iac == charset.BLANK:
-        sess.read_char()
     if sess.iac != charset.QUOTE:
         return None
     return value
@@ -65,12 +69,12 @@ def execute(sess):
     save = sess.variables
     const = sess.constants
     ilc0 = st.ilc0
-    im = sess.stack_top
+    im = 1
     iret = [0] * (RECURSION_LIMIT + 2)
     irec = 1
     ixl = ilc0 + 1
     steps = 0
-    budget = sess.max_steps if sess.max_steps is not None else float("inf")
+    budget = _INF if sess.config.max_steps is None else sess.config.max_steps
     error = 0
     pack = _pack
     unpack = _unpack
@@ -246,7 +250,6 @@ def execute(sess):
         sess.errors_emitted = True
     if error < 0:
         sess.diagnose(error)
-    sess.stack_top = im
     sess.flush()
     if sess.output_unit == 3:
         sess.page_eject()

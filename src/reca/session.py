@@ -51,7 +51,6 @@ class Session:
         self.exec_code = tables.exec_table()
         self.frames = []          # open parenthesis levels during compile
         self.stack = [0.0] * (interpreter.STACK_LIMIT + 2)
-        self.stack_top = 1
         self.variables = [0.0] * 11   # slots 1..10
         self.constants = [0.0] * 31   # slots 1..30
         self.constants_used = 0
@@ -61,9 +60,6 @@ class Session:
         self.iac = 0              # last character read or emitted by name
         self.errors_emitted = False
         self.cancelled = False
-        self.max_steps = cfg.max_steps
-        self.listing_always = cfg.listing_always
-        self._echo_default = cfg.echo
 
     @staticmethod
     def _as_source(lines):
@@ -120,14 +116,13 @@ class Session:
         try:
             while True:
                 self.store.ilc = self.store.ilc0
-                self.writer.echo = self._echo_default
+                self.writer.echo = self.config.echo
                 compiler.monitor(self)
                 outcome = compiler.compile_program(self)
                 if outcome == compiler.IMMEDIATE:
                     break
                 # diagnostic: partial program dropped, try the next cards
             interpreter.execute(self)
-            self.stack_top = 1
             return True
         except (compiler.Terminated, EndOfInput):
             self.flush()

@@ -6,8 +6,7 @@ Two tables of 128 entries (indexed 1..128; 65..128 are the quoted forms):
 * exec table    - what an operator cell with that class code runs
 
 Both start from pristine defaults and are mutated as a session defines
-subroutines; the monitor's erase command restores the defaults.  A third
-small table routes monitor command letters.
+subroutines; the monitor's erase command restores the defaults.
 """
 
 from dataclasses import dataclass
@@ -121,18 +120,3 @@ def exec_table():
     table[_q("/")] = OP_CONST
     return table
 
-
-# monitor command letters, by class code 1..64
-MON_INPUT, MON_OUTPUT, MON_TERMINATE = 1, 2, 3
-MON_ERASE, MON_RECURSIVE, MON_SUPPRESS = 4, 5, 6
-
-
-def monitor_table():
-    table = [0] * 65
-    table[code_of("I")] = MON_INPUT
-    table[code_of("O")] = MON_OUTPUT
-    table[code_of("T")] = MON_TERMINATE
-    table[code_of("E")] = MON_ERASE
-    table[code_of("N")] = MON_RECURSIVE
-    table[code_of("S")] = MON_SUPPRESS
-    return table

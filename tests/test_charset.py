@@ -128,19 +128,34 @@ CARD_TEXT = st.text(
 )
 
 
+def reference_encode(text, strict, diagnostics):
+    """encode_card one character at a time: alias, fold to uppercase, look up."""
+    words = []
+    for col, ch in enumerate(text[:80], start=1):
+        ch = charset.DEFAULT_ALIASES.get(ch, ch)
+        w = charset.WORD_BY_CHAR.get(ch.upper())
+        if w is None:
+            if strict:
+                raise charset.CharsetError(
+                    f"column {col}: character {ch!r} not in character set")
+            diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
+            w = charset.BLANK
+        words.append(w)
+    return words + [charset.BLANK] * (80 - len(words))
+
+
 @given(CARD_TEXT, st.booleans())
 @example("ab~" * 30, False)
 @example("x" * 79 + "~{", True)   # the bad character lies past column 80
-@example("x" * 40 + "\u0131", True)  # dotless i folds to I, but only in the loop
-def test_encode_card_fast_path_matches_loop(text, strict):
-    def encode(aliases):
+@example("x" * 40 + "\u0131", True)  # dotless i folds to I
+@example("{a}\u0131~", False)  # notes in column order
+@example("{a}\u0131~", False)  # notes in column order
+def test_encode_card_matches_reference(text, strict):
+    def encode(encoder):
         notes = []
         try:
-            words = charset.encode_card(text, aliases=aliases, strict=strict,
-                                        diagnostics=notes)
+            return encoder(text, strict=strict, diagnostics=notes), notes
         except charset.CharsetError as exc:
             return str(exc), notes
-        return words, notes
 
-    # an equal but distinct aliases dict always takes the per-character loop
-    assert encode(charset.DEFAULT_ALIASES) == encode(dict(charset.DEFAULT_ALIASES))
+    assert encode(charset.encode_card) == encode(reference_encode)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reca.iosys import PAGE_EJECT
 from reca.numio import f32
 from reca.session import SessionConfig, run_deck
 
@@ -115,6 +116,15 @@ def test_numeric_input_bad_data():
     lines, status = run(["*(I,)", "XYZ"])
     assert status == 1
     assert "CONV 01 SYNTAX ERROR IN NUMERIC DATA" in lines
+
+
+def test_numeric_input_past_last_card_is_reported():
+    # three reads, one data card: the second read finds no card
+    sess, status = run_deck(["*($3$I OX.,)", "'/1'"])
+    assert status == 1
+    assert sess.output[-3:] == [
+        "  1.00000E 00", "CONV 01 SYNTAX ERROR IN NUMERIC DATA", PAGE_EJECT,
+    ]
 
 
 def test_counter_runs_body_n_times():

@@ -1,8 +1,12 @@
 """Session lifecycle, alternate units, and the command line front end."""
 
+from pathlib import Path
+
 import pytest
 
+from reca import decks
 from reca.cli import main
+from reca.iosys import PAGE_EJECT
 from reca.session import Session, SessionConfig, run_deck
 
 from conftest import run
@@ -113,6 +117,25 @@ def test_cli_reports_diagnostics_in_status(tmp_path, capsys):
     path = write_deck(tmp_path, ["*(*,)"])
     assert main([path]) == 1
     assert "EXEC 02 EMPTY PUSHDOWN LIST" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", [
+    "factorial", "damped_oscillation", "simpson_pi", "rose_curve",
+])
+def test_cli_runs_bundled_deck_files(name, capsys):
+    sess, status = run_deck(getattr(decks, name.upper()))
+    path = Path(decks.__file__).parent / f"{name}.deck"
+    assert main([str(path)]) == status
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["" if l == PAGE_EJECT else l for l in sess.output]
+
+
+def test_cli_reports_replaced_characters(tmp_path, capsys):
+    path = write_deck(tmp_path, ["*('/1'{OX,)"])
+    assert main([path]) == 0
+    captured = capsys.readouterr()
+    assert "  1.00000E 00" in captured.out
+    assert captured.err == "reca: column 7: character '{' replaced by blank\n"
 
 
 def test_cli_missing_deck_is_status_two(tmp_path, capsys):
