@@ -11,27 +11,19 @@ backpatch chains.  A program ends at the level-zero right parenthesis,
 followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
+
+A catalog diagnostic raises iosys.Diagnostic, which abandons the program
+being compiled; the session reports it.  An illegal unit number is the
+one diagnostic that does not abort: the monitor prints it and reads on.
 """
 
 from . import charset, numio, tables
+from .iosys import (
+    BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, BAD_UNIT,
+    CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
+)
 from .store import RECURSIVE_MARK
 from .tables import DECLARED_RECURSIVE, Subroutine
-
-# compile outcomes
-CONTINUE = 0
-IMMEDIATE = 1
-DEFINED = 2
-
-# diagnostic codes
-EXCESS_NESTING = -1
-STORE_OVERFLOW = -2
-BAD_ARGUMENT = -6
-BAD_LEVEL_ZERO = -7
-BAD_COUNTER = -8
-BAD_UNIT = -9
-CONSTANT_EXCESS = -10
-BAD_NUMBER = -11
-RESERVED_OP = -15
 
 
 # monitor command letters, as storage words
@@ -83,7 +75,6 @@ def monitor(sess):
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _TERMINATE:
-            sess.flush()
             raise Terminated
         elif w == _ERASE:
             sess.store.ilc = 1
@@ -113,15 +104,15 @@ def _begin_program(sess):
 
 
 def compile_program(sess):
-    """Compile until the program completes or a diagnostic aborts it.
+    """Compile until a program completes that should run now.
 
-    Returns IMMEDIATE when the finished program should run now, DEFINED
-    when it was bound to a name, or a negative diagnostic code.
+    Named programs met on the way are bound and compilation goes on with
+    the next one.  A catalog diagnostic raises Diagnostic.
     """
     st = sess.store
     while True:
         if st.ilc > 495:
-            return _abort(sess, STORE_OVERFLOW)
+            raise Diagnostic(STORE_OVERFLOW)
         code = charset.class_code(sess.read_echo())
         while True:
             cls = sess.compile_code[code]
@@ -133,15 +124,11 @@ def compile_program(sess):
             continue
         if cls == tables.OPEN:
             if len(sess.frames) >= 10:
-                return _abort(sess, EXCESS_NESTING)
+                raise Diagnostic(EXCESS_NESTING)
             sess.frames.append([st.ilc, 0, 0])
         elif cls == tables.CLOSE:
-            outcome = _close_paren(sess)
-            if outcome == CONTINUE:
-                continue
-            if outcome < 0:
-                return _abort(sess, outcome)
-            return outcome
+            if _close_paren(sess):
+                return
         elif cls == tables.SEQUENT:
             frame = sess.frames[-1]
             frame[2] = st.emit(frame[2])
@@ -155,41 +142,26 @@ def compile_program(sess):
         elif cls == tables.OPERATOR:
             st.emit(-code)
         elif cls == tables.OPERATOR_NUM:
-            err = _emit_atom(sess, code, n_args=1, numeric=True, link=False)
-            if err:
-                return _abort(sess, err)
+            _emit_atom(sess, code, n_args=1, numeric=True, link=False)
         elif cls == tables.PREDICATE:
             _emit_atom(sess, code, n_args=0, numeric=False, link=True)
         elif cls == tables.CHAR_PRED:
             _emit_atom(sess, code, n_args=1, numeric=False, link=True)
         elif cls == tables.COUNTER:
-            err = _compile_counter(sess, code)
-            if err:
-                return _abort(sess, err)
+            _compile_counter(sess, code)
         elif cls == tables.CONSTANT:
-            err = _compile_constant(sess, code)
-            if err:
-                return _abort(sess, err)
+            _compile_constant(sess, code)
         elif cls == tables.COMMENT:
             while sess.read_echo() != charset.QUOTE:
                 pass
         elif cls == tables.STRING:
-            err = _compile_string(sess, code)
-            if err:
-                return _abort(sess, err)
+            _compile_string(sess, code)
         else:  # RESERVED
-            return _abort(sess, RESERVED_OP)
-
-
-def _abort(sess, code):
-    sess.diagnose(code)
-    sess.flush()
-    if sess.output_unit == 3:
-        sess.page_eject()
-    return code
+            raise Diagnostic(RESERVED_OP)
 
 
 def _close_paren(sess):
+    """Close a level; True when it completed a program to run now."""
     st = sess.store
     frames = sess.frames
     frame = frames.pop()
@@ -201,7 +173,7 @@ def _close_paren(sess):
     st.fill_chain(frame[1], st.ilc)
     st.fill_chain(frame[2], st.ilc)
     if frames:
-        return CONTINUE
+        return False
     # level zero: seal the program and read the three name characters
     st.cells[st.ilc] = st.ilc0
     name1 = charset.class_code(sess.read_echo())
@@ -215,7 +187,7 @@ def _close_paren(sess):
     if name1 == 1:  # blank name: run it now
         sess.constants_used = sess.constants_committed
         sess.writer.echo = True
-        return IMMEDIATE
+        return True
     if sess.compile_code[name1] == tables.QUOTE_PREFIX:
         name1 = name2
     sess.compile_code[name1] = tables.PREDICATE
@@ -232,9 +204,9 @@ def _close_paren(sess):
         w = sess.read_char()
         if w == charset.LPAREN:
             sess.put_char(w)
-            return CONTINUE
+            return False
         if w != charset.BLANK:
-            return BAD_LEVEL_ZERO
+            raise Diagnostic(BAD_LEVEL_ZERO)
 
 
 def _emit_atom(sess, code, n_args, numeric, link):
@@ -246,7 +218,7 @@ def _emit_atom(sess, code, n_args, numeric, link):
         if numeric:
             c = charset.class_code(w)
             if not 49 <= c <= 58:
-                return BAD_ARGUMENT
+                raise Diagnostic(BAD_ARGUMENT)
             if c == 49:
                 c += 10  # the glyph 0 selects slot ten
             st.emit(c - 49)
@@ -255,7 +227,6 @@ def _emit_atom(sess, code, n_args, numeric, link):
     if link:
         frame = sess.frames[-1]
         frame[1] = st.emit(frame[1])
-    return 0
 
 
 def _compile_counter(sess, code):
@@ -264,12 +235,11 @@ def _compile_counter(sess, code):
     st.emit(-code)
     n = numio.parse_number(sess, numio.ECHO_INT)
     if n <= 0:
-        return BAD_COUNTER
+        raise Diagnostic(BAD_COUNTER)
     st.emit(-n)
     st.emit(-n)
     frame = sess.frames[-1]
     frame[1] = st.emit(frame[1])
-    return 0
 
 
 def _compile_constant(sess, code):
@@ -280,13 +250,12 @@ def _compile_constant(sess, code):
     while sess.iac == charset.BLANK:
         sess.read_echo()
     if sess.iac != charset.QUOTE:
-        return BAD_NUMBER
+        raise Diagnostic(BAD_NUMBER)
     sess.constants_used += 1
     st.emit(sess.constants_used)
     if sess.constants_used > len(sess.constants) - 1:
-        return CONSTANT_EXCESS
+        raise Diagnostic(CONSTANT_EXCESS)
     sess.constants[sess.constants_used] = value
-    return 0
 
 
 def _compile_string(sess, code):
@@ -300,8 +269,8 @@ def _compile_string(sess, code):
         w = sess.read_echo()
         if w == charset.QUOTE:
             st.cells[count_cell] = n
-            return 0
+            return
         st.emit(w)
         n += 1
         if st.ilc > 496:
-            return STORE_OVERFLOW
+            raise Diagnostic(STORE_OVERFLOW)

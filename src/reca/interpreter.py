@@ -10,23 +10,23 @@ carry a sentinel in the entry and use a pushdown return stack instead.
 All arithmetic is float32.  The loop is deliberately flat: operation
 dispatch happens a couple of hundred thousand times a second in the
 larger demo programs, so everything hot is a local.
+
+A catalog diagnostic raises iosys.Diagnostic; running out of data cards
+in I or R raises it as CONV 01.  An arithmetic fault or an interrupt (the
+step budget or the cancel flag, checked on every operation and every
+backward jump) prints its notice and ends the program.
 """
 
 import math
 import struct
 
 from . import charset, numio
-from .iosys import ARITHMETIC_FAULT, INTERRUPT_NOTICE, EndOfInput
+from .iosys import (
+    ARITHMETIC_FAULT, BAD_DATUM, DEEP_RECURSION, INTERRUPT_NOTICE, STACK_EMPTY,
+    STACK_OVERFLOW, UNDEFINED_CALL, UNDEFINED_RECURSIVE, Diagnostic, EndOfInput,
+)
 from .store import RECURSIVE_MARK
 from .tables import DECLARED_RECURSIVE
-
-# diagnostic codes
-DEEP_RECURSION = -3
-STACK_EMPTY = -4
-STACK_OVERFLOW = -5
-BAD_DATUM = -11
-UNDEFINED_RECURSIVE = -12
-UNDEFINED_CALL = -13
 
 STACK_LIMIT = 200
 RECURSION_LIMIT = 100
@@ -37,31 +37,30 @@ _pack = struct.pack
 _unpack = struct.unpack
 
 
+class _Interrupted(Exception):
+    """The step budget ran out or the session was cancelled."""
+
+
 def _read_datum(sess):
-    """Runtime numeric input: blanks, then '/number' ; None on bad shape
-    or when the data cards run out."""
-    try:
-        while True:
-            w = sess.read_char()
-            if w != charset.BLANK:
-                break
-        if w != charset.QUOTE:
-            return None
-        if sess.read_char() != charset.SLASH:
-            return None
-        value = numio.parse_number(sess, numio.SILENT_FLOAT)
-        while sess.iac == charset.BLANK:
-            sess.read_char()
-    except EndOfInput:
-        return None
+    """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
+    on a bad shape."""
+    while True:
+        w = sess.read_char()
+        if w != charset.BLANK:
+            break
+    if w != charset.QUOTE or sess.read_char() != charset.SLASH:
+        raise Diagnostic(BAD_DATUM)
+    value = numio.parse_number(sess, numio.SILENT_FLOAT)
+    while sess.iac == charset.BLANK:
+        sess.read_char()
     if sess.iac != charset.QUOTE:
-        return None
+        raise Diagnostic(BAD_DATUM)
     return value
 
 
 def execute(sess):
-    """Run the most recently compiled program; returns the diagnostic code
-    (0 for a clean finish)."""
+    """Run the most recently compiled program; a catalog diagnostic
+    raises Diagnostic."""
     st = sess.store
     prog = st.cells
     xeq = sess.exec_code
@@ -75,7 +74,6 @@ def execute(sess):
     ixl = ilc0 + 1
     steps = 0
     budget = _INF if sess.config.max_steps is None else sess.config.max_steps
-    error = 0
     pack = _pack
     unpack = _unpack
     cos, sin, exp, sqrt, log, atan, tanh, pow_ = (
@@ -92,18 +90,14 @@ def execute(sess):
                 ixl += 1
                 steps += 1
                 if sess.cancelled or steps > budget:
-                    sess.cancelled = False
-                    sess.emit_line(INTERRUPT_NOTICE)
-                    break
+                    raise _Interrupted
                 b = xeq[ix]
                 if type(b) is int:
                     if b == 0:
-                        error = UNDEFINED_CALL
-                        break
+                        raise Diagnostic(UNDEFINED_CALL)
                     if b <= 13:  # unary and tests
                         if im <= 1:
-                            error = STACK_EMPTY
-                            break
+                            raise Diagnostic(STACK_EMPTY)
                         a = pdl[im - 1]
                         if b == 6:  # branch unless negative
                             if a < 0:
@@ -139,8 +133,7 @@ def execute(sess):
                             pdl[im - 1] = unpack("f", pack("f", tanh(a)))[0]
                     elif b <= 19:  # binary
                         if im <= 2:
-                            error = STACK_EMPTY
-                            break
+                            raise Diagnostic(STACK_EMPTY)
                         im -= 1
                         y = pdl[im]
                         if b == 18:  # branch unless top two nearly equal
@@ -167,8 +160,7 @@ def execute(sess):
                             pdl[im - 1] = r
                     elif b <= 23:  # operations that push
                         if im > STACK_LIMIT:
-                            error = STACK_OVERFLOW
-                            break
+                            raise Diagnostic(STACK_OVERFLOW)
                         im += 1
                         if b == 21:  # variable fetch
                             pdl[im - 1] = save[prog[ixl]]
@@ -178,15 +170,10 @@ def execute(sess):
                             ixl += 1
                         elif b == 23:  # duplicate the value below
                             if im <= 2:
-                                error = STACK_EMPTY
-                                break
+                                raise Diagnostic(STACK_EMPTY)
                             pdl[im - 1] = pdl[im - 2]
                         else:  # 22: numeric input
-                            value = _read_datum(sess)
-                            if value is None:
-                                error = BAD_DATUM
-                                break
-                            pdl[im - 1] = value
+                            pdl[im - 1] = _read_datum(sess)
                     elif b == 29:  # counter
                         ixl += 1
                         k = prog[ixl]
@@ -218,24 +205,27 @@ def execute(sess):
                         if im > 1:
                             im -= 1
                 elif b is DECLARED_RECURSIVE:
-                    error = UNDEFINED_RECURSIVE
-                    break
+                    raise Diagnostic(UNDEFINED_RECURSIVE)
                 else:  # call a defined subroutine
                     entry = b.entry
                     if b.recursive:
                         if irec > RECURSION_LIMIT:
-                            error = DEEP_RECURSION
-                            break
+                            raise Diagnostic(DEEP_RECURSION)
                         iret[irec] = ixl + 1
                         irec += 1
                     else:
                         prog[entry] = ixl + 1
                     ixl = entry + 1
-            elif cell > 0:  # jump
+            elif cell > ixl:  # forward jump
                 ixl = cell
                 if ixl >= RECURSIVE_MARK:
                     irec -= 1
                     ixl = iret[irec]
+            elif cell:  # backward jump: it may close a loop, so it is a step
+                steps += 1
+                if sess.cancelled or steps > budget:
+                    raise _Interrupted
+                ixl = cell
             else:  # return through the program entry
                 ixl = prog[ixl + 1]
                 if ixl == ilc0:
@@ -248,9 +238,8 @@ def execute(sess):
     except (ValueError, ZeroDivisionError, OverflowError):
         sess.emit_line(ARITHMETIC_FAULT)
         sess.errors_emitted = True
-    if error < 0:
-        sess.diagnose(error)
-    sess.flush()
-    if sess.output_unit == 3:
-        sess.page_eject()
-    return error
+    except EndOfInput:
+        raise Diagnostic(BAD_DATUM) from None
+    except _Interrupted:
+        sess.cancelled = False
+        sess.emit_line(INTERRUPT_NOTICE)

@@ -17,6 +17,34 @@ class EndOfInput(Exception):
     """The input source ran dry; the session winds down as if terminated."""
 
 
+class Diagnostic(Exception):
+    """A catalog diagnostic: it ends the program being compiled or run.
+
+    code is the negative catalog number.  Not a ValueError, so the
+    interpreter's arithmetic-fault handler lets it through.
+    """
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+
+
+# diagnostic codes, the negated 1-based index into MESSAGES
+EXCESS_NESTING = -1
+STORE_OVERFLOW = -2
+DEEP_RECURSION = -3
+STACK_EMPTY = -4
+STACK_OVERFLOW = -5
+BAD_ARGUMENT = -6
+BAD_LEVEL_ZERO = -7
+BAD_COUNTER = -8
+BAD_UNIT = -9
+CONSTANT_EXCESS = -10
+BAD_NUMBER = BAD_DATUM = -11
+UNDEFINED_RECURSIVE = -12
+UNDEFINED_CALL = -13
+RESERVED_OP = -15
+
 # diagnostic messages, indexed by abs(code) 1..20
 MESSAGES = [
     "COMP 01 EXCESS NESTING",

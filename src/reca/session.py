@@ -6,17 +6,20 @@ writer.  Definitions and variables persist across the programs of one
 session, and the store grows until erased; the value stack is emptied
 after each run.
 
-The cycle runs forever: scan cards for a program, compile it, run it if
-its name is blank, and go round again.  A compile diagnostic discards the
-partial program (the store cursor snaps back) but keeps earlier
-definitions.  The terminate command, or simply running out of cards, ends
-the session.
+Each cycle is one round: scan cards for a program, compile it (binding
+any named programs on the way) until one with a blank name completes, and
+run that.  A catalog diagnostic from the compiler or the interpreter
+unwinds to the cycle as iosys.Diagnostic and is printed there; it
+discards the partial program (the store cursor snaps back at the next
+cycle) but keeps earlier definitions.  Every round, clean or not, ends
+with one epilogue: flush the line and page-eject the line printer.  The
+terminate command, or simply running out of cards, ends the session.
 """
 
 from dataclasses import dataclass, field
 
 from . import compiler, interpreter, tables
-from .iosys import PAGE_EJECT, CardReader, EndOfInput, LineWriter
+from .iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter
 from .store import ProgramStore
 
 
@@ -113,20 +116,21 @@ class Session:
     def cycle(self):
         """One monitor / compile / execute round.  Returns False when the
         session is over."""
+        self.store.ilc = self.store.ilc0
+        self.writer.echo = self.config.echo
         try:
-            while True:
-                self.store.ilc = self.store.ilc0
-                self.writer.echo = self.config.echo
-                compiler.monitor(self)
-                outcome = compiler.compile_program(self)
-                if outcome == compiler.IMMEDIATE:
-                    break
-                # diagnostic: partial program dropped, try the next cards
+            compiler.monitor(self)
+            compiler.compile_program(self)
             interpreter.execute(self)
-            return True
+        except Diagnostic as exc:
+            self.diagnose(exc.code)
         except (compiler.Terminated, EndOfInput):
             self.flush()
             return False
+        self.flush()
+        if self.output_unit == 3:
+            self.page_eject()
+        return True
 
     def run(self):
         """Cycle until the deck ends; returns a process-style status."""

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
 import re
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -34,6 +36,21 @@ def table_rows(lines):
 def squeeze(text):
     """Collapse blank runs, as the era's transcriptions did."""
     return " ".join(text.split())
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs on."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from reca.iosys import PAGE_EJECT
 from reca.numio import f32
 from reca.session import SessionConfig, run_deck
 
-from conftest import field_value, run
+from conftest import field_value, run, time_limit
 
 
 def result_of(program, extra_cards=()):
@@ -127,6 +127,12 @@ def test_numeric_input_past_last_card_is_reported():
     ]
 
 
+def test_character_read_past_last_card_is_reported():
+    sess, status = run_deck(["*($90$R.,\"DONE'X,)"])
+    assert status == 1
+    assert sess.output[-2:] == ["CONV 01 SYNTAX ERROR IN NUMERIC DATA", PAGE_EJECT]
+
+
 def test_counter_runs_body_n_times():
     lines, status = run(["*S ($4$\"*'.,)"])
     # skip the echoed control line; the final flush delivers the stars
@@ -198,6 +204,17 @@ def test_step_budget_interrupts():
     sess, status = run_deck(["*((L.),)"], config=SessionConfig(max_steps=1000))
     assert "MANUAL INTERRUPT FROM SWITCH  5" in sess.output
     assert status == 0  # an interrupt is not an error
+
+
+@pytest.mark.parametrize("deck", [
+    ["*S", "((.),)"],     # a loop of jumps alone, no operation in it
+    ["*(:M(H.,),)"],      # an inner loop that never reaches an operation
+])
+def test_step_budget_counts_backward_jumps(deck):
+    with time_limit(5):
+        sess, status = run_deck(deck, config=SessionConfig(max_steps=100))
+    assert sess.output[-2:] == ["MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
+    assert status == 0
 
 
 def test_stack_pointer_resets_between_programs():

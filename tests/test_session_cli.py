@@ -1,5 +1,6 @@
 """Session lifecycle, alternate units, and the command line front end."""
 
+import signal
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,30 @@ def test_cli_punch_file(tmp_path, capsys):
 def test_cli_max_steps_interrupts(tmp_path, capsys):
     path = write_deck(tmp_path, ["*((L.),)"])
     assert main([path, "--max-steps", "500"]) == 0
+    assert "MANUAL INTERRUPT FROM SWITCH  5" in capsys.readouterr().out
+
+
+def test_cli_ctrl_c_stops_a_loop_of_jumps(tmp_path, capsys):
+    # SIGINT every 50 ms while the CLI's own handler is installed; fail
+    # after 5 s instead of hanging
+    ticks = []
+
+    def interrupt(signum, frame):
+        ticks.append(signum)
+        if len(ticks) > 100:
+            raise TimeoutError("still running after 5 s")
+        if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
+            signal.raise_signal(signal.SIGINT)
+
+    path = write_deck(tmp_path, ["*S", "((.),)"])
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+    try:
+        status = main([path])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == 0
     assert "MANUAL INTERRUPT FROM SWITCH  5" in capsys.readouterr().out
 
 
