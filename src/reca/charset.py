@@ -79,6 +79,16 @@ def translate_keypunch(word):
     return KEYPUNCH_MAP.get(word, word)
 
 
+def translate_card(words, text):
+    """The card unit's view of words, the card encoded from text: the
+    keypunch substitutions made, or words itself when text holds none of
+    the four glyphs, as nearly every card does."""
+    if "%" in text or "<" in text or "@" in text or "#" in text:
+        keypunch = KEYPUNCH_MAP.get
+        return [keypunch(w, w) for w in words]
+    return words
+
+
 def class_code(word):
     """Dispatch-table index 1..64 for a storage word."""
     cp = ((word - 64) >> 8) & 0xFF
@@ -134,8 +144,10 @@ def encode_card(text, strict=False, diagnostics=None):
     Lowercase is folded to uppercase, short lines are blank-padded, long
     lines are truncated.  Characters outside the set become blanks; with
     strict=True they raise instead, otherwise a note is appended to the
-    diagnostics list if one is given.
+    diagnostics list if one is given.  Cutting anything but blanks past
+    column 80 also appends a note.
     """
+    dropped = len(text[80:].rstrip(" "))
     text = text[:80]
     words = list(map(_DEFAULT_WORD.get, text))
     if None in words:
@@ -151,6 +163,10 @@ def encode_card(text, strict=False, diagnostics=None):
                     diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
                 w = BLANK
             words[col - 1] = w
+    if dropped and diagnostics is not None:
+        plural = "s" if dropped > 1 else ""
+        diagnostics.append(
+            f"column 81: {dropped} character{plural} past column 80 dropped")
     words.extend([BLANK] * (80 - len(words)))
     return words
 

@@ -12,6 +12,12 @@ followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
+Characters that steer the monitor or the compiler are read and echoed
+one at a time.  What nothing examines one by one is read as a run of the
+card and echoed in one call: the rest of a comment card, blanks between
+command letters and after a program's name, and the bodies of '* comments
+and " strings.
+
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
 one diagnostic that does not abort: the monitor prints it and reads on.
@@ -21,9 +27,14 @@ from . import charset, numio, tables
 from .iosys import (
     BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, BAD_UNIT,
     CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
+    EndOfInput,
 )
 from .store import RECURSIVE_MARK
-from .tables import DECLARED_RECURSIVE, Subroutine
+from .tables import (
+    CHAR_PRED, CLOSE, COMMENT, CONSTANT, COUNTER, DECLARED_RECURSIVE, IGNORE,
+    OPEN, OPERATOR, OPERATOR_NUM, PREDICATE, QUOTE_PREFIX, REPEAT, SEQUENT,
+    STRING, Subroutine,
+)
 
 
 # monitor command letters, as storage words
@@ -33,7 +44,12 @@ _INPUT, _OUTPUT, _TERMINATE, _ERASE, _RECURSIVE, _SUPPRESS = _COMMANDS = tuple(
 
 
 class Terminated(Exception):
-    """The monitor saw the terminate command."""
+    """The session is over: the monitor saw the terminate command, or the
+    cards ran out after a named program, where another may begin."""
+
+
+class UnfinishedProgram(Exception):
+    """The cards ran out inside a program, before its name was read."""
 
 
 def monitor(sess):
@@ -42,8 +58,7 @@ def monitor(sess):
         sess.reader.force_refill()
         w = sess.read_echo()
         if w == charset.LETTER_C:
-            for _ in range(79):
-                sess.read_echo()
+            sess.read_rest()
             sess.flush()
             continue
         if w == charset.STAR:
@@ -51,7 +66,7 @@ def monitor(sess):
         # not a control card: drop the partial echo and try the next card
         sess.writer.clear()
     while True:
-        w = sess.read_char()
+        w = sess.read_nonblank(echo=True)
         if w == charset.LPAREN:
             _begin_program(sess)
             return
@@ -83,11 +98,11 @@ def monitor(sess):
             sess.constants_used = 0
             sess.constants_committed = 0
         elif w == _RECURSIVE:
-            if sess.compile_code[code] == tables.QUOTE_PREFIX:
+            if sess.compile_code[code] == QUOTE_PREFIX:
                 w2 = sess.read_char()
                 sess.put_char(w2)
                 code = tables.quote_extend(charset.class_code(w2))
-            sess.compile_code[code] = tables.PREDICATE
+            sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
             sess.writer.echo = False
@@ -107,54 +122,63 @@ def compile_program(sess):
     """Compile until a program completes that should run now.
 
     Named programs met on the way are bound and compilation goes on with
-    the next one.  A catalog diagnostic raises Diagnostic.
+    the next one.  A catalog diagnostic raises Diagnostic; the cards
+    running out inside a program raise UnfinishedProgram.
     """
+    try:
+        _compile(sess)
+    except EndOfInput:
+        raise UnfinishedProgram from None
+
+
+def _compile(sess):
     st = sess.store
+    table = sess.compile_code  # only the monitor replaces it
+    read_echo = sess.read_echo
     while True:
         if st.ilc > 495:
             raise Diagnostic(STORE_OVERFLOW)
-        code = charset.class_code(sess.read_echo())
-        while True:
-            cls = sess.compile_code[code]
-            if cls == tables.QUOTE_PREFIX:
-                code = tables.quote_extend(charset.class_code(sess.read_echo()))
-                continue
-            break
-        if cls == tables.IGNORE:
+        # the class code of a word, as charset.class_code computes it
+        code = (((read_echo() - 64) >> 8) & 63) + 1
+        cls = table[code]
+        while cls == QUOTE_PREFIX:
+            code = (((read_echo() - 64) >> 8) & 63) + 65
+            cls = table[code]
+        if cls == IGNORE:
             continue
-        if cls == tables.OPEN:
+        if cls == OPEN:
             if len(sess.frames) >= 10:
                 raise Diagnostic(EXCESS_NESTING)
             sess.frames.append([st.ilc, 0, 0])
-        elif cls == tables.CLOSE:
+        elif cls == CLOSE:
             if _close_paren(sess):
                 return
-        elif cls == tables.SEQUENT:
+        elif cls == SEQUENT:
             frame = sess.frames[-1]
             frame[2] = st.emit(frame[2])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
-        elif cls == tables.REPEAT:
+        elif cls == REPEAT:
             frame = sess.frames[-1]
             st.emit(frame[0])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
-        elif cls == tables.OPERATOR:
+        elif cls == OPERATOR:
             st.emit(-code)
-        elif cls == tables.OPERATOR_NUM:
-            _emit_atom(sess, code, n_args=1, numeric=True, link=False)
-        elif cls == tables.PREDICATE:
+        elif cls == PREDICATE:
             _emit_atom(sess, code, n_args=0, numeric=False, link=True)
-        elif cls == tables.CHAR_PRED:
+        elif cls == OPERATOR_NUM:
+            _emit_atom(sess, code, n_args=1, numeric=True, link=False)
+        elif cls == CHAR_PRED:
             _emit_atom(sess, code, n_args=1, numeric=False, link=True)
-        elif cls == tables.COUNTER:
+        elif cls == COUNTER:
             _compile_counter(sess, code)
-        elif cls == tables.CONSTANT:
+        elif cls == CONSTANT:
             _compile_constant(sess, code)
-        elif cls == tables.COMMENT:
-            while sess.read_echo() != charset.QUOTE:
+        elif cls == COMMENT:
+            while sess.read_to_quote()[-1] != charset.QUOTE:
                 pass
-        elif cls == tables.STRING:
+        elif cls == STRING:
             _compile_string(sess, code)
         else:  # RESERVED
             raise Diagnostic(RESERVED_OP)
@@ -188,9 +212,9 @@ def _close_paren(sess):
         sess.constants_used = sess.constants_committed
         sess.writer.echo = True
         return True
-    if sess.compile_code[name1] == tables.QUOTE_PREFIX:
+    if sess.compile_code[name1] == QUOTE_PREFIX:
         name1 = name2
-    sess.compile_code[name1] = tables.PREDICATE
+    sess.compile_code[name1] = PREDICATE
     recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
     sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
     if recursive:
@@ -200,13 +224,14 @@ def _close_paren(sess):
     st.emit(0)
     sess.frames = [[st.ilc, 0, 0]]
     # a further program must follow on this or a later card
-    while True:
-        w = sess.read_char()
-        if w == charset.LPAREN:
-            sess.put_char(w)
-            return False
-        if w != charset.BLANK:
-            raise Diagnostic(BAD_LEVEL_ZERO)
+    try:
+        w = sess.read_nonblank(echo=False)
+    except EndOfInput:
+        raise Terminated from None
+    if w != charset.LPAREN:
+        raise Diagnostic(BAD_LEVEL_ZERO)
+    sess.put_char(w)
+    return False
 
 
 def _emit_atom(sess, code, n_args, numeric, link):
@@ -247,8 +272,8 @@ def _compile_constant(sess, code):
     st = sess.store
     st.emit(-code)
     value = numio.parse_number(sess, numio.ECHO_FLOAT)
-    while sess.iac == charset.BLANK:
-        sess.read_echo()
+    if sess.iac == charset.BLANK:
+        sess.put_char(sess.read_nonblank(echo=True))
     if sess.iac != charset.QUOTE:
         raise Diagnostic(BAD_NUMBER)
     sess.constants_used += 1
@@ -264,13 +289,18 @@ def _compile_string(sess, code):
     st.emit(-code)
     count_cell = st.ilc
     st.ilc += 1
-    n = 0
+    # the store overflows once the text reaches cell 497, or at once
+    # when the text starts there
+    end = max(497, st.ilc + 1)
     while True:
-        w = sess.read_echo()
-        if w == charset.QUOTE:
-            st.cells[count_cell] = n
+        run = sess.read_to_quote(end - st.ilc)
+        closed = run[-1] == charset.QUOTE
+        if closed:
+            run = run[:-1]
+        st.cells[st.ilc:st.ilc + len(run)] = run
+        st.ilc += len(run)
+        if closed:
+            st.cells[count_cell] = st.ilc - count_cell - 1
             return
-        st.emit(w)
-        n += 1
-        if st.ilc > 496:
+        if st.ilc >= end:
             raise Diagnostic(STORE_OVERFLOW)

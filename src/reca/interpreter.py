@@ -44,15 +44,12 @@ class _Interrupted(Exception):
 def _read_datum(sess):
     """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
     on a bad shape."""
-    while True:
-        w = sess.read_char()
-        if w != charset.BLANK:
-            break
+    w = sess.read_nonblank(echo=False)
     if w != charset.QUOTE or sess.read_char() != charset.SLASH:
         raise Diagnostic(BAD_DATUM)
     value = numio.parse_number(sess, numio.SILENT_FLOAT)
-    while sess.iac == charset.BLANK:
-        sess.read_char()
+    if sess.iac == charset.BLANK:
+        sess.read_nonblank(echo=False)
     if sess.iac != charset.QUOTE:
         raise Diagnostic(BAD_DATUM)
     return value

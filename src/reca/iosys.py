@@ -1,9 +1,12 @@
 """Card input and line output.
 
-Input arrives as 80-column card images read one character at a time.
-Output is accumulated a character at a time into a single line buffer and
-released to a sink either explicitly or when the buffer reaches the width
-of the current output unit.
+Input arrives as 80-column card images.  The reader deals them out a
+character at a time, or as a run of the current card in one slice: the
+rest of the card, the blanks at the cursor, or everything up to and
+including the next quote.  Output is accumulated into a single line
+buffer, a character or a run at a time, and released to a sink either
+explicitly or when the buffer reaches the width of the current output
+unit.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -11,6 +14,7 @@ keypunch substitutions ( % < @ # for ( ) ' = ).
 """
 
 from . import charset
+from .charset import BLANK, QUOTE
 
 
 class EndOfInput(Exception):
@@ -75,20 +79,25 @@ ARITHMETIC_FAULT = "EXEC 06 ARITHMETIC FAULT"
 
 
 class CardReader:
-    """Deals characters off 80-column card images.
+    """Deals characters and runs off 80-column card images.
 
     sources maps a unit number to a callable returning the next source
     line as a string, or None at end of input.  One shared card buffer is
     used regardless of unit, matching the original single-record design.
     Each card is held twice: as encoded, and with the keypunch
-    substitutions made for reads from the card unit.
+    substitutions made for reads from the card unit (the same list when
+    the card has no keypunch glyph).
+
+    Every read starts by refilling when the card is used up, so a run is
+    never empty at the end of a card; it is empty only when the word at
+    the cursor does not belong to it.
     """
 
     def __init__(self, sources, strict=False):
         self.sources = sources
         self.strict = strict
         self.diagnostics = []
-        self.record = [charset.BLANK] * 80
+        self.record = [BLANK] * 80
         self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
 
@@ -111,8 +120,7 @@ class CardReader:
         self.record = charset.encode_card(
             line, strict=self.strict, diagnostics=self.diagnostics
         )
-        keypunch = charset.KEYPUNCH_MAP.get
-        self.translated = [keypunch(w, w) for w in self.record]
+        self.translated = charset.translate_card(self.record, line)
         self.cursor = 0
 
     def read(self, unit):
@@ -122,6 +130,40 @@ class CardReader:
         w = (self.translated if unit == 2 else self.record)[self.cursor]
         self.cursor += 1
         return w
+
+    def rest(self, unit):
+        """The rest of the current card."""
+        if self.cursor >= 80:
+            self._refill(unit)
+        run = (self.translated if unit == 2 else self.record)[self.cursor:]
+        self.cursor = 80
+        return run
+
+    def blanks(self, unit):
+        """The run of blanks at the cursor, up to the end of the card."""
+        if self.cursor >= 80:
+            self._refill(unit)
+        start = stop = self.cursor
+        record = self.record  # blanks read the same on every unit
+        while stop < 80 and record[stop] == BLANK:
+            stop += 1
+        self.cursor = stop
+        return record[start:stop]
+
+    def through_quote(self, unit, limit=80):
+        """The words up to and including the next quote, or up to the end
+        of the card if no quote follows; at most limit words."""
+        if self.cursor >= 80:
+            self._refill(unit)
+        record = self.translated if unit == 2 else self.record
+        start = self.cursor
+        stop = min(start + limit, 80)
+        try:
+            stop = record.index(QUOTE, start, stop) + 1
+        except ValueError:
+            pass
+        self.cursor = stop
+        return record[start:stop]
 
 
 class LineWriter:

@@ -13,12 +13,19 @@ unwinds to the cycle as iosys.Diagnostic and is printed there; it
 discards the partial program (the store cursor snaps back at the next
 cycle) but keeps earlier definitions.  Every round, clean or not, ends
 with one epilogue: flush the line and page-eject the line printer.  The
-terminate command, or simply running out of cards, ends the session.
+terminate command, or running out of cards between programs, ends the
+session.  Running out inside a program, after its ( and before its name
+is complete, ends it too, with status 1 and a note among the reader's
+diagnostics.
+
+Reads go through the session, which latches the last character read in
+iac: one character at a time, or a run of the card in one slice.
 """
 
 from dataclasses import dataclass, field
 
 from . import compiler, interpreter, tables
+from .charset import BLANK
 from .iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter
 from .store import ProgramStore
 
@@ -86,17 +93,45 @@ class Session:
             self.on_line(unit, text)
 
     def read_char(self):
-        w = self.reader.read(self.input_unit)
-        self.iac = w
+        w = self.iac = self.reader.read(self.input_unit)
         return w
 
     def put_char(self, word):
         self.writer.put(word, self.output_unit)
 
     def read_echo(self):
-        w = self.read_char()
-        self.put_char(w)
+        w = self.iac = self.reader.read(self.input_unit)
+        self.writer.put(w, self.output_unit)
         return w
+
+    def read_rest(self):
+        """Read and echo the rest of the current card."""
+        run = self.reader.rest(self.input_unit)
+        self.iac = run[-1]
+        self.writer.put_words(run, self.output_unit)
+
+    def read_nonblank(self, echo):
+        """Read past blanks, across cards, echoing them if echo; returns
+        the first other character, read but not echoed."""
+        reader = self.reader
+        unit = self.input_unit
+        while True:
+            run = reader.blanks(unit)
+            if run:
+                self.iac = BLANK
+                if echo:
+                    self.writer.put_words(run, self.output_unit)
+            if reader.cursor < 80:
+                w = self.iac = reader.read(unit)
+                return w
+
+    def read_to_quote(self, limit=80):
+        """Read and echo the current card up to and including the next
+        quote, or to the end of the card; at most limit characters."""
+        run = self.reader.through_quote(self.input_unit, limit)
+        self.iac = run[-1]
+        self.writer.put_words(run, self.output_unit)
+        return run
 
     def flush(self):
         self.writer.flush(self.output_unit)
@@ -124,6 +159,11 @@ class Session:
             interpreter.execute(self)
         except Diagnostic as exc:
             self.diagnose(exc.code)
+        except compiler.UnfinishedProgram:
+            self.reader.diagnostics.append("end of input inside a program")
+            self.errors_emitted = True
+            self.flush()
+            return False
         except (compiler.Terminated, EndOfInput):
             self.flush()
             return False

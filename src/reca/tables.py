@@ -82,8 +82,7 @@ _OPERATOR_CHARS = "ABCEHILMOPQRWX+&-*/"
 _RESERVED_CHARS = "DGTUVZ"
 
 
-def compile_table():
-    """Fresh compile-dispatch table, entries 1..128 (index 0 unused)."""
+def _build_compile_table():
     # everything defaults to predicate (an operator cell that may later be
     # bound to a defined program); specific classes then overwrite
     table = [PREDICATE] * 129
@@ -100,8 +99,7 @@ def compile_table():
     return table
 
 
-def exec_table():
-    """Fresh exec-dispatch table, entries 1..128 (index 0 unused)."""
+def _build_exec_table():
     table = [UNDEFINED] * 129
     bindings = {
         "A": OP_ABS, "B": OP_POW, "C": OP_COS, "E": OP_EXP, "F": OP_GET,
@@ -120,3 +118,17 @@ def exec_table():
     table[_q("/")] = OP_CONST
     return table
 
+
+# the pristine tables, built once; sessions mutate copies
+_COMPILE_TABLE = _build_compile_table()
+_EXEC_TABLE = _build_exec_table()
+
+
+def compile_table():
+    """Fresh compile-dispatch table, entries 1..128 (index 0 unused)."""
+    return _COMPILE_TABLE[:]
+
+
+def exec_table():
+    """Fresh exec-dispatch table, entries 1..128 (index 0 unused)."""
+    return _EXEC_TABLE[:]

@@ -92,6 +92,18 @@ def test_encode_card_pads_and_folds():
     assert charset.encode_card("X" * 100) == [charset.WORD_BY_CHAR["X"]] * 80
 
 
+def test_encode_card_notes_characters_past_column_80():
+    notes = []
+    assert charset.encode_card("X" * 80 + "  AB  ", diagnostics=notes) == \
+        [charset.WORD_BY_CHAR["X"]] * 80
+    charset.encode_card("X" * 80 + "A", diagnostics=notes)
+    charset.encode_card("X" * 80 + "   ", diagnostics=notes)
+    assert notes == [
+        "column 81: 4 characters past column 80 dropped",
+        "column 81: 1 character past column 80 dropped",
+    ]
+
+
 def test_encode_card_unknown_characters():
     notes = []
     words = charset.encode_card("{", diagnostics=notes)
@@ -129,7 +141,8 @@ CARD_TEXT = st.text(
 
 
 def reference_encode(text, strict, diagnostics):
-    """encode_card one character at a time: alias, fold to uppercase, look up."""
+    """encode_card one character at a time: alias, fold to uppercase, look up;
+    then note anything but blanks cut past column 80."""
     words = []
     for col, ch in enumerate(text[:80], start=1):
         ch = charset.DEFAULT_ALIASES.get(ch, ch)
@@ -141,6 +154,10 @@ def reference_encode(text, strict, diagnostics):
             diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
             w = charset.BLANK
         words.append(w)
+    dropped = len(text[80:].rstrip(" "))
+    if dropped:
+        plural = "s" if dropped > 1 else ""
+        diagnostics.append(f"column 81: {dropped} character{plural} past column 80 dropped")
     return words + [charset.BLANK] * (80 - len(words))
 
 

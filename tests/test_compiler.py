@@ -1,6 +1,6 @@
 """Monitor behavior and one-pass compilation."""
 
-from reca import tables
+from reca import charset, tables
 from reca.session import Session, SessionConfig
 from reca.tables import DECLARED_RECURSIVE, Subroutine
 
@@ -82,6 +82,77 @@ def test_blank_cards_before_program_are_skipped():
 def test_comment_card_echoes():
     lines, status = run(["C HELLO", "*('/1'L,)"])
     assert lines[0].rstrip() == "C HELLO"
+
+
+# echo of the card runs: the lines are those the character-at-a-time
+# reader printed
+
+
+def test_echo_spans_command_card_and_program_card():
+    deck = ["* N'Y", "('/2'OX,)'Y ", "('Y,)"]
+    assert run(deck) == ([
+        "* N'Y" + " " * 75 + "(", "'/2'OX,)'Y ", "('Y,)   ", "  2.00000E 00",
+    ], 0)
+    assert run(deck, width=80) == ([
+        "* N'Y" + " " * 75, "(", "'/2'OX,)'Y ", "('Y,)   ", "  2.00000E 00",
+    ], 0)
+
+
+def test_comment_card_echo_on_unit_one():
+    deck = ["*O1('/1'OX,)", "C UNDER UNIT ONE", "*('/2'OX,)"]
+    expected = [
+        "*O1(", "'/1'OX,)   ", "  1.00000E 00", "C UNDER UNIT ONE" + " " * 64,
+        "*(", "'/2'OX,)   ", "  2.00000E 00",
+    ]
+    assert run(deck) == (expected, 0)
+    assert run(deck, width=80) == (expected, 0)
+
+
+def test_erase_between_program_groups_echo():
+    deck = ["C GROUP 1", "*E", "('/1'OX,)", "*E", "('/2'OX,)"]
+    assert run(deck) == ([
+        "C GROUP 1" + " " * 71,
+        "*E" + " " * 78 + "(", "'/1'OX,)   ", "  1.00000E 00",
+        "*E" + " " * 78 + "(", "'/2'OX,)   ", "  2.00000E 00",
+    ], 0)
+    assert run(deck, width=80) == ([
+        "C GROUP 1" + " " * 71,
+        "*E" + " " * 78, "(", "'/1'OX,)   ", "  1.00000E 00",
+        "*E" + " " * 78, "(", "'/2'OX,)   ", "  2.00000E 00",
+    ], 0)
+
+
+def test_string_and_comment_bodies_run_across_cards():
+    deck = ['*("HELLO', "WORLD'X'*A NOTE", "ENDS HERE'X,)"]
+    assert run(deck) == ([
+        "*(",
+        '"HELLO' + " " * 72 + "WORLD'X'*A NOTE" + " " * 27,
+        " " * 38 + "ENDS HERE'X,)   ",
+        "HELLO" + " " * 72 + "WORLD",
+    ], 0)
+    assert run(deck, width=80) == ([
+        "*(",
+        '"HELLO' + " " * 72 + "WO",
+        "RLD'X'*A NOTE" + " " * 65 + "EN",
+        "DS HERE'X,)   ",
+        "HELLO" + " " * 72 + "WOR",
+        "LD",
+    ], 0)
+
+
+def test_store_overflow_inside_a_string_stops_echo_and_text_together():
+    deck = ['*("' + "A" * 77] + ["B" * 80] * 6 + ["'X,)"]
+    message = "COMP 02 PROGRAM LENGTH EXCEEDS CAPACITY"
+    assert run(deck) == ([
+        "*(", '"' + "A" * 77 + "B" * 42, "B" * 120, "B" * 120, "B" * 120,
+        message, "B" * 14,
+    ], 1)
+    assert run(deck, width=80) == ([
+        "*(", '"' + "A" * 77 + "B" * 2, *["B" * 80] * 5, message, "B" * 14,
+    ], 1)
+    # cells 4..496 hold the text, which stopped at its 493rd character
+    sess = compile_only(deck)
+    assert sess.store.cells[495:498] == [charset.WORD_BY_CHAR["B"]] * 2 + [0]
 
 
 def test_multi_card_program():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from reca import charset
 from reca.iosys import MESSAGES, CardReader, EndOfInput, LineWriter
+from reca.session import Session, SessionConfig
 
 
 def reader_for(lines, unit=2):
@@ -80,6 +81,83 @@ def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, w
         one.put(w, unit)
     many.put_words(words, unit)
     assert (many_lines, many.buffer) == (one_lines, one.buffer)
+
+
+# card runs: one slice each, the same as reading the characters one by one
+
+RUN_CARDS = st.lists(
+    st.one_of(
+        st.just(""),
+        st.just(" " * 80),
+        st.text(alphabet="      ''%<@#AB(=", max_size=80),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+def read_run(sess, op, limit):
+    if op == "rest":
+        return sess.read_rest()
+    if op == "to_quote":
+        return sess.read_to_quote(limit)
+    return sess.read_nonblank(echo=op == "nonblank_echo")
+
+
+def read_each(sess, op, limit):
+    """What each run stands for, read a character at a time."""
+    reader = sess.reader
+    if op == "rest":
+        for _ in range(80 - reader.cursor if reader.cursor < 80 else 80):
+            sess.put_char(sess.read_char())
+        return None
+    if op == "to_quote":
+        run = []
+        for _ in range(limit):
+            run.append(sess.read_echo())
+            if run[-1] == charset.QUOTE or reader.cursor == 80:
+                break
+        return run
+    while True:
+        w = sess.read_char()
+        if w != charset.BLANK:
+            return w
+        if op == "nonblank_echo":
+            sess.put_char(w)
+
+
+def run_state(read, cards, config, skip, fill, op, limit):
+    """(result, output, buffer, cursor, iac) after skip reads, fill puts and
+    one read of op; result is "EOF" when the cards ran out."""
+    width, echo, input_unit, output_unit = config
+    sess = Session(cards=cards, config=SessionConfig(width=width))
+    sess.input_unit, sess.output_unit = input_unit, output_unit
+    try:
+        for _ in range(skip):
+            sess.read_char()
+        for _ in range(fill):
+            sess.put_char(charset.LETTER_C)
+        sess.writer.echo = echo
+        result = read(sess, op, limit)
+    except EndOfInput:
+        result = "EOF"
+    return result, sess.output, sess.writer.buffer, sess.reader.cursor, sess.iac
+
+
+@given(RUN_CARDS,
+       st.tuples(st.sampled_from([80, 120]), st.booleans(),
+                 st.sampled_from([2, 6]), st.sampled_from([1, 3])),
+       st.integers(0, 170), st.integers(0, 130),
+       st.sampled_from(["rest", "to_quote", "nonblank", "nonblank_echo"]),
+       st.integers(1, 90))
+@example(["A" * 79 + "'"], (120, True, 2, 3), 1, 0, "to_quote", 80)  # quote in column 80
+@example(["AB" + " " * 78, "(A"], (80, True, 2, 3), 2, 0, "nonblank_echo", 1)
+@example([" " * 80, "", "@"], (120, True, 2, 3), 0, 0, "nonblank_echo", 1)  # all-blank cards
+@example(["A" * 80], (80, False, 6, 1), 1, 79, "rest", 1)  # echo off
+@example(["A@B'"], (120, True, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
+@example(["'(@)"], (120, True, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
+def test_runs_match_reading_each_character(cards, config, skip, fill, op, limit):
+    args = cards, config, skip, fill, op, limit
+    assert run_state(read_run, *args) == run_state(read_each, *args)
 
 
 def test_writer_explicit_flush():

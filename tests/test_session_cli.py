@@ -104,6 +104,40 @@ def test_run_deck_accepts_multiline_string():
     assert "  4.00000E 00" in sess.output
 
 
+def test_card_past_column_80_is_noted():
+    sess, status = run_deck(["*('/1'OX,)" + " " * 70 + "JUNK"])
+    assert status == 0
+    assert sess.output == ["*(", "'/1'OX,)" + " " * 3, "  1.00000E 00", PAGE_EJECT]
+    assert sess.reader.diagnostics == ["column 81: 4 characters past column 80 dropped"]
+    sess, status = run_deck(["*('/1'OX,)" + " " * 100])
+    assert sess.reader.diagnostics == []
+
+
+@pytest.mark.parametrize("deck", [
+    ["*('/1'OX"],
+    ['*("ABC'],
+    ["*('*A NOTE"],
+    ["*(X,)'Y", "(X"],
+    ["*(" + "X" * 76 + ",)"],   # the name would start on the next card
+])
+def test_deck_ending_inside_a_program_is_status_one(deck):
+    sess, status = run_deck(deck)
+    assert status == 1
+    assert sess.reader.diagnostics == ["end of input inside a program"]
+    assert not any(line.startswith(("COMP", "EXEC", "CONV")) for line in sess.output)
+
+
+@pytest.mark.parametrize("deck", [
+    ["*('/1'OX,)'A "],
+    ["*(X,)'Y", "", "   "],
+    ["*(X,)Y"],
+])
+def test_deck_ending_after_a_named_program_is_clean(deck):
+    sess, status = run_deck(deck)
+    assert status == 0
+    assert sess.reader.diagnostics == []
+
+
 # command line front end
 
 
@@ -137,6 +171,18 @@ def test_cli_reports_replaced_characters(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "  1.00000E 00" in captured.out
     assert captured.err == "reca: column 7: character '{' replaced by blank\n"
+
+
+def test_cli_notes_a_deck_that_ends_inside_a_program(tmp_path, capsys):
+    # column 81 onward is cut, so the program never closes
+    path = write_deck(tmp_path, ["*(" + "'/1'" + "L" * 74 + "'/2'OX,)"])
+    assert main([path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "*(\n'/1'" + "L" * 74 + "\n"
+    assert captured.err == (
+        "reca: column 81: 8 characters past column 80 dropped\n"
+        "reca: end of input inside a program\n"
+    )
 
 
 def test_cli_missing_deck_is_status_two(tmp_path, capsys):
