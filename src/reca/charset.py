@@ -74,11 +74,6 @@ KEYPUNCH_MAP = {
 }
 
 
-def translate_keypunch(word):
-    """Card-unit substitution: % < @ # become ( ) ' = ."""
-    return KEYPUNCH_MAP.get(word, word)
-
-
 def translate_card(words, text):
     """The card unit's view of words, the card encoded from text: the
     keypunch substitutions made, or words itself when text holds none of

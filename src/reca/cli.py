@@ -9,6 +9,14 @@ from .iosys import PAGE_EJECT
 from .session import Session, SessionConfig
 
 
+def non_negative_int(text):
+    """argparse type of --max-steps: an int that is 0 or more."""
+    steps = int(text)
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {steps}")
+    return steps
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reca",
@@ -19,7 +27,7 @@ def build_parser():
                         help="printer line width")
     parser.add_argument("--no-echo", action="store_true",
                         help="suppress the source listing")
-    parser.add_argument("--max-steps", type=int, default=None,
+    parser.add_argument("--max-steps", type=non_negative_int, default=None,
                         help="interrupt any single execution after N steps")
     parser.add_argument("--punch", metavar="FILE", default=None,
                         help="write card-punch output to FILE")

@@ -54,39 +54,41 @@ class UnfinishedProgram(Exception):
 
 def monitor(sess):
     """Scan cards until compilation starts; returns when ( is consumed."""
+    reader = sess.reader
+    writer = sess.writer
     while True:
-        sess.reader.force_refill()
+        reader.force_refill()
         w = sess.read_echo()
         if w == charset.LETTER_C:
-            sess.read_rest()
-            sess.flush()
+            writer.put_words(reader.rest())
+            writer.flush()
             continue
         if w == charset.STAR:
             break
         # not a control card: drop the partial echo and try the next card
-        sess.writer.clear()
+        writer.clear()
     while True:
-        w = sess.read_nonblank(echo=True)
+        w = reader.nonblank(writer.put_words)
         if w == charset.LPAREN:
             _begin_program(sess)
             return
-        sess.put_char(w)
+        writer.put(w)
         if w not in _COMMANDS:
             continue
-        arg = sess.read_char()
+        arg = reader.read()
         if arg == charset.LPAREN:
             _begin_program(sess)
             return
-        sess.put_char(arg)
+        writer.put(arg)
         code = charset.class_code(arg)
         if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
-                sess.input_unit = code - 49
+                reader.unit = code - 49
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _OUTPUT:
             if 50 <= code <= 52:  # glyphs 1..3
-                sess.output_unit = code - 49
+                writer.select(code - 49)
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _TERMINATE:
@@ -99,19 +101,17 @@ def monitor(sess):
             sess.constants_committed = 0
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
-                w2 = sess.read_char()
-                sess.put_char(w2)
-                code = tables.quote_extend(charset.class_code(w2))
+                code = tables.quote_extend(charset.class_code(sess.read_echo()))
             sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
-            sess.writer.echo = False
+            writer.echo = False
 
 
 def _begin_program(sess):
     """Left parenthesis at level zero: open the program frame."""
-    sess.put_char(charset.LPAREN)
-    sess.flush()
+    sess.writer.put(charset.LPAREN)
+    sess.writer.flush()
     st = sess.store
     st.ilc0 = st.ilc
     st.emit(0)
@@ -134,15 +134,20 @@ def compile_program(sess):
 def _compile(sess):
     st = sess.store
     table = sess.compile_code  # only the monitor replaces it
-    read_echo = sess.read_echo
+    read = sess.reader.read
+    put = sess.writer.put
     while True:
         if st.ilc > 495:
             raise Diagnostic(STORE_OVERFLOW)
+        w = read()
+        put(w)
         # the class code of a word, as charset.class_code computes it
-        code = (((read_echo() - 64) >> 8) & 63) + 1
+        code = (((w - 64) >> 8) & 63) + 1
         cls = table[code]
         while cls == QUOTE_PREFIX:
-            code = (((read_echo() - 64) >> 8) & 63) + 65
+            w = read()
+            put(w)
+            code = (((w - 64) >> 8) & 63) + 65
             cls = table[code]
         if cls == IGNORE:
             continue
@@ -176,7 +181,7 @@ def _compile(sess):
         elif cls == CONSTANT:
             _compile_constant(sess, code)
         elif cls == COMMENT:
-            while sess.read_to_quote()[-1] != charset.QUOTE:
+            while _read_to_quote(sess)[-1] != charset.QUOTE:
                 pass
         elif cls == STRING:
             _compile_string(sess, code)
@@ -203,10 +208,10 @@ def _close_paren(sess):
     name1 = charset.class_code(sess.read_echo())
     name2 = tables.quote_extend(charset.class_code(sess.read_echo()))
     name3 = sess.read_echo()
-    sess.flush()
+    sess.writer.flush()
     if name3 == charset.LETTER_L or sess.config.listing_always:
         for line in st.dump_listing(st.ilc0, st.ilc):
-            sess.emit_line(line)
+            sess.writer.emit_text(line)
     st.ilc += 1
     if name1 == 1:  # blank name: run it now
         sess.constants_used = sess.constants_committed
@@ -225,12 +230,12 @@ def _close_paren(sess):
     sess.frames = [[st.ilc, 0, 0]]
     # a further program must follow on this or a later card
     try:
-        w = sess.read_nonblank(echo=False)
+        w = sess.reader.nonblank()
     except EndOfInput:
         raise Terminated from None
     if w != charset.LPAREN:
         raise Diagnostic(BAD_LEVEL_ZERO)
-    sess.put_char(w)
+    sess.writer.put(w)
     return False
 
 
@@ -258,7 +263,7 @@ def _compile_counter(sess, code):
     """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
     st = sess.store
     st.emit(-code)
-    n = numio.parse_number(sess, numio.ECHO_INT)
+    n = numio.parse_number(sess.read_echo, integer=True)
     if n <= 0:
         raise Diagnostic(BAD_COUNTER)
     st.emit(-n)
@@ -271,10 +276,11 @@ def _compile_constant(sess, code):
     """'/number' becomes [op, pool slot]; the value goes to the pool."""
     st = sess.store
     st.emit(-code)
-    value = numio.parse_number(sess, numio.ECHO_FLOAT)
-    if sess.iac == charset.BLANK:
-        sess.put_char(sess.read_nonblank(echo=True))
-    if sess.iac != charset.QUOTE:
+    value = numio.parse_number(sess.read_echo)
+    reader = sess.reader
+    if reader.iac == charset.BLANK:
+        sess.writer.put(reader.nonblank(sess.writer.put_words))
+    if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_NUMBER)
     sess.constants_used += 1
     st.emit(sess.constants_used)
@@ -293,7 +299,7 @@ def _compile_string(sess, code):
     # when the text starts there
     end = max(497, st.ilc + 1)
     while True:
-        run = sess.read_to_quote(end - st.ilc)
+        run = _read_to_quote(sess, end - st.ilc)
         closed = run[-1] == charset.QUOTE
         if closed:
             run = run[:-1]
@@ -304,3 +310,11 @@ def _compile_string(sess, code):
             return
         if st.ilc >= end:
             raise Diagnostic(STORE_OVERFLOW)
+
+
+def _read_to_quote(sess, limit=80):
+    """Read and echo the current card up to and including the next quote,
+    or to the end of the card; at most limit characters."""
+    run = sess.reader.through_quote(limit)
+    sess.writer.put_words(run)
+    return run

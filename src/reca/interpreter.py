@@ -41,16 +41,16 @@ class _Interrupted(Exception):
     """The step budget ran out or the session was cancelled."""
 
 
-def _read_datum(sess):
+def _read_datum(reader):
     """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
     on a bad shape."""
-    w = sess.read_nonblank(echo=False)
-    if w != charset.QUOTE or sess.read_char() != charset.SLASH:
+    w = reader.nonblank()
+    if w != charset.QUOTE or reader.read() != charset.SLASH:
         raise Diagnostic(BAD_DATUM)
-    value = numio.parse_number(sess, numio.SILENT_FLOAT)
-    if sess.iac == charset.BLANK:
-        sess.read_nonblank(echo=False)
-    if sess.iac != charset.QUOTE:
+    value = numio.parse_number(reader.read)
+    if reader.iac == charset.BLANK:
+        reader.nonblank()
+    if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_DATUM)
     return value
 
@@ -64,6 +64,8 @@ def execute(sess):
     pdl = sess.stack
     save = sess.variables
     const = sess.constants
+    reader = sess.reader
+    writer = sess.writer
     ilc0 = st.ilc0
     im = 1
     iret = [0] * (RECURSION_LIMIT + 2)
@@ -103,7 +105,7 @@ def execute(sess):
                             save[prog[ixl]] = a
                             ixl += 1
                         elif b == 7:
-                            numio.format_scientific(sess, a)
+                            numio.format_scientific(writer, a)
                         elif b == 13:  # branch unless near zero
                             if (a if a >= 0 else -a) <= NEAR_ZERO:
                                 ixl += 1
@@ -170,7 +172,7 @@ def execute(sess):
                                 raise Diagnostic(STACK_EMPTY)
                             pdl[im - 1] = pdl[im - 2]
                         else:  # 22: numeric input
-                            pdl[im - 1] = _read_datum(sess)
+                            pdl[im - 1] = _read_datum(reader)
                     elif b == 29:  # counter
                         ixl += 1
                         k = prog[ixl]
@@ -182,22 +184,22 @@ def execute(sess):
                             ixl += 1
                     elif b == 26:  # emit stored string
                         n = prog[ixl]
-                        for _ in range(n):
-                            ixl += 1
-                            sess.iac = prog[ixl]
-                            sess.put_char(sess.iac)
+                        if n > 0:
+                            reader.iac = prog[ixl + n]
+                            writer.put_words(prog[ixl + 1:ixl + n + 1])
+                            ixl += n
                         ixl += 1
                     elif b == 27:  # branch if last character matches
-                        if sess.iac == prog[ixl]:
+                        if reader.iac == prog[ixl]:
                             ixl += 2
                         else:
                             ixl += 1
                     elif b == 24:
-                        sess.read_char()
+                        reader.read()
                     elif b == 25:
-                        sess.put_char(sess.iac)
+                        writer.put(reader.iac)
                     elif b == 28:
-                        sess.flush()
+                        writer.flush()
                     elif b == 30:
                         if im > 1:
                             im -= 1
@@ -233,10 +235,10 @@ def execute(sess):
                 else:
                     ixl = prog[ixl] - 1
     except (ValueError, ZeroDivisionError, OverflowError):
-        sess.emit_line(ARITHMETIC_FAULT)
+        writer.emit_text(ARITHMETIC_FAULT)
         sess.errors_emitted = True
     except EndOfInput:
         raise Diagnostic(BAD_DATUM) from None
     except _Interrupted:
         sess.cancelled = False
-        sess.emit_line(INTERRUPT_NOTICE)
+        writer.emit_text(INTERRUPT_NOTICE)

@@ -2,11 +2,12 @@
 
 Input arrives as 80-column card images.  The reader deals them out a
 character at a time, or as a run of the current card in one slice: the
-rest of the card, the blanks at the cursor, or everything up to and
-including the next quote.  Output is accumulated into a single line
-buffer, a character or a run at a time, and released to a sink either
-explicitly or when the buffer reaches the width of the current output
-unit.
+rest of the card, or everything up to and including the next quote; its
+skip past blanks reads runs across cards.  It holds the current input
+unit and latches the last character read in iac.  Output is accumulated
+into a single line buffer, a character or a run at a time, and released
+either explicitly or when the buffer reaches the width of the current
+output unit, which the writer holds.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -82,31 +83,34 @@ class CardReader:
     """Deals characters and runs off 80-column card images.
 
     sources maps a unit number to a callable returning the next source
-    line as a string, or None at end of input.  One shared card buffer is
-    used regardless of unit, matching the original single-record design.
-    Each card is held twice: as encoded, and with the keypunch
-    substitutions made for reads from the card unit (the same list when
-    the card has no keypunch glyph).
+    line as a string, or None at end of input; unit is the input unit
+    reads come from, which the monitor's I command sets.  One shared card
+    buffer is used regardless of unit, matching the original
+    single-record design.  Each card is held twice: as encoded, and with
+    the keypunch substitutions made for reads from the card unit (the
+    same list when the card has no keypunch glyph).  Every read latches
+    the last word it took in iac.
 
     Every read starts by refilling when the card is used up, so a run is
-    never empty at the end of a card; it is empty only when the word at
-    the cursor does not belong to it.
+    never empty at the end of a card.
     """
 
-    def __init__(self, sources, strict=False):
+    def __init__(self, sources, unit=2, strict=False):
         self.sources = sources
+        self.unit = unit
         self.strict = strict
         self.diagnostics = []
         self.record = [BLANK] * 80
         self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
+        self.iac = 0      # the last word read
 
     def force_refill(self):
         """Discard the rest of the current card; next read starts fresh."""
         self.cursor = 80
 
-    def _refill(self, unit):
-        source = self.sources.get(unit)
+    def _refill(self):
+        source = self.sources.get(self.unit)
         if source is None:
             # unit selected but nothing attached there; fall back to any source
             for fallback in self.sources.values():
@@ -123,39 +127,48 @@ class CardReader:
         self.translated = charset.translate_card(self.record, line)
         self.cursor = 0
 
-    def read(self, unit):
-        """Next character word from the given unit, refilling as needed."""
+    def read(self):
+        """Next character word from the input unit, refilling as needed."""
         if self.cursor >= 80:
-            self._refill(unit)
-        w = (self.translated if unit == 2 else self.record)[self.cursor]
+            self._refill()
+        w = self.iac = (
+            self.translated if self.unit == 2 else self.record)[self.cursor]
         self.cursor += 1
         return w
 
-    def rest(self, unit):
+    def rest(self):
         """The rest of the current card."""
         if self.cursor >= 80:
-            self._refill(unit)
-        run = (self.translated if unit == 2 else self.record)[self.cursor:]
+            self._refill()
+        run = (self.translated if self.unit == 2 else self.record)[self.cursor:]
         self.cursor = 80
+        self.iac = run[-1]
         return run
 
-    def blanks(self, unit):
-        """The run of blanks at the cursor, up to the end of the card."""
-        if self.cursor >= 80:
-            self._refill(unit)
-        start = stop = self.cursor
-        record = self.record  # blanks read the same on every unit
-        while stop < 80 and record[stop] == BLANK:
-            stop += 1
-        self.cursor = stop
-        return record[start:stop]
+    def nonblank(self, echo=None):
+        """Read past blanks, across cards, passing each run of them to
+        echo if given; returns the first other character, read."""
+        while True:
+            if self.cursor >= 80:
+                self._refill()
+            record = self.record  # blanks read the same on every unit
+            start = stop = self.cursor
+            while stop < 80 and record[stop] == BLANK:
+                stop += 1
+            if stop > start:
+                self.cursor = stop
+                self.iac = BLANK
+                if echo:
+                    echo(record[start:stop])
+            if stop < 80:
+                return self.read()
 
-    def through_quote(self, unit, limit=80):
+    def through_quote(self, limit=80):
         """The words up to and including the next quote, or up to the end
         of the card if no quote follows; at most limit words."""
         if self.cursor >= 80:
-            self._refill(unit)
-        record = self.translated if unit == 2 else self.record
+            self._refill()
+        record = self.translated if self.unit == 2 else self.record
         start = self.cursor
         stop = min(start + limit, 80)
         try:
@@ -163,43 +176,51 @@ class CardReader:
         except ValueError:
             pass
         self.cursor = stop
+        self.iac = record[stop - 1]
         return record[start:stop]
 
 
 class LineWriter:
-    """Character-at-a-time line buffer with per-unit widths.
+    """Character-at-a-time line buffer for the current output unit.
 
-    sink(unit, text) receives each completed line.  The echo flag mirrors
-    the listing-suppression switch: when off, buffered puts are discarded
-    silently, but explicit flushes and messages still go through.
+    Each completed line is appended to punch when the unit is the card
+    punch, to output otherwise, and then passed to on_line(unit, text) if
+    given.  The line printer, unit 3, is width columns wide; the other
+    units are 80.  The echo flag mirrors the listing-suppression switch:
+    when off, buffered puts are discarded silently, but explicit flushes
+    and messages still go through.
     """
 
-    def __init__(self, sink, widths=None):
-        self.sink = sink
-        self.widths = {1: 80, 2: 80, 3: 120, 6: 80}
-        if widths:
-            self.widths.update(widths)
+    def __init__(self, output, punch, width=120, on_line=None):
+        self.output = output
+        self.punch = punch
+        self.on_line = on_line
+        self.printer_width = width
+        self.unit = 3
+        self.width = width
         self.buffer = []
         self.echo = True
 
-    def width(self, unit):
-        return self.widths.get(unit, 80)
+    def select(self, unit):
+        """Write to unit from now on, at its width."""
+        self.unit = unit
+        self.width = self.printer_width if unit == 3 else 80
 
-    def put(self, word, unit):
+    def put(self, word):
         """Append one character; auto-flush at the unit width."""
         if not self.echo:
             return
         self.buffer.append(word)
-        if len(self.buffer) >= self.widths.get(unit, 80):
-            self._emit(unit)
+        if len(self.buffer) >= self.width:
+            self._emit()
 
-    def put_words(self, words, unit):
+    def put_words(self, words):
         """Append several characters, flushing exactly where repeated put
         would: whenever the buffer reaches the unit width."""
         if not self.echo:
             return
         buffer = self.buffer
-        width = self.widths.get(unit, 80)
+        width = self.width
         start = 0
         while start < len(words):
             # an overfull buffer (the unit narrowed) takes one more word
@@ -207,25 +228,27 @@ class LineWriter:
             buffer.extend(words[start:stop])
             start = stop
             if len(buffer) >= width:
-                self._emit(unit)
+                self._emit()
 
-    def flush(self, unit):
+    def flush(self):
         """Release the buffered line if nonempty; always leaves it empty."""
         if self.buffer:
-            self._emit(unit)
+            self._emit()
 
     def clear(self):
         """Drop buffered characters without writing them."""
         self.buffer.clear()
 
-    def emit_text(self, text, unit):
+    def emit_text(self, text):
         """Write a whole line directly, bypassing the buffer."""
-        self.sink(unit, text)
+        (self.punch if self.unit == 2 else self.output).append(text)
+        if self.on_line:
+            self.on_line(self.unit, text)
 
-    def emit_message(self, code, unit):
+    def emit_message(self, code):
         """Write diagnostic abs(code) of the catalog, bypassing the buffer."""
-        self.sink(unit, MESSAGES[-code - 1])
+        self.emit_text(MESSAGES[-code - 1])
 
-    def _emit(self, unit):
-        self.sink(unit, charset.decode_words(self.buffer))
+    def _emit(self):
+        self.emit_text(charset.decode_words(self.buffer))
         self.buffer.clear()

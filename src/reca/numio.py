@@ -3,10 +3,10 @@
 All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
 parser consumes characters through a read callable and stops at the first
-character that does not fit the token; in a session that character stays
-latched in sess.iac.  The formatter builds the fixed 13-character
-scientific form [blank][sign]d.dddddE[sign]dd as storage words and puts
-them on the session's line in one call.
+character that does not fit the token; read from a card reader, that
+character stays latched in the reader's iac.  The formatter builds the
+fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
+storage words and puts them on a line writer in one call.
 """
 
 import struct
@@ -27,31 +27,22 @@ def f32(x):
 ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
 FIELD_WIDTH = 13
 
-# parse modes
-SILENT_FLOAT = 0
-ECHO_FLOAT = 1
-ECHO_INT = 2
 
+def parse_number(read, integer=False):
+    """Read one number, a word at a time from read; return its value.
 
-def parse_number(sess, mode):
-    """Read one number from the session input; return its value.
-
-    mode SILENT_FLOAT parses a float without echoing, ECHO_FLOAT echoes
-    while parsing, ECHO_INT parses an integer (always echoed).  The first
-    character after the token stays latched in sess.iac.
+    integer parses an integer, otherwise a float.  The first character
+    after the token is read too; it ends the token and is not part of it.
 
     Accepted float shape: blanks, optional sign (- + &), digits with at
     most one point, optional exponent E[sign]digits.  Anything else ends
     the token; an empty token is zero.
     """
-    if mode == ECHO_INT:
-        return _parse_int(sess.read_echo)[0]
-    read = sess.read_char if mode == SILENT_FLOAT else sess.read_echo
-    return _parse_float(read)[0]
+    return (_parse_int if integer else _parse_float)(read)
 
 
 def _parse_float(read):
-    """(value, terminator word) of a float token read word by word."""
+    """The value of a float token read word by word."""
     sign = 1.0
     exp_sign = 1
     exponent = 0
@@ -95,11 +86,11 @@ def _parse_float(read):
         scale = f32(10.0 ** exponent)
     except OverflowError:
         scale = float("inf")  # out of range; arithmetic on it faults later
-    return f32(sign * value * scale), w
+    return f32(sign * value * scale)
 
 
 def _parse_int(read):
-    """(value, terminator word) of an integer token read word by word."""
+    """The value of an integer token read word by word."""
     sign = 1
     value = 0
     w = read()
@@ -113,7 +104,7 @@ def _parse_int(read):
     while charset.is_digit_word(w):
         value = 10 * value + charset.digit_value(w)
         w = read()
-    return sign * value, w
+    return sign * value
 
 
 def scientific_words(value):
@@ -164,16 +155,13 @@ def scientific_words(value):
     return words
 
 
-def format_scientific(sess, value):
-    """Append value's 13-character field to the session's output line,
-    first releasing the line if the field would not fit in the unit's
-    width."""
+def format_scientific(writer, value):
+    """Append value's 13-character field to the writer's line, first
+    releasing the line if the field would not fit in the unit's width."""
     words = scientific_words(value)
-    writer = sess.writer
-    unit = sess.output_unit
-    if len(writer.buffer) > writer.width(unit) - FIELD_WIDTH:
-        writer.flush(unit)
-    writer.put_words(words, unit)
+    if len(writer.buffer) > writer.width - FIELD_WIDTH:
+        writer.flush()
+    writer.put_words(words)
 
 
 def format_number(value):
@@ -181,7 +169,7 @@ def format_number(value):
     return charset.decode_words(scientific_words(f32(value)))
 
 
-def parse_text(text, mode=ECHO_FLOAT):
+def parse_text(text, integer=False):
     """Standalone parsing helper: (value, terminator character).
 
     text is read as one card on the card unit, so the keypunch
@@ -189,6 +177,5 @@ def parse_text(text, mode=ECHO_FLOAT):
     """
     cards = iter([text])
     reader = CardReader({2: lambda: next(cards, None)})
-    parse = _parse_int if mode == ECHO_INT else _parse_float
-    value, w = parse(lambda: reader.read(2))
-    return value, charset.char_of(w)
+    value = parse_number(reader.read, integer)
+    return value, charset.char_of(reader.iac)

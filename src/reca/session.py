@@ -18,14 +18,14 @@ session.  Running out inside a program, after its ( and before its name
 is complete, ends it too, with status 1 and a note among the reader's
 diagnostics.
 
-Reads go through the session, which latches the last character read in
-iac: one character at a time, or a run of the card in one slice.
+The input unit and iac, the last character read, live on the card
+reader; the output unit and its width on the line writer.  The monitor,
+the compiler and the interpreter use the two directly.
 """
 
 from dataclasses import dataclass, field
 
 from . import compiler, interpreter, tables
-from .charset import BLANK
 from .iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter
 from .store import ProgramStore
 
@@ -51,11 +51,12 @@ class Session:
             sources[2] = self._as_source(cards)
         if keyboard is not None:
             sources[6] = self._as_source(keyboard)
-        self.reader = CardReader(sources, strict=cfg.strict_charset)
-        self.writer = LineWriter(self._sink, widths={3: cfg.width})
-        self.on_line = on_line
+        self.reader = CardReader(sources, unit=2 if cards is not None else 6,
+                                 strict=cfg.strict_charset)
         self.output = []          # lines written to printer units
         self.punch = []           # lines written to the card punch
+        self.writer = LineWriter(self.output, self.punch, width=cfg.width,
+                                 on_line=on_line)
         self.store = ProgramStore()
         self.compile_code = tables.compile_table()
         self.exec_code = tables.exec_table()
@@ -65,9 +66,6 @@ class Session:
         self.constants = [0.0] * 31   # slots 1..30
         self.constants_used = 0
         self.constants_committed = 0
-        self.input_unit = 2 if cards is not None else 6
-        self.output_unit = 3
-        self.iac = 0              # last character read or emitted by name
         self.errors_emitted = False
         self.cancelled = False
 
@@ -82,69 +80,15 @@ class Session:
 
         return pull
 
-    # character and line plumbing shared by all phases
-
-    def _sink(self, unit, text):
-        if unit == 2:
-            self.punch.append(text)
-        else:
-            self.output.append(text)
-        if self.on_line:
-            self.on_line(unit, text)
-
-    def read_char(self):
-        w = self.iac = self.reader.read(self.input_unit)
-        return w
-
-    def put_char(self, word):
-        self.writer.put(word, self.output_unit)
-
     def read_echo(self):
-        w = self.iac = self.reader.read(self.input_unit)
-        self.writer.put(w, self.output_unit)
+        """Read one character and list it: put it on the output line."""
+        w = self.reader.read()
+        self.writer.put(w)
         return w
-
-    def read_rest(self):
-        """Read and echo the rest of the current card."""
-        run = self.reader.rest(self.input_unit)
-        self.iac = run[-1]
-        self.writer.put_words(run, self.output_unit)
-
-    def read_nonblank(self, echo):
-        """Read past blanks, across cards, echoing them if echo; returns
-        the first other character, read but not echoed."""
-        reader = self.reader
-        unit = self.input_unit
-        while True:
-            run = reader.blanks(unit)
-            if run:
-                self.iac = BLANK
-                if echo:
-                    self.writer.put_words(run, self.output_unit)
-            if reader.cursor < 80:
-                w = self.iac = reader.read(unit)
-                return w
-
-    def read_to_quote(self, limit=80):
-        """Read and echo the current card up to and including the next
-        quote, or to the end of the card; at most limit characters."""
-        run = self.reader.through_quote(self.input_unit, limit)
-        self.iac = run[-1]
-        self.writer.put_words(run, self.output_unit)
-        return run
-
-    def flush(self):
-        self.writer.flush(self.output_unit)
-
-    def emit_line(self, text):
-        self.writer.emit_text(text, self.output_unit)
-
-    def page_eject(self):
-        self.writer.emit_text(PAGE_EJECT, self.output_unit)
 
     def diagnose(self, code):
         self.errors_emitted = True
-        self.writer.emit_message(code, self.output_unit)
+        self.writer.emit_message(code)
 
     # the top-level cycle
 
@@ -162,14 +106,14 @@ class Session:
         except compiler.UnfinishedProgram:
             self.reader.diagnostics.append("end of input inside a program")
             self.errors_emitted = True
-            self.flush()
+            self.writer.flush()
             return False
         except (compiler.Terminated, EndOfInput):
-            self.flush()
+            self.writer.flush()
             return False
-        self.flush()
-        if self.output_unit == 3:
-            self.page_eject()
+        self.writer.flush()
+        if self.writer.unit == 3:
+            self.writer.emit_text(PAGE_EJECT)
         return True
 
     def run(self):

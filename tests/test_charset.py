@@ -74,13 +74,11 @@ def test_quote_extension():
 
 def test_keypunch_translation():
     pairs = {"%": "(", "<": ")", "@": "'", "#": "="}
-    for src, dst in pairs.items():
-        assert charset.translate_keypunch(charset.WORD_BY_CHAR[src]) == \
-            charset.WORD_BY_CHAR[dst]
+    text = "".join(pairs) + "A9*'&"
+    translated = charset.translate_card(charset.encode_card(text), text)
+    assert charset.decode_words(translated[:4]) == "".join(pairs.values())
     # everything else passes through
-    for c in "A9*'&":
-        w = charset.WORD_BY_CHAR[c]
-        assert charset.translate_keypunch(w) == w
+    assert charset.decode_words(translated[4:]) == "A9*'&" + " " * 71
 
 
 def test_encode_card_pads_and_folds():

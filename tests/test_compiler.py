@@ -163,8 +163,9 @@ def test_multi_card_program():
 
 def test_monitor_unit_commands():
     sess = compile_only(["*I2O1('/1'L,)"])
-    assert sess.input_unit == 2
-    assert sess.output_unit == 1
+    assert sess.reader.unit == 2
+    assert sess.writer.unit == 1
+    assert sess.writer.width == 80
 
 
 def test_monitor_bad_unit_diagnosed():

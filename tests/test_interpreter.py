@@ -107,6 +107,15 @@ def test_string_output_and_flush():
     assert "HI THERE" in lines
 
 
+def test_string_leaves_its_last_character_in_iac():
+    # W and =x see the string's last character; an empty string leaves
+    # the character R read
+    lines, status = run(["*(\"XB'WW(=B\"Y',\"N',)X,)"])
+    assert "XBBBY" in lines
+    lines, status = run(["*(R\"'WX,)   Z"])
+    assert "Z" in lines
+
+
 def test_numeric_input_operator():
     lines, status = run(["*(IOX,)", "'/12.5'"])
     assert "  1.25000E 01" in lines

@@ -11,18 +11,18 @@ from reca.session import Session, SessionConfig
 
 def reader_for(lines, unit=2):
     it = iter(lines)
-    return CardReader({unit: lambda: next(it, None)})
+    return CardReader({unit: lambda: next(it, None)}, unit=unit)
 
 
-def drain(reader, n, unit=2):
-    return "".join(charset.char_of(reader.read(unit)) for _ in range(n))
+def drain(reader, n):
+    return "".join(charset.char_of(reader.read()) for _ in range(n))
 
 
 def test_reader_pads_to_eighty():
     r = reader_for(["AB"])
     assert drain(r, 80) == "AB" + " " * 78
     with pytest.raises(EndOfInput):
-        r.read(2)
+        r.read()
 
 
 def test_reader_card_boundaries_and_force_refill():
@@ -31,30 +31,61 @@ def test_reader_card_boundaries_and_force_refill():
     assert drain(r, 1) == "B"
     r.force_refill()
     with pytest.raises(EndOfInput):
-        r.read(2)  # the rest of card two was discarded
+        r.read()  # the rest of card two was discarded
 
 
 def test_keypunch_translation_only_on_card_unit():
     r = reader_for(["%<@#"], unit=2)
-    assert drain(r, 4, unit=2) == "()'="
+    assert drain(r, 4) == "()'="
     r = reader_for(["%<@#"], unit=6)
-    assert drain(r, 4, unit=6) == "%<@#"
+    assert drain(r, 4) == "%<@#"
 
 
 def test_reader_unit_fallback():
     # a unit with nothing attached falls back to whatever source exists
     r = reader_for(["A"], unit=2)
-    assert charset.char_of(r.read(6)) == "A"
+    r.unit = 6
+    assert charset.char_of(r.read()) == "A"
 
 
-def collect_writer(widths=None):
+def test_reader_latches_every_read_in_iac():
+    r = reader_for(["AB'C" + " " * 76, "  D"])
+    assert r.iac == 0
+    r.read()
+    assert charset.char_of(r.iac) == "A"
+    assert charset.char_of(r.through_quote()[-1]) == charset.char_of(r.iac) == "'"
+    r.rest()
+    assert charset.char_of(r.iac) == " "
+    assert charset.char_of(r.nonblank()) == charset.char_of(r.iac) == "D"
+    assert r.cursor == 3
+    with pytest.raises(EndOfInput):
+        r.nonblank()
+    assert r.iac == charset.BLANK  # the blanks were read before the cards ran out
+
+
+def collect_writer(width=120):
     lines = []
-    return LineWriter(lambda unit, text: lines.append((unit, text)), widths), lines
+    writer = LineWriter([], [], width=width,
+                        on_line=lambda unit, text: lines.append((unit, text)))
+    return writer, lines
 
 
 def put_text(w, text, unit):
+    w.select(unit)
     for ch in text:
-        w.put(charset.WORD_BY_CHAR[ch], unit)
+        w.put(charset.WORD_BY_CHAR[ch])
+
+
+def test_writer_sorts_lines_into_output_and_punch():
+    output, punch = [], []
+    w = LineWriter(output, punch)
+    put_text(w, "PRINTED", 3)
+    w.flush()
+    put_text(w, "PUNCHED", 2)
+    w.emit_message(-9)
+    w.flush()
+    assert output == ["PRINTED"]
+    assert punch == ["SUP 01 ILLEGAL I/O UNIT NUMBER", "PUNCHED"]
 
 
 GLYPH_WORDS = sorted(charset.CHAR_BY_WORD)
@@ -70,16 +101,20 @@ def words_from(start, count):
 @example(100, 30, 0, 3, 1, 120, True)  # the buffer is already past the new unit's width
 @example(67, 13, 0, 3, 3, 80, True)   # the field fills the line exactly
 def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, width, echo):
-    one, one_lines = collect_writer(widths={3: width})
-    many, many_lines = collect_writer(widths={3: width})
+    one, one_lines = collect_writer(width)
+    many, many_lines = collect_writer(width)
+    one.select(before_unit)
+    many.select(before_unit)
     for w in words_from(start, n_before):
-        one.put(w, before_unit)
-        many.put(w, before_unit)
+        one.put(w)
+        many.put(w)
     one.echo = many.echo = echo
+    one.select(unit)
+    many.select(unit)
     words = words_from(start + n_before, n)
     for w in words:
-        one.put(w, unit)
-    many.put_words(words, unit)
+        one.put(w)
+    many.put_words(words)
     assert (many_lines, many.buffer) == (one_lines, one.buffer)
 
 
@@ -96,33 +131,39 @@ RUN_CARDS = st.lists(
 
 
 def read_run(sess, op, limit):
-    if op == "rest":
-        return sess.read_rest()
-    if op == "to_quote":
-        return sess.read_to_quote(limit)
-    return sess.read_nonblank(echo=op == "nonblank_echo")
+    reader, writer = sess.reader, sess.writer
+    if op == "nonblank":
+        return reader.nonblank()
+    if op == "nonblank_echo":
+        return reader.nonblank(writer.put_words)
+    run = reader.rest() if op == "rest" else reader.through_quote(limit)
+    writer.put_words(run)
+    return run
 
 
 def read_each(sess, op, limit):
-    """What each run stands for, read a character at a time."""
-    reader = sess.reader
+    """What each run stands for, read and put a character at a time."""
+    reader, writer = sess.reader, sess.writer
     if op == "rest":
+        run = []
         for _ in range(80 - reader.cursor if reader.cursor < 80 else 80):
-            sess.put_char(sess.read_char())
-        return None
+            run.append(reader.read())
+            writer.put(run[-1])
+        return run
     if op == "to_quote":
         run = []
         for _ in range(limit):
-            run.append(sess.read_echo())
+            run.append(reader.read())
+            writer.put(run[-1])
             if run[-1] == charset.QUOTE or reader.cursor == 80:
                 break
         return run
     while True:
-        w = sess.read_char()
+        w = reader.read()
         if w != charset.BLANK:
             return w
         if op == "nonblank_echo":
-            sess.put_char(w)
+            writer.put(w)
 
 
 def run_state(read, cards, config, skip, fill, op, limit):
@@ -130,17 +171,18 @@ def run_state(read, cards, config, skip, fill, op, limit):
     one read of op; result is "EOF" when the cards ran out."""
     width, echo, input_unit, output_unit = config
     sess = Session(cards=cards, config=SessionConfig(width=width))
-    sess.input_unit, sess.output_unit = input_unit, output_unit
+    sess.reader.unit = input_unit
+    sess.writer.select(output_unit)
     try:
         for _ in range(skip):
-            sess.read_char()
+            sess.reader.read()
         for _ in range(fill):
-            sess.put_char(charset.LETTER_C)
+            sess.writer.put(charset.LETTER_C)
         sess.writer.echo = echo
         result = read(sess, op, limit)
     except EndOfInput:
         result = "EOF"
-    return result, sess.output, sess.writer.buffer, sess.reader.cursor, sess.iac
+    return result, sess.output, sess.writer.buffer, sess.reader.cursor, sess.reader.iac
 
 
 @given(RUN_CARDS,
@@ -155,6 +197,7 @@ def run_state(read, cards, config, skip, fill, op, limit):
 @example(["A" * 80], (80, False, 6, 1), 1, 79, "rest", 1)  # echo off
 @example(["A@B'"], (120, True, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
 @example(["'(@)"], (120, True, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
+@example(["A"], (120, True, 2, 3), 1, 0, "nonblank", 1)  # blanks to the end of input
 def test_runs_match_reading_each_character(cards, config, skip, fill, op, limit):
     args = cards, config, skip, fill, op, limit
     assert run_state(read_run, *args) == run_state(read_each, *args)
@@ -164,9 +207,9 @@ def test_writer_explicit_flush():
     w, lines = collect_writer()
     put_text(w, "HELLO", 3)
     assert lines == []
-    w.flush(3)
+    w.flush()
     assert lines == [(3, "HELLO")]
-    w.flush(3)  # flushing an empty buffer writes nothing
+    w.flush()  # flushing an empty buffer writes nothing
     assert lines == [(3, "HELLO")]
 
 
@@ -180,7 +223,7 @@ def test_writer_auto_flush_at_unit_width():
 
 
 def test_writer_width_override():
-    w, lines = collect_writer(widths={3: 80})
+    w, lines = collect_writer(80)
     put_text(w, "Z" * 80, 3)
     assert lines == [(3, "Z" * 80)]
 
@@ -189,11 +232,11 @@ def test_writer_echo_suppression():
     w, lines = collect_writer()
     w.echo = False
     put_text(w, "QUIET", 3)
-    w.flush(3)
+    w.flush()
     assert lines == []
     w.echo = True
     put_text(w, "LOUD", 3)
-    w.flush(3)
+    w.flush()
     assert lines == [(3, "LOUD")]
 
 
@@ -201,7 +244,7 @@ def test_writer_clear_discards():
     w, lines = collect_writer()
     put_text(w, "DROPPED", 3)
     w.clear()
-    w.flush(3)
+    w.flush()
     assert lines == []
 
 
@@ -226,13 +269,13 @@ def test_message_catalog():
     for code, text in expected.items():
         assert MESSAGES[-code - 1] == text
     w, lines = collect_writer()
-    w.emit_message(-9, 3)
+    w.emit_message(-9)
     assert lines == [(3, "SUP 01 ILLEGAL I/O UNIT NUMBER")]
 
 
 def test_message_bypasses_buffer():
     w, lines = collect_writer()
     put_text(w, "PENDING", 3)
-    w.emit_message(-1, 3)
-    w.flush(3)
+    w.emit_message(-1)
+    w.flush()
     assert lines == [(3, "COMP 01 EXCESS NESTING"), (3, "PENDING")]

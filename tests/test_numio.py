@@ -10,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reca import charset, numio
-from reca.numio import ECHO_INT, f32, format_number, parse_text, scientific_words
+from reca.iosys import LineWriter
+from reca.numio import f32, format_number, parse_text, scientific_words
 from reca.session import Session
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
@@ -35,9 +36,9 @@ def test_parse_basic_floats():
 
 
 def test_parse_terminator_latched_not_consumed():
-    assert parse_text("50$", mode=ECHO_INT) == (50, "$")
-    assert parse_text("  -7;", mode=ECHO_INT) == (-7, ";")
-    assert parse_text("X", mode=ECHO_INT) == (0, "X")
+    assert parse_text("50$", integer=True) == (50, "$")
+    assert parse_text("  -7;", integer=True) == (-7, ";")
+    assert parse_text("X", integer=True) == (0, "X")
 
 
 def test_parse_second_point_terminates():
@@ -166,3 +167,20 @@ def test_standalone_helpers_build_no_session(monkeypatch):
     tree = ast.parse(Path(numio.__file__).read_text(encoding="utf-8"))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert "session" not in imported
+
+
+def test_format_scientific_needs_only_a_writer():
+    lines = []
+    writer = LineWriter(lines, [], width=80)
+    for _ in range(7):
+        numio.format_scientific(writer, 1.5)
+    writer.flush()
+    assert lines == ["  1.50000E 00" * 6, "  1.50000E 00"]
+
+
+def test_parse_number_needs_only_a_read_callable():
+    words = iter(charset.encode_card(" -12.5E1'"))
+    assert numio.parse_number(words.__next__) == -125.0
+    assert charset.char_of(next(words)) == " "  # the quote ended the token
+    words = iter(charset.encode_card("42;"))
+    assert numio.parse_number(words.__next__, integer=True) == 42

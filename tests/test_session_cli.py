@@ -1,5 +1,6 @@
 """Session lifecycle, alternate units, and the command line front end."""
 
+import gc
 import signal
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def test_definitions_persist_within_session():
     assert status == 0
     assert "  1.60000E 01" in lines
     assert "  2.50000E 01" in lines
+
+
+def test_runs_leave_no_garbage():
+    # a session is freed by reference counting alone: no cycle holds it
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            run_deck(decks.FACTORIAL)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_on_line_reports_unit_numbers():
@@ -71,7 +84,7 @@ def test_keyboard_source_drives_session():
         return next(lines, None)
 
     sess = Session(keyboard=prompt)
-    assert sess.input_unit == 6
+    assert sess.reader.unit == 6
     status = sess.run()
     assert status == 0
     assert "  1.20000E 01" in sess.output
@@ -221,6 +234,24 @@ def test_cli_max_steps_interrupts(tmp_path, capsys):
     path = write_deck(tmp_path, ["*((L.),)"])
     assert main([path, "--max-steps", "500"]) == 0
     assert "MANUAL INTERRUPT FROM SWITCH  5" in capsys.readouterr().out
+
+
+def test_cli_rejects_a_negative_step_budget(tmp_path, capsys):
+    path = write_deck(tmp_path, ["*('/1'OX,)"])
+    with pytest.raises(SystemExit) as exc:
+        main([path, "--max-steps", "-5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # nothing ran
+    assert "--max-steps: must be 0 or more, not -5" in err
+
+
+def test_cli_zero_step_budget_stops_at_the_first_step(tmp_path, capsys):
+    path = write_deck(tmp_path, ["*('/1'OX,)"])
+    assert main([path, "--max-steps", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "MANUAL INTERRUPT FROM SWITCH  5" in out
+    assert "1.00000E 00" not in out
 
 
 def test_cli_ctrl_c_stops_a_loop_of_jumps(tmp_path, capsys):
