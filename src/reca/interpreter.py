@@ -9,16 +9,22 @@ carry a sentinel in the entry and use a pushdown return stack instead.
 
 All arithmetic is float32.  The loop is deliberately flat: operation
 dispatch happens a couple of hundred thousand times a second in the
-larger demo programs, so everything hot is a local.
+larger demo programs, so everything hot is a local and each pass does
+as little as it can.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
-in I or R raises it as CONV 01.  An arithmetic fault or an interrupt (the
-step budget or the cancel flag, checked on every operation and every
-backward jump) prints its notice and ends the program.
+in I or R raises it as CONV 01.  An arithmetic fault or an interrupt
+prints its notice and ends the program.  The step budget counts every
+operation and every backward jump and is checked at each, so
+--max-steps stops at the same cell whatever the program.  The cancel
+flag (Ctrl-C) is checked where a program could run on without end: when
+execute starts, at every backward jump and at every subroutine call.
+Between two of those points execution makes at most one forward pass
+through the store.
 """
 
 import math
-import struct
+from array import array
 
 from . import charset, numio
 from .iosys import (
@@ -32,9 +38,6 @@ STACK_LIMIT = 200
 RECURSION_LIMIT = 100
 NEAR_ZERO = numio.f32(5.0e-6)
 _INF = float("inf")
-
-_pack = struct.pack
-_unpack = struct.unpack
 
 
 class _Interrupted(Exception):
@@ -67,145 +70,155 @@ def execute(sess):
     reader = sess.reader
     writer = sess.writer
     ilc0 = st.ilc0
-    im = 1
+    sp = 0  # the top slot; slot 0 lies below an empty stack
     iret = [0] * (RECURSION_LIMIT + 2)
     irec = 1
     ixl = ilc0 + 1
     steps = 0
     budget = _INF if sess.config.max_steps is None else sess.config.max_steps
-    pack = _pack
-    unpack = _unpack
+    # storing into a float array is C's double-to-float cast: the float32
+    # round, saturating to inf where struct's native "f" does too
+    f = array("f", (0.0,))
     cos, sin, exp, sqrt, log, atan, tanh, pow_ = (
         math.cos, math.sin, math.exp, math.sqrt, math.log, math.atan, math.tanh,
         math.pow,
     )
     try:
+        if sess.cancelled:
+            raise _Interrupted
         while True:
-            if ixl == ilc0:
-                break
             cell = prog[ixl]
             if cell < 0:
-                ix = -cell
                 ixl += 1
                 steps += 1
-                if sess.cancelled or steps > budget:
+                if steps > budget:
                     raise _Interrupted
-                b = xeq[ix]
+                b = xeq[-cell]
                 if type(b) is int:
-                    if b == 0:
-                        raise Diagnostic(UNDEFINED_CALL)
-                    if b <= 13:  # unary and tests
-                        if im <= 1:
-                            raise Diagnostic(STACK_EMPTY)
-                        a = pdl[im - 1]
-                        if b == 6:  # branch unless negative
-                            if a < 0:
-                                ixl += 1
-                        elif b == 9:  # store to variable, value kept
-                            save[prog[ixl]] = a
-                            ixl += 1
-                        elif b == 7:
-                            numio.format_scientific(writer, a)
-                        elif b == 13:  # branch unless near zero
-                            if (a if a >= 0 else -a) <= NEAR_ZERO:
-                                ixl += 1
-                        elif b == 5:
-                            pdl[im - 1] = -a
-                        elif b == 1:
-                            pdl[im - 1] = a if a >= 0 else -a
-                        elif b == 12:
-                            pdl[im - 1] = unpack("f", pack("f", sin(a)))[0]
-                        elif b == 2:
-                            pdl[im - 1] = unpack("f", pack("f", cos(a)))[0]
-                        elif b == 3:
-                            a = unpack("f", pack("f", exp(a)))[0]
-                            if a == _INF:
-                                raise OverflowError("float32 range exceeded")
-                            pdl[im - 1] = a
-                        elif b == 8:
-                            pdl[im - 1] = unpack("f", pack("f", sqrt(a)))[0]
-                        elif b == 11:
-                            pdl[im - 1] = unpack("f", pack("f", log(a)))[0]
-                        elif b == 10:
-                            pdl[im - 1] = unpack("f", pack("f", atan(a)))[0]
-                        else:  # 4
-                            pdl[im - 1] = unpack("f", pack("f", tanh(a)))[0]
-                    elif b <= 19:  # binary
-                        if im <= 2:
-                            raise Diagnostic(STACK_EMPTY)
-                        im -= 1
-                        y = pdl[im]
-                        if b == 18:  # branch unless top two nearly equal
-                            im += 1
-                            d = pdl[im - 1] - pdl[im - 2]
-                            if (d if d >= 0 else -d) <= NEAR_ZERO:
-                                ixl += 1
-                        else:
-                            x = pdl[im - 1]
-                            if b == 17:
-                                r = x * y
-                            elif b == 15:
-                                r = x + y
-                            elif b == 16:
-                                r = x - y
-                            elif b == 19:
-                                r = x / y
-                            else:  # 14: power, ValueError on a bad domain
-                                r = pow_(x, y)
-                            r = unpack("f", pack("f", r))[0]
-                            # packing saturates silently, so range-check here
+                    # the groups and the branches within them are tested in
+                    # order of how often the demo and bench decks run them
+                    if b >= 14:
+                        if b <= 19:  # binary
+                            if sp <= 1:
+                                raise Diagnostic(STACK_EMPTY)
+                            y = pdl[sp]
+                            sp -= 1
+                            if b == 15:  # OP_ADD
+                                r = pdl[sp] + y
+                            elif b == 17:  # OP_MUL
+                                r = pdl[sp] * y
+                            elif b == 16:  # OP_SUB
+                                r = pdl[sp] - y
+                            elif b == 18:  # OP_TEST_EQ: branch unless nearly equal
+                                d = y - pdl[sp]
+                                sp += 1  # a test pops nothing
+                                if (d if d >= 0 else -d) <= NEAR_ZERO:
+                                    ixl += 1
+                                continue
+                            elif b == 19:  # OP_DIV
+                                r = pdl[sp] / y
+                            else:  # OP_POW, ValueError on a bad domain
+                                r = pow_(pdl[sp], y)
+                            f[0] = r
+                            r = f[0]
+                            # the round saturates silently, so range-check here
                             if not -3.5e38 < r < 3.5e38:
                                 raise OverflowError("float32 range exceeded")
-                            pdl[im - 1] = r
-                    elif b <= 23:  # operations that push
-                        if im > STACK_LIMIT:
-                            raise Diagnostic(STACK_OVERFLOW)
-                        im += 1
-                        if b == 21:  # variable fetch
-                            pdl[im - 1] = save[prog[ixl]]
+                            pdl[sp] = r
+                        elif b <= 23:  # operations that push
+                            if sp >= STACK_LIMIT:
+                                raise Diagnostic(STACK_OVERFLOW)
+                            sp += 1
+                            if b == 20:  # OP_CONST
+                                pdl[sp] = const[prog[ixl]]
+                                ixl += 1
+                            elif b == 23:  # OP_DUP: duplicate the value below
+                                if sp <= 1:
+                                    raise Diagnostic(STACK_EMPTY)
+                                pdl[sp] = pdl[sp - 1]
+                            elif b == 21:  # OP_GET: variable fetch
+                                pdl[sp] = save[prog[ixl]]
+                                ixl += 1
+                            else:  # OP_INPUT
+                                pdl[sp] = _read_datum(reader)
+                        elif b == 29:  # OP_COUNTER
                             ixl += 1
-                        elif b == 20:  # constant fetch
-                            pdl[im - 1] = const[prog[ixl]]
+                            k = prog[ixl]
+                            if k < 0:
+                                prog[ixl] = k + 1
+                                ixl += 2  # still counting: skip the false link
+                            else:
+                                prog[ixl] = prog[ixl - 1]  # reload and fall false
+                                ixl += 1
+                        elif b == 26:  # OP_STRING: emit the stored run
+                            n = prog[ixl]
+                            if n > 0:
+                                reader.iac = prog[ixl + n]
+                                writer.put_words(prog[ixl + 1:ixl + n + 1])
+                                ixl += n
                             ixl += 1
-                        elif b == 23:  # duplicate the value below
-                            if im <= 2:
-                                raise Diagnostic(STACK_EMPTY)
-                            pdl[im - 1] = pdl[im - 2]
-                        else:  # 22: numeric input
-                            pdl[im - 1] = _read_datum(reader)
-                    elif b == 29:  # counter
-                        ixl += 1
-                        k = prog[ixl]
-                        if k < 0:
-                            prog[ixl] = k + 1
-                            ixl += 2  # still counting: skip the false link
+                        elif b == 27:  # OP_MATCH: branch if last character matches
+                            if reader.iac == prog[ixl]:
+                                ixl += 2
+                            else:
+                                ixl += 1
+                        elif b == 24:  # OP_READ
+                            reader.read()
+                        elif b == 25:  # OP_WRITE
+                            writer.put(reader.iac)
+                        elif b == 28:  # OP_FLUSH
+                            writer.flush()
+                        elif b == 30:  # OP_POP
+                            if sp > 0:
+                                sp -= 1
+                    elif b:  # unary and tests
+                        if sp <= 0:
+                            raise Diagnostic(STACK_EMPTY)
+                        a = pdl[sp]
+                        if b == 13:  # OP_TEST_ZERO: branch unless near zero
+                            if (a if a >= 0 else -a) <= NEAR_ZERO:
+                                ixl += 1
+                        elif b == 6:  # OP_TEST_NEG: branch unless negative
+                            if a < 0:
+                                ixl += 1
+                        elif b == 9:  # OP_SET: store to variable, value kept
+                            save[prog[ixl]] = a
+                            ixl += 1
+                        elif b == 7:  # OP_PRINT
+                            numio.format_scientific(writer, a)
+                        elif b == 5:  # OP_NEG
+                            pdl[sp] = -a
+                        elif b == 1:  # OP_ABS
+                            pdl[sp] = a if a >= 0 else -a
+                        elif b == 3:  # OP_EXP
+                            f[0] = exp(a)
+                            a = f[0]
+                            if a == _INF:
+                                raise OverflowError("float32 range exceeded")
+                            pdl[sp] = a
                         else:
-                            prog[ixl] = prog[ixl - 1]  # reload and fall false
-                            ixl += 1
-                    elif b == 26:  # emit stored string
-                        n = prog[ixl]
-                        if n > 0:
-                            reader.iac = prog[ixl + n]
-                            writer.put_words(prog[ixl + 1:ixl + n + 1])
-                            ixl += n
-                        ixl += 1
-                    elif b == 27:  # branch if last character matches
-                        if reader.iac == prog[ixl]:
-                            ixl += 2
-                        else:
-                            ixl += 1
-                    elif b == 24:
-                        reader.read()
-                    elif b == 25:
-                        writer.put(reader.iac)
-                    elif b == 28:
-                        writer.flush()
-                    elif b == 30:
-                        if im > 1:
-                            im -= 1
+                            # no range check: sqrt and log of inf are inf, as
+                            # the loop has always let them be
+                            if b == 12:  # OP_SIN
+                                f[0] = sin(a)
+                            elif b == 2:  # OP_COS
+                                f[0] = cos(a)
+                            elif b == 8:  # OP_SQRT
+                                f[0] = sqrt(a)
+                            elif b == 11:  # OP_LOG
+                                f[0] = log(a)
+                            elif b == 10:  # OP_ATAN
+                                f[0] = atan(a)
+                            else:  # OP_TANH
+                                f[0] = tanh(a)
+                            pdl[sp] = f[0]
+                    else:
+                        raise Diagnostic(UNDEFINED_CALL)
                 elif b is DECLARED_RECURSIVE:
                     raise Diagnostic(UNDEFINED_RECURSIVE)
                 else:  # call a defined subroutine
+                    if sess.cancelled:
+                        raise _Interrupted
                     entry = b.entry
                     if b.recursive:
                         if irec > RECURSION_LIMIT:
@@ -225,6 +238,8 @@ def execute(sess):
                 if sess.cancelled or steps > budget:
                     raise _Interrupted
                 ixl = cell
+                if ixl == ilc0:
+                    break
             else:  # return through the program entry
                 ixl = prog[ixl + 1]
                 if ixl == ilc0:

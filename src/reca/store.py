@@ -48,26 +48,3 @@ class ProgramStore:
             "".join(f"{v:7d}" for v in values[i:i + 11])
             for i in range(0, len(values), 11)
         ]
-
-    def check_integrity(self, first, last):
-        """Sanity-check a compiled region of argument-free code.
-
-        first is the entry cell, last the cell holding the entry address.
-        Every positive cell below the recursion mark must point inside the
-        occupied store, and the only zero cells are the entry and the
-        false-exit cell just before the terminal.  Raises AssertionError
-        with a description on violation.
-        """
-        cells = self.cells
-        assert cells[first] in (0, RECURSIVE_MARK), \
-            f"cell {first}: entry is {cells[first]}"
-        assert cells[last] == first, \
-            f"cell {last}: terminal points at {cells[last]}, not {first}"
-        assert cells[last - 1] == 0, \
-            f"cell {last - 1}: false exit not zero"
-        for addr in range(first + 1, last):
-            v = cells[addr]
-            if v == 0 and addr != last - 1:
-                raise AssertionError(f"cell {addr}: unresolved chain link")
-            if 0 < v < RECURSIVE_MARK and not first < v <= last:
-                raise AssertionError(f"cell {addr}: jump to {v} outside program")

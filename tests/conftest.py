@@ -8,6 +8,7 @@ import pytest
 
 from reca.iosys import PAGE_EJECT
 from reca.session import SessionConfig, run_deck
+from reca.store import RECURSIVE_MARK
 
 FIELD = re.compile(r"-?\d\.\d{5}E[- ]\d\d")
 
@@ -36,6 +37,30 @@ def table_rows(lines):
 def squeeze(text):
     """Collapse blank runs, as the era's transcriptions did."""
     return " ".join(text.split())
+
+
+def check_integrity(store, first, last):
+    """Sanity-check a compiled region of argument-free code.
+
+    first is the entry cell, last the cell holding the entry address.
+    Every positive cell below the recursion mark must point inside the
+    occupied store, and the only zero cells are the entry and the
+    false-exit cell just before the terminal.  Raises AssertionError
+    with a description on violation.
+    """
+    cells = store.cells
+    assert cells[first] in (0, RECURSIVE_MARK), \
+        f"cell {first}: entry is {cells[first]}"
+    assert cells[last] == first, \
+        f"cell {last}: terminal points at {cells[last]}, not {first}"
+    assert cells[last - 1] == 0, \
+        f"cell {last - 1}: false exit not zero"
+    for addr in range(first + 1, last):
+        v = cells[addr]
+        if v == 0 and addr != last - 1:
+            raise AssertionError(f"cell {addr}: unresolved chain link")
+        if 0 < v < RECURSIVE_MARK and not first < v <= last:
+            raise AssertionError(f"cell {addr}: jump to {v} outside program")
 
 
 @contextmanager

@@ -1,0 +1,137 @@
+"""Decks and run snapshots shared by the property tests and
+tools/differential.py.
+
+deck(rng) builds a random deck from the language's pieces, legal and
+illegal: every kind of operator (including the card readers I and R),
+predicates, counters, constants (float32 edge values among them), strings,
+reserved letters, nesting, named and immediate programs, monitor commands
+and data cards.
+
+float_edge_decks() gives one deck for each operator and each float32 edge
+operand (or pair of them), shaped as float_edge_deck describes.
+
+snapshot(sess, status) records everything a run leaves behind, so that two
+runs of one deck can be compared field by field.
+
+Only the standard library is imported here, and nothing from reca: the
+differential tool runs snapshot under another checkout's reca.
+"""
+
+import struct
+
+# float32 edge operands: card text and the value the parser gives for it
+EDGE_OPERANDS = [
+    ("0", 0.0), ("1", 1.0), ("-1", -1.0),
+    ("1E-45", struct.unpack("f", struct.pack("f", 1e-45))[0]),
+    ("1E38", struct.unpack("f", struct.pack("f", 1e38))[0]),
+    ("3.4028235E38", struct.unpack("f", struct.pack("f", 3.4028235e38))[0]),
+    ("1E39", float("inf")), ("-1E39", float("-inf")), ("0E99", float("nan")),
+    # just below and just above the largest argument E takes; the parser's
+    # float32 steps put 88.73 one unit below the nearest float32
+    ("88.72", struct.unpack("f", struct.pack("f", 88.72))[0]),
+    ("88.73", 88.72999572753906),
+]
+UNARY = ["A", "C", "E", "H", "M", "Q", "'A", "'L", "'S"]
+BINARY = ["&", "+", "-", "*", "/", "B"]
+TESTS = ["N", "0", "J"]
+
+PUSHES = (["'/1'", "'/-2.5E1'", "'/0.5'", "'/1E30'", "F1", "F0", "I", "P"]
+          + [f"'/{text}'" for text, _ in EDGE_OPERANDS])
+OPERATORS = [
+    "A", "B", "C", "E", "H", "L", "M", "O", "Q", "R", "W", "X",
+    "+", "&", "-", "*", "/", "'A", "'L", "'S", "S2", "\"HI'", "'*NOTE'",
+]
+PREDICATES = ["N", "0", "J", "=A", "#/", "$3$", "$1$", "K", "Y", "'R", "'Q"]
+ILL_FORMED = ["D", "T", "'Z", "SZ", "F", "$0$", "$-2$", "'/X'", ")", "(((("]
+SEPARATORS = [",", ";", ".", ":"]
+NAMES = ["   ", "   ", "   ", "  L", "K  ", "Y  ", "'R ", "'Q "]
+COMMANDS = ["", "", "E", "S", "O1", "O3", "O9", "N'Q", "N'R", "I6"]
+DATA = ["'/1'", "'/-2.5E1'", " '/3 '", "'/7E-3' '/2'", "XYZ", "", "C NOTE"]
+
+
+def _body(rng, depth, ill_formed):
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        r = rng.random()
+        if r < 0.3:
+            parts.append(rng.choice(PUSHES))
+        elif r < 0.6:
+            parts.append(rng.choice(OPERATORS))
+        elif r < 0.75:
+            parts.append(rng.choice(PREDICATES))
+        elif r < 0.9 and depth < 6:
+            parts.append("(" + _body(rng, depth + 1, ill_formed)
+                         + rng.choice(SEPARATORS) + ")")
+        else:
+            parts.append(rng.choice(SEPARATORS))
+    if ill_formed and rng.random() < 0.3:
+        parts.insert(rng.randrange(len(parts) + 1), rng.choice(ILL_FORMED))
+    return "".join(parts)
+
+
+def deck(rng):
+    """A random deck (a list of cards) drawn with rng, a random.Random."""
+    ill_formed = rng.random() < 0.5
+    cards = []
+    for _ in range(rng.randint(1, 5)):
+        r = rng.random()
+        if r < 0.25:
+            cards.append(rng.choice(DATA))
+        elif r < 0.3:
+            cards.append("*T")
+        else:
+            text = ("*" + rng.choice(COMMANDS) + "(" + _body(rng, 1, ill_formed)
+                    + rng.choice(SEPARATORS) + ")" + rng.choice(NAMES))
+            # a long program runs on over as many cards as it needs
+            cards.extend(text[i:i + 80] for i in range(0, len(text), 80))
+    return cards
+
+
+def float_edge_deck(op, texts):
+    """Push the operands, apply op and keep its result in variable 1, then
+    print 1 in its place.  A test op leaves 2 in variable 1 when its
+    condition holds and 3 when not.  Since the printed value is fixed, a
+    fault that should not happen shows as a missing line."""
+    pushes = "".join(f"'/{text}'" for text in texts)
+    if op in TESTS:
+        pops = "L" * len(texts)
+        op = f"({op}'/2',{pops}'/3',)"
+    return [f"*({pushes}{op}S1L'/1'OX,)"]
+
+
+def float_edge_decks():
+    decks = []
+    for op in UNARY + ["N", "0"]:
+        decks.extend(float_edge_deck(op, [text]) for text, _ in EDGE_OPERANDS)
+    for op in BINARY + ["J"]:
+        decks.extend(float_edge_deck(op, [x, y])
+                     for x, _ in EDGE_OPERANDS for y, _ in EDGE_OPERANDS)
+    return decks
+
+
+def _bits(values):
+    """Floats as one hex string of their doubles: exact, nan and -0.0
+    included."""
+    return struct.pack(f"<{len(values)}d", *values).hex()
+
+
+def snapshot(sess, status):
+    """Everything a run of run_deck leaves behind, field by field, in
+    plain values that compare with == and pass through JSON."""
+    reader, store = sess.reader, sess.store
+    return {
+        "output": list(sess.output),
+        "punch": list(sess.punch),
+        "status": status,
+        "reader notes": list(reader.diagnostics),
+        "iac": reader.iac,
+        "input unit": reader.unit,
+        "reader cursor": reader.cursor,
+        "output unit": sess.writer.unit,
+        "stack": _bits(sess.stack),
+        "variables": _bits(sess.variables),
+        "constants": _bits(sess.constants),
+        "store cells": list(store.cells),
+        "ilc": store.ilc,
+        "ilc0": store.ilc0,
+    }

@@ -15,7 +15,7 @@ from reca import decks
 from reca.numio import f32, format_number, parse_text
 from reca.session import Session, run_deck
 
-from conftest import field_value
+from conftest import check_integrity, field_value
 
 FIELD = re.compile(r"[ -]\d\.\d{5}E[ -]\d\d")
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
@@ -247,5 +247,5 @@ def test_random_programs_compile_clean():
         assert status == 0, body
         last = sess.store.ilc0 - 1
         assert last >= 3, body
-        sess.store.check_integrity(1, last)
+        check_integrity(sess.store, 1, last)
     report("500 random programs compile to well-formed threaded code")

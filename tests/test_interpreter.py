@@ -1,14 +1,15 @@
 """Execution semantics: stack operators, predicates, counters, calls."""
 
 import math
+import struct
 
 import pytest
 
 from reca.iosys import PAGE_EJECT
-from reca.numio import f32
-from reca.session import SessionConfig, run_deck
+from reca.session import Session, SessionConfig, run_deck
 
 from conftest import field_value, run, time_limit
+from generators import BINARY, EDGE_OPERANDS, TESTS, UNARY, float_edge_deck
 
 
 def result_of(program, extra_cards=()):
@@ -230,3 +231,129 @@ def test_stack_pointer_resets_between_programs():
     # leftovers from one program do not leak into the next
     lines, status = run(["*('/1''/2''/3'L,)", "*(*,)"])
     assert "EXEC 02 EMPTY PUSHDOWN LIST" in lines
+
+
+def test_cancel_stops_a_loop_at_its_backward_jump():
+    # the flag goes up as the first value prints; the repeat's jump back
+    # to the counter sees it
+    def cancel_on_value(unit, text):
+        if text == "  1.00000E 00":
+            sess.cancelled = True
+
+    sess = Session(cards=["*($1000$'/1'OX.,)"], config=SessionConfig(echo=False),
+                   on_line=cancel_on_value)
+    with time_limit(5):
+        status = sess.run()
+    assert sess.output == ["  1.00000E 00", "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
+    assert status == 0
+    assert not sess.cancelled
+
+
+def test_cancel_before_a_program_stops_it_at_entry():
+    sess = Session(cards=["*('/1'O'/2'OX,)", "*('/3'OX,)"], config=SessionConfig(echo=False))
+    sess.cancelled = True
+    status = sess.run()
+    # the notice comes before any value; the flag is spent, so the next
+    # program runs
+    assert sess.output == [
+        "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT, "  3.00000E 00", PAGE_EJECT,
+    ]
+    assert status == 0
+
+
+def f32(x):
+    return struct.unpack("f", struct.pack("f", x))[0]
+
+
+def same(x, y):
+    """Equal as float32 results: the same value and sign, or both nan."""
+    if x != x or y != y:
+        return x != x and y != y
+    return x == y and math.copysign(1, x) == math.copysign(1, y)
+
+
+UNARY_MATH = {
+    "A": abs, "C": math.cos, "E": math.exp, "H": math.tanh,
+    "M": lambda a: -a, "Q": math.sqrt, "'A": math.atan, "'L": math.log,
+    "'S": math.sin,
+}
+BINARY_MATH = {
+    "&": lambda x, y: x + y, "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y, "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y, "B": math.pow,
+}
+NEAR_ZERO = f32(5.0e-6)
+
+
+def expected_unary(op, a):
+    """The float32 result of op on a, or None for an arithmetic fault."""
+    try:
+        r = f32(UNARY_MATH[op](a))
+    except (ValueError, OverflowError, struct.error):
+        return None
+    if op == "E" and r == math.inf:
+        return None
+    return r
+
+
+def expected_binary(op, x, y):
+    try:
+        r = f32(BINARY_MATH[op](x, y))
+    except (ValueError, OverflowError, ZeroDivisionError, struct.error):
+        return None
+    return r if -3.5e38 < r < 3.5e38 else None
+
+
+def expected_test(op, x, y=None):
+    """2.0 where the test's condition holds, 3.0 where not."""
+    if op == "N":
+        holds = x < 0
+    elif op == "0":
+        holds = abs(x) <= NEAR_ZERO
+    else:  # J compares the top two, in double precision
+        holds = abs(y - x) <= NEAR_ZERO
+    return 2.0 if holds else 3.0
+
+
+def check_edge(op, texts, want):
+    """Run op's float-edge deck on texts; None if it left want (None for
+    an arithmetic fault) in variable 1, else a description."""
+    sess, status = run_deck(float_edge_deck(op, texts), config=SessionConfig(echo=False))
+    lines = [l for l in sess.output if l != PAGE_EJECT]
+    got = sess.variables[1]
+    if want is None:
+        ok = status == 1 and lines == ["EXEC 06 ARITHMETIC FAULT"] and got == 0.0
+    else:
+        ok = status == 0 and lines == ["  1.00000E 00"] and same(got, want)
+    return None if ok else f"{op} {texts}: want {want}, got {status} {lines} {got}"
+
+
+def test_edge_operands_parse_to_their_float32_values():
+    for text, value in EDGE_OPERANDS:
+        sess, status = run_deck([f"*('/{text}'S1L,)"])
+        assert status == 0 and same(sess.variables[1], value), text
+
+
+@pytest.mark.parametrize("op", UNARY)
+def test_unary_operator_matches_float32_oracle(op):
+    failures = [check_edge(op, [text], expected_unary(op, a))
+                for text, a in EDGE_OPERANDS]
+    assert [f for f in failures if f] == []
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_binary_operator_matches_float32_oracle(op):
+    failures = [check_edge(op, [tx, ty], expected_binary(op, x, y))
+                for tx, x in EDGE_OPERANDS for ty, y in EDGE_OPERANDS]
+    assert [f for f in failures if f] == []
+
+
+@pytest.mark.parametrize("op", TESTS)
+def test_test_operator_matches_float32_oracle(op):
+    if op == "J":
+        cases = [([tx, ty], expected_test(op, x, y))
+                 for tx, x in EDGE_OPERANDS for ty, y in EDGE_OPERANDS]
+    else:
+        cases = [([tx], expected_test(op, x)) for tx, x in EDGE_OPERANDS]
+    failures = [check_edge(op, texts, want) for texts, want in cases]
+    assert [f for f in failures if f] == []

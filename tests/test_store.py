@@ -4,6 +4,8 @@ import pytest
 
 from reca.store import ProgramStore
 
+from conftest import check_integrity
+
 
 def test_emit_advances_cursor():
     st = ProgramStore()
@@ -54,7 +56,7 @@ def test_integrity_accepts_well_formed_region():
     st = ProgramStore()
     for v in [0, -22, 5, 6, 2, 0, 1]:
         st.emit(v)
-    st.check_integrity(1, 7)
+    check_integrity(st, 1, 7)
 
 
 def test_integrity_rejects_unfilled_link():
@@ -62,7 +64,7 @@ def test_integrity_rejects_unfilled_link():
     for v in [0, -22, 0, 6, 2, 0, 1]:
         st.emit(v)
     with pytest.raises(AssertionError):
-        st.check_integrity(1, 7)
+        check_integrity(st, 1, 7)
 
 
 def test_integrity_rejects_out_of_range_jump():
@@ -70,4 +72,4 @@ def test_integrity_rejects_out_of_range_jump():
     for v in [0, -22, 5, 499, 2, 0, 1]:
         st.emit(v)
     with pytest.raises(AssertionError):
-        st.check_integrity(1, 7)
+        check_integrity(st, 1, 7)
