@@ -20,7 +20,9 @@ operation and every backward jump and is checked at each, so
 flag (Ctrl-C) is checked where a program could run on without end: when
 execute starts, at every backward jump and at every subroutine call.
 Between two of those points execution makes at most one forward pass
-through the store.
+through the store.  It is checked as well after each read by I and R,
+which can wait on the keyboard for as long as the user takes, so an
+interrupt typed during a read stops the program that was reading.
 """
 
 import math
@@ -141,6 +143,8 @@ def execute(sess):
                                 ixl += 1
                             else:  # OP_INPUT
                                 pdl[sp] = _read_datum(reader)
+                                if sess.cancelled:  # Ctrl-C during the read
+                                    raise _Interrupted
                         elif b == 29:  # OP_COUNTER
                             ixl += 1
                             k = prog[ixl]
@@ -164,6 +168,8 @@ def execute(sess):
                                 ixl += 1
                         elif b == 24:  # OP_READ
                             reader.read()
+                            if sess.cancelled:  # Ctrl-C during the read
+                                raise _Interrupted
                         elif b == 25:  # OP_WRITE
                             writer.put(reader.iac)
                         elif b == 28:  # OP_FLUSH

@@ -3,25 +3,24 @@ reference that tests/test_properties.py runs generated decks against.
 
 It is a verbatim copy of that loop: one struct round per float32 result, the
 cancel flag read on every operation, and the entry-cell test at the loop
-head.  Only the imports changed, so that it runs from the tests.
+head.  Only the imports changed, so that it runs from the tests; the limits
+and constants come from reca.interpreter, so that only the loop body is
+frozen.
 """
 
 import math
 import struct
 
 from reca import numio
-from reca.interpreter import _Interrupted, _read_datum
+from reca.interpreter import (
+    _INF, NEAR_ZERO, RECURSION_LIMIT, STACK_LIMIT, _Interrupted, _read_datum,
+)
 from reca.iosys import (
     ARITHMETIC_FAULT, BAD_DATUM, DEEP_RECURSION, INTERRUPT_NOTICE, STACK_EMPTY,
     STACK_OVERFLOW, UNDEFINED_CALL, UNDEFINED_RECURSIVE, Diagnostic, EndOfInput,
 )
 from reca.store import RECURSIVE_MARK
 from reca.tables import DECLARED_RECURSIVE
-
-STACK_LIMIT = 200
-RECURSION_LIMIT = 100
-NEAR_ZERO = struct.unpack("f", struct.pack("f", 5.0e-6))[0]
-_INF = float("inf")
 
 _pack = struct.pack
 _unpack = struct.unpack

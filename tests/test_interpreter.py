@@ -261,6 +261,30 @@ def test_cancel_before_a_program_stops_it_at_entry():
     assert status == 0
 
 
+def test_cancel_during_a_keyboard_read_stops_the_reading_program():
+    # Ctrl-C while I waits on the keyboard: the program stops after that
+    # read and asks for no second value; the next program runs
+    lines = iter(["*(IOIOX,)", "'/1'", "*('/3'OX,)", None])
+    asked = []
+
+    def keyboard():
+        line = next(lines)
+        asked.append(line)
+        if line == "'/1'":
+            sess.cancelled = True
+        return line
+
+    sess = Session(keyboard=keyboard, config=SessionConfig(echo=False))
+    with time_limit(5):
+        status = sess.run()
+    assert asked == ["*(IOIOX,)", "'/1'", "*('/3'OX,)", None]
+    assert sess.output == [
+        "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT, "  3.00000E 00", PAGE_EJECT,
+    ]
+    assert status == 0
+    assert not sess.cancelled
+
+
 def f32(x):
     return struct.unpack("f", struct.pack("f", x))[0]
 

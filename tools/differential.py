@@ -8,7 +8,7 @@ needed.  The base revision's src/ is exported with git archive into a
 temporary directory.  Each tree then runs the corpus in a worker process of
 its own, every deck at widths 80 and 120, under a step budget and an alarm:
 
-* --decks decks from tests/generators.py, seeded 0, 1, 2, ...;
+* GENERATED decks from tests/generators.py, seeded 0, 1, 2, ...;
 * the perfbench decks of every workload at seeds 1 to 3;
 * the float-edge decks from tests/generators.py.
 
@@ -34,16 +34,19 @@ from pathlib import Path
 CHECKOUT = Path(__file__).resolve().parent.parent
 WIDTHS = (80, 120)
 PERFBENCH_SEEDS = (1, 2, 3)
+GENERATED = 2000
+MAX_STEPS = 200_000  # step budget of each run
+SECONDS = 10  # alarm on each run
 
 
-def corpus(n_generated):
+def corpus():
     """(name, cards) for every deck, in a fixed order."""
     sys.path[:0] = [str(CHECKOUT / "tests"), str(CHECKOUT / "perfbench")]
     import generators
     import workloads
 
     decks = [(f"generated {i}", generators.deck(random.Random(i)))
-             for i in range(n_generated)]
+             for i in range(GENERATED)]
     for name, (make, _) in sorted(workloads.WORKLOADS.items()):
         for seed in PERFBENCH_SEEDS:
             decks.extend((f"{name} seed {seed} deck {i}", list(d.cards))
@@ -61,7 +64,7 @@ def _expire(signum, frame):
     raise _Alarm
 
 
-def worker(src, corpus_file, max_steps, seconds):
+def worker(src, corpus_file):
     """Run the corpus under the reca in src; one JSON snapshot a line."""
     sys.path[:0] = [src, str(CHECKOUT / "tests")]
     from generators import snapshot
@@ -70,8 +73,8 @@ def worker(src, corpus_file, max_steps, seconds):
     signal.signal(signal.SIGALRM, _expire)
     for name, cards in json.loads(Path(corpus_file).read_text()):
         for width in WIDTHS:
-            config = SessionConfig(width=width, max_steps=max_steps)
-            signal.alarm(seconds)
+            config = SessionConfig(width=width, max_steps=MAX_STEPS)
+            signal.alarm(SECONDS)
             try:
                 result = snapshot(*run_deck(cards, config=config))
             except _Alarm:
@@ -103,30 +106,23 @@ def first_difference(a, b):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--base", required=True, help="git revision to compare with")
-    parser.add_argument("--decks", type=int, default=2000,
-                        help="generated decks (default 2000)")
-    parser.add_argument("--max-steps", type=int, default=200_000,
-                        help="step budget of each run (default 200000)")
-    parser.add_argument("--seconds", type=int, default=10,
-                        help="alarm on each run (default 10)")
-    parser.add_argument("--worker", nargs=2, metavar=("SRC", "CORPUS"),
-                        help=argparse.SUPPRESS)
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--base", help="git revision to compare with")
+    side.add_argument("--worker", nargs=2, metavar=("SRC", "CORPUS"),
+                      help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(*args.worker, args.max_steps, args.seconds)
+        worker(*args.worker)
         return 0
 
-    decks = corpus(args.decks)
+    decks = corpus()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus_file = tmp / "corpus.json"
         corpus_file.write_text(json.dumps(decks))
         procs = [
             subprocess.Popen(
-                [sys.executable, __file__, "--base", args.base,
-                 "--max-steps", str(args.max_steps), "--seconds", str(args.seconds),
-                 "--worker", str(src), str(corpus_file)],
+                [sys.executable, __file__, "--worker", str(src), str(corpus_file)],
                 stdout=subprocess.PIPE, text=True)
             for src in (export(args.base, tmp / "base"), CHECKOUT / "src")
         ]
@@ -148,10 +144,10 @@ def main(argv=None):
     if identical + len(differed) + len(excluded) != len(runs):
         raise SystemExit("differential.py: a worker stopped early")
     print(f"{args.base} against this checkout: {len(runs)} runs of {len(decks)} decks"
-          f" at widths {' and '.join(map(str, WIDTHS))}, --max-steps {args.max_steps}")
+          f" at widths {' and '.join(map(str, WIDTHS))}, step budget {MAX_STEPS}")
     print(f"  identical {identical}")
     print(f"  differed  {len(differed)}")
-    print(f"  excluded  {len(excluded)} (alarm after {args.seconds} s)")
+    print(f"  excluded  {len(excluded)} (alarm after {SECONDS} s)")
     for (name, width), field in differed:
         print(f"  differs: {name}, width {width}: first in {field}")
     for name, width in excluded:
