@@ -166,7 +166,16 @@ def encode_card(text, strict=False, diagnostics=None):
     return words
 
 
+class _CharTable(dict):
+    """Character by storage word, blank for a word no glyph has."""
+
+    def __missing__(self, word):
+        return " "
+
+
+_CHARS = _CharTable(CHAR_BY_WORD)
+
+
 def decode_words(words):
     """Render a sequence of storage words as text."""
-    char = CHAR_BY_WORD.get
-    return "".join([char(w, " ") for w in words])
+    return "".join(map(_CHARS.__getitem__, words))

@@ -16,7 +16,8 @@ Characters that steer the monitor or the compiler are read and echoed
 one at a time.  What nothing examines one by one is read as a run of the
 card and echoed in one call: the rest of a comment card, blanks between
 command letters and after a program's name, and the bodies of '* comments
-and " strings.
+and " strings.  The numbers of constants and counters are scanned off
+the card by numio.parse_number, which echoes them in one call a card.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -263,7 +264,7 @@ def _compile_counter(sess, code):
     """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
     st = sess.store
     st.emit(-code)
-    n = numio.parse_number(sess.read_echo, integer=True)
+    n = numio.parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
     if n <= 0:
         raise Diagnostic(BAD_COUNTER)
     st.emit(-n)
@@ -276,7 +277,7 @@ def _compile_constant(sess, code):
     """'/number' becomes [op, pool slot]; the value goes to the pool."""
     st = sess.store
     st.emit(-code)
-    value = numio.parse_number(sess.read_echo)
+    value = numio.parse_number(sess.reader, echo=sess.writer.put_words)
     reader = sess.reader
     if reader.iac == charset.BLANK:
         sess.writer.put(reader.nonblank(sess.writer.put_words))

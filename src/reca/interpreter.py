@@ -52,7 +52,7 @@ def _read_datum(reader):
     w = reader.nonblank()
     if w != charset.QUOTE or reader.read() != charset.SLASH:
         raise Diagnostic(BAD_DATUM)
-    value = numio.parse_number(reader.read)
+    value = numio.parse_number(reader)
     if reader.iac == charset.BLANK:
         reader.nonblank()
     if reader.iac != charset.QUOTE:

@@ -3,11 +3,12 @@
 Input arrives as 80-column card images.  The reader deals them out a
 character at a time, or as a run of the current card in one slice: the
 rest of the card, or everything up to and including the next quote; its
-skip past blanks reads runs across cards.  It holds the current input
-unit and latches the last character read in iac.  Output is accumulated
-into a single line buffer, a character or a run at a time, and released
-either explicitly or when the buffer reaches the width of the current
-output unit, which the writer holds.
+skip past blanks reads runs across cards.  A scanner may also take the
+current card itself and move the reader's cursor past what it used.  The
+reader holds the current input unit and latches the last character read
+in iac.  Output is accumulated into a single line buffer, a character or
+a run at a time, and released either explicitly or when the buffer
+reaches the width of the current output unit, which the writer holds.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -136,11 +137,16 @@ class CardReader:
         self.cursor += 1
         return w
 
-    def rest(self):
-        """The rest of the current card."""
+    def card(self):
+        """The current card as the input unit reads it, refilled first if
+        it is used up; cursor indexes the next word to read from it."""
         if self.cursor >= 80:
             self._refill()
-        run = (self.translated if self.unit == 2 else self.record)[self.cursor:]
+        return self.translated if self.unit == 2 else self.record
+
+    def rest(self):
+        """The rest of the current card."""
+        run = self.card()[self.cursor:]
         self.cursor = 80
         self.iac = run[-1]
         return run
@@ -166,9 +172,7 @@ class CardReader:
     def through_quote(self, limit=80):
         """The words up to and including the next quote, or up to the end
         of the card if no quote follows; at most limit words."""
-        if self.cursor >= 80:
-            self._refill()
-        record = self.translated if self.unit == 2 else self.record
+        record = self.card()
         start = self.cursor
         stop = min(start + limit, 80)
         try:

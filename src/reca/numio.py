@@ -2,21 +2,30 @@
 
 All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
-parser consumes characters through a read callable and stops at the first
-character that does not fit the token; read from a card reader, that
-character stays latched in the reader's iac.  The formatter builds the
-fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
-storage words and puts them on a line writer in one call.
+parser scans a number straight off the card a card reader holds and stops
+at the first character that does not fit the token; that character is
+read too and stays latched in the reader's iac.  A token, or the blanks
+before it, may run past column 80 onto the next card.  The formatter
+builds the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd
+as storage words and puts them on a line writer in one call.
+
+Both round through a one-cell array("f"), made fresh on each call so that
+callers share no state: storing into it is C's double-to-float cast, the
+float32 round that struct's native "f" makes too, saturating to inf alike.
 """
 
 import struct
+from array import array
 
 from . import charset
+from .charset import AMPERSAND, BLANK, DOT, LETTER_E, MINUS, PLUS
 from .iosys import CardReader
 
 _F32 = struct.Struct("f")
 _pack = _F32.pack
 _unpack = _F32.unpack
+_new_cell = array("f", (0.0,)).__copy__
+_INF = float("inf")
 
 
 def f32(x):
@@ -28,83 +37,126 @@ ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
 FIELD_WIDTH = 13
 
 
-def parse_number(read, integer=False):
-    """Read one number, a word at a time from read; return its value.
+def parse_number(reader, integer=False, echo=None):
+    """Read one number off reader's cards; return its value.
 
     integer parses an integer, otherwise a float.  The first character
-    after the token is read too; it ends the token and is not part of it.
+    after the token is read too; it ends the token, is not part of it,
+    and is latched in reader.iac.  The reader is left where reading the
+    token a character at a time would leave it.  echo, if given, is
+    called with the words read, the leading blanks and the terminator
+    included: once, or once a card when the token runs onto later cards.
 
     Accepted float shape: blanks, optional sign (- + &), digits with at
     most one point, optional exponent E[sign]digits.  Anything else ends
     the token; an empty token is zero.
     """
-    return (_parse_int if integer else _parse_float)(read)
-
-
-def _parse_float(read):
-    """The value of a float token read word by word."""
-    sign = 1.0
-    exp_sign = 1
-    exponent = 0
-    frac = 0  # 0 until a point is seen, then counts characters past it
-    value = 0.0
-    w = read()
-    while w == charset.BLANK:
-        w = read()
-    if w == charset.MINUS:
-        sign = -1.0
-        w = read()
-    elif w in (charset.PLUS, charset.AMPERSAND):
-        w = read()
-    while True:
-        if frac > 0:
-            frac += 1
-        elif w == charset.DOT:
-            frac += 1
-            w = read()
-            continue
-        if w == charset.LETTER_E:
-            w = read()
-            if w == charset.MINUS:
-                exp_sign = -1
-                w = read()
-            elif w in (charset.PLUS, charset.AMPERSAND):
-                w = read()
-            while charset.is_digit_word(w):
-                exponent = 10 * exponent + charset.digit_value(w)
-                w = read()
-            break
-        if charset.is_digit_word(w):
-            value = f32(value * 10.0 + charset.digit_value(w))
-            w = read()
-            continue
-        break
-    if frac > 0:
-        frac -= 2  # point and terminator were both counted
-    exponent = exp_sign * exponent - frac
+    card = reader.card()
+    start = reader.cursor
     try:
-        scale = f32(10.0 ** exponent)
+        value, stop = _scan(card, start, integer)
+    except IndexError:
+        # the token or the blanks before it reach column 80: scan again
+        # over this card and the ones after it
+        tape = _CardTape(reader, echo)
+        value, stop = _scan(tape, start, integer)
+        card, start, stop = tape.card, tape.start, stop - tape.offset
+    reader.cursor = stop + 1
+    reader.iac = card[stop]
+    if echo:
+        echo(card[start:stop + 1])
+    return value
+
+
+def _scan(card, i, integer):
+    """(value, index of the terminator) of the number that starts at
+    card[i], card being a sequence of words."""
+    w = card[i]
+    while w == BLANK:
+        i += 1
+        w = card[i]
+    negative = w == MINUS
+    if negative or w == PLUS or w == AMPERSAND:
+        i += 1
+        w = card[i]
+    # a digit word lies in -4032 .. -1728 and its value is (w + 4032) // 256,
+    # as charset.is_digit_word and charset.digit_value have it
+    if integer:
+        n = 0
+        while -4032 <= w <= -1728:
+            n = 10 * n + (w + 4032) // 256
+            i += 1
+            w = card[i]
+        return (-n if negative else n), i
+    f = _new_cell()
+    value = 0.0
+    while -4032 <= w <= -1728:
+        f[0] = value * 10.0 + (w + 4032) // 256
+        value = f[0]
+        i += 1
+        w = card[i]
+    places = 0
+    if w == DOT:
+        i += 1
+        w = card[i]
+        while -4032 <= w <= -1728:
+            f[0] = value * 10.0 + (w + 4032) // 256
+            value = f[0]
+            places += 1
+            i += 1
+            w = card[i]
+    exponent = 0
+    if w == LETTER_E:
+        i += 1
+        w = card[i]
+        exp_negative = w == MINUS
+        if exp_negative or w == PLUS or w == AMPERSAND:
+            i += 1
+            w = card[i]
+        while -4032 <= w <= -1728:
+            exponent = 10 * exponent + (w + 4032) // 256
+            i += 1
+            w = card[i]
+        if exp_negative:
+            exponent = -exponent
+    try:
+        f[0] = 10.0 ** (exponent - places)
     except OverflowError:
-        scale = float("inf")  # out of range; arithmetic on it faults later
-    return f32(sign * value * scale)
+        f[0] = _INF  # out of range; arithmetic on it faults later
+    f[0] = (-1.0 if negative else 1.0) * value * f[0]
+    return f[0], i
 
 
-def _parse_int(read):
-    """The value of an integer token read word by word."""
-    sign = 1
-    value = 0
-    w = read()
-    while w == charset.BLANK:
-        w = read()
-    if w == charset.MINUS:
-        sign = -1
-        w = read()
-    elif w in (charset.PLUS, charset.AMPERSAND):
-        w = read()
-    while charset.is_digit_word(w):
-        value = 10 * value + charset.digit_value(w)
-        w = read()
-    return sign * value
+class _CardTape:
+    """The reader's current card and the cards after it, indexed as one
+    sequence laid end to end; a card is read in when a scan first indexes
+    past the one before it.
+
+    Moving on to the next card leaves the reader and the echo as reading
+    a character at a time would: the rest of the card is echoed, its last
+    word latched in iac, and only then is the next card read in, which
+    may raise EndOfInput.
+    """
+
+    def __init__(self, reader, echo):
+        self.reader = reader
+        self.echo = echo
+        self.card = reader.card()
+        self.start = reader.cursor  # the first word of card not yet echoed
+        self.offset = 0             # the index of card[0]
+
+    def __getitem__(self, i):
+        i -= self.offset
+        if i >= 80:
+            if self.echo:
+                self.echo(self.card[self.start:])
+            self.reader.cursor = 80
+            self.reader.iac = self.card[79]
+            self.card = self.reader.card()
+            self.start = 0
+            self.offset += 80
+            i -= 80
+        return self.card[i]
 
 
 def scientific_words(value):
@@ -117,36 +169,41 @@ def scientific_words(value):
     """
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
-    pack = _pack
-    unpack = _unpack
+    f = _new_cell()
     k = 0
-    sign = charset.MINUS if value < 0 else charset.BLANK
+    sign = MINUS if value < 0 else BLANK
     v = value if value >= 0 else -value
     if v > 0:
         while v < 10.0:
-            v = unpack(pack(v * 10.0))[0]
+            f[0] = v * 10.0
+            v = f[0]
             k -= 1
         while v >= 10.0:
-            v = unpack(pack(v * 0.1))[0]
+            f[0] = v * 0.1
+            v = f[0]
             k += 1
-    v = unpack(pack(v + ROUND_HALF_DIGIT))[0]
+    f[0] = v + ROUND_HALF_DIGIT
+    v = f[0]
     if v >= 10.0:
         # rounding carried into a new leading digit
-        v = unpack(pack(v * 0.1))[0]
+        f[0] = v * 0.1
+        v = f[0]
         k += 1
     # digit_word(n) is n * 256 - 4032
     n = int(v)
-    words = [charset.BLANK, sign, n * 256 - 4032, charset.DOT]
+    words = [BLANK, sign, n * 256 - 4032, DOT]
     for _ in range(5):
-        v = unpack(pack(10.0 * unpack(pack(v - n))[0]))[0]
+        f[0] = v - n
+        f[0] = 10.0 * f[0]
+        v = f[0]
         n = int(v)
         words.append(n * 256 - 4032)
-    words.append(charset.LETTER_E)
+    words.append(LETTER_E)
     if k < 0:
-        words.append(charset.MINUS)
+        words.append(MINUS)
         k = -k
     else:
-        words.append(charset.BLANK)
+        words.append(BLANK)
     if k > 99:
         # unreachable for float32 magnitudes, kept as a hard stop
         raise OverflowError("exponent does not fit in two digits")
@@ -177,5 +234,5 @@ def parse_text(text, integer=False):
     """
     cards = iter([text])
     reader = CardReader({2: lambda: next(cards, None)})
-    value = parse_number(reader.read, integer)
+    value = parse_number(reader, integer)
     return value, charset.char_of(reader.iac)

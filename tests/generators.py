@@ -10,6 +10,9 @@ and data cards.
 float_edge_decks() gives one deck for each operator and each float32 edge
 operand (or pair of them), shaped as float_edge_deck describes.
 
+column_80_decks() gives decks whose number tokens (constants, counters and
+I data) reach column 80 and run across it onto the next card.
+
 snapshot(sess, status) records everything a run leaves behind, so that two
 runs of one deck can be compared field by field.
 
@@ -107,6 +110,40 @@ def float_edge_decks():
         decks.extend(float_edge_deck(op, [x, y])
                      for x, _ in EDGE_OPERANDS for y, _ in EDGE_OPERANDS)
     return decks
+
+
+# (program, token, what follows it): each token is laid so that it reaches
+# column 80 and runs across it; I data follows its program on data cards
+COLUMN_80_TOKENS = [
+    ("*(", "'/-12.5E-1'", "OX,)"),
+    ("*(", "'/    7.25'", "OX,)"),       # blanks before the number
+    ("*(", "'/3E1     '", "OX,)"),       # blanks after it
+    ("*(", "@/-1.5E&1@", "OX,)"),        # keypunch quotes
+    ("*(", "'/12.5", ""),                # the cards end inside the constant
+    ("*((", "$12$", "'/1'OX.,),)"),
+    ("*((", "$   3$", "'/2'OX.,),)"),
+    ("*(", "$25", ""),
+    ("*(($2$IOX.,),)", "'/-3.125E&2'", " '/4'"),
+    ("*(($2$IOX.,),)", "'/   4     '", "'/.5'"),
+    ("*(IOX,)", "'/12.5", ""),
+]
+
+
+def straddling_decks(program, token, rest):
+    """token laid so that it reaches column 80: one deck for each column
+    of it that can fall there, and one with it starting the next card."""
+    data = program.endswith(")")
+    lead = "" if data else program
+    decks = []
+    for start in range(80 - len(token), 81):  # 0-based column of token
+        text = lead + " " * (start - len(lead)) + token + rest
+        cards = [text[i:i + 80] for i in range(0, len(text), 80)]
+        decks.append([program, *cards] if data else cards)
+    return decks
+
+
+def column_80_decks():
+    return [deck for entry in COLUMN_80_TOKENS for deck in straddling_decks(*entry)]
 
 
 def _bits(values):

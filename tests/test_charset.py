@@ -129,6 +129,22 @@ def test_card_decode_roundtrip(text):
     assert charset.decode_words(words).rstrip(" ") == text.rstrip(" ")
 
 
+def reference_decode(words):
+    """decode_words as it was before its table: one dict lookup a word."""
+    return "".join([charset.CHAR_BY_WORD.get(w, " ") for w in words])
+
+
+def test_decode_words_matches_reference_on_every_word():
+    words = range(-0x8000, 0x8000)
+    assert [charset.decode_words([w]) for w in words] == \
+        [reference_decode([w]) for w in words]
+    assert charset.decode_words(words) == reference_decode(words)
+    # Q is 0xD840, a high surrogate in UTF-16; the word after it is not
+    # its pair but a character of its own
+    q = charset.WORD_BY_CHAR["Q"]
+    assert charset.decode_words([q, 0xDC40 - 0x10000]) == "Q "
+
+
 CARD_TEXT = st.text(
     alphabet=st.one_of(
         st.sampled_from(ALL_CHARS + [c.lower() for c in ALL_CHARS] + ["~"]),

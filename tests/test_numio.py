@@ -4,15 +4,20 @@ import ast
 import math
 import random
 import re
+import struct
 from pathlib import Path
 
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reca import charset, numio
-from reca.iosys import LineWriter
+from reca.iosys import CardReader, EndOfInput, LineWriter
 from reca.numio import f32, format_number, parse_text, scientific_words
 from reca.session import Session
+
+from conftest import run, table_rows
+from generators import COLUMN_80_TOKENS, straddling_decks
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
 
@@ -178,9 +183,147 @@ def test_format_scientific_needs_only_a_writer():
     assert lines == ["  1.50000E 00" * 6, "  1.50000E 00"]
 
 
-def test_parse_number_needs_only_a_read_callable():
-    words = iter(charset.encode_card(" -12.5E1'"))
-    assert numio.parse_number(words.__next__) == -125.0
-    assert charset.char_of(next(words)) == " "  # the quote ended the token
-    words = iter(charset.encode_card("42;"))
-    assert numio.parse_number(words.__next__, integer=True) == 42
+def test_parse_number_needs_only_a_card_reader():
+    cards = iter([" -12.5E1'"])
+    reader = CardReader({2: lambda: next(cards, None)})
+    assert numio.parse_number(reader) == -125.0
+    assert charset.char_of(reader.read()) == " "  # the quote ended the token
+    cards = iter(["42;"])
+    reader = CardReader({2: lambda: next(cards, None)})
+    assert numio.parse_number(reader, integer=True) == 42
+
+
+def reference_parse_float(read):
+    """The float parser as it was before parse_number scanned the card:
+    one read and one f32 call per character."""
+    sign = 1.0
+    exp_sign = 1
+    exponent = 0
+    frac = 0  # 0 until a point is seen, then counts characters past it
+    value = 0.0
+    w = read()
+    while w == charset.BLANK:
+        w = read()
+    if w == charset.MINUS:
+        sign = -1.0
+        w = read()
+    elif w in (charset.PLUS, charset.AMPERSAND):
+        w = read()
+    while True:
+        if frac > 0:
+            frac += 1
+        elif w == charset.DOT:
+            frac += 1
+            w = read()
+            continue
+        if w == charset.LETTER_E:
+            w = read()
+            if w == charset.MINUS:
+                exp_sign = -1
+                w = read()
+            elif w in (charset.PLUS, charset.AMPERSAND):
+                w = read()
+            while charset.is_digit_word(w):
+                exponent = 10 * exponent + charset.digit_value(w)
+                w = read()
+            break
+        if charset.is_digit_word(w):
+            value = f32(value * 10.0 + charset.digit_value(w))
+            w = read()
+            continue
+        break
+    if frac > 0:
+        frac -= 2  # point and terminator were both counted
+    exponent = exp_sign * exponent - frac
+    try:
+        scale = f32(10.0 ** exponent)
+    except OverflowError:
+        scale = float("inf")
+    return f32(sign * value * scale)
+
+
+def reference_parse_int(read):
+    """The integer parser as it was before parse_number scanned the card."""
+    sign = 1
+    value = 0
+    w = read()
+    while w == charset.BLANK:
+        w = read()
+    if w == charset.MINUS:
+        sign = -1
+        w = read()
+    elif w in (charset.PLUS, charset.AMPERSAND):
+        w = read()
+    while charset.is_digit_word(w):
+        value = 10 * value + charset.digit_value(w)
+        w = read()
+    return sign * value
+
+
+def parse_outcome(cards, column, unit, integer, reference):
+    """Parse from column (0-based; 80 starts on the first card's refill)
+    of cards read on unit; everything the parse leaves behind."""
+    source = iter(cards)
+    reader = CardReader({unit: lambda: next(source, None)}, unit=unit)
+    if column < 80:
+        reader.card()
+        reader.cursor = column
+    echoed = []
+    if reference:
+        def read():
+            echoed.append(reader.read())
+            return echoed[-1]
+
+        parse = reference_parse_int if integer else reference_parse_float
+        args = (read,)
+    else:
+        parse = numio.parse_number
+        args = (reader, integer, echoed.extend)
+    try:
+        value = parse(*args)
+    except EndOfInput:
+        value = "end of input"
+    if isinstance(value, float):
+        value = struct.pack("f", value)  # nan and -0.0 compare by their bits
+    return value, reader.cursor, reader.iac, echoed
+
+
+NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(column=st.integers(0, 80), blanks=st.integers(0, 170), text=NUMBER_TEXT,
+       filler=st.sampled_from(["", "9", "E1.", "'/"]),
+       more=st.sampled_from([[], ["7'"], ["", "  3E2'"]]),
+       unit=st.sampled_from([2, 6]), integer=st.booleans())
+@example(column=78, blanks=0, text="12.5E-1'", filler="", more=[], unit=2,
+         integer=False)  # the token straddles column 80
+@example(column=75, blanks=0, text="1.25", filler="", more=[], unit=2,
+         integer=False)  # the cards run out inside the token
+@example(column=3, blanks=160, text="-7%", filler="", more=[], unit=2,
+         integer=True)  # blanks over two cards, then a keypunch terminator
+@example(column=79, blanks=0, text="0E99@", filler="", more=[], unit=6,
+         integer=False)  # nan, on the keyboard unit
+@example(column=80, blanks=0, text="-0'", filler="", more=[], unit=2,
+         integer=False)  # -0.0, read from the first card's refill
+def test_parse_number_matches_the_reference_parsers(
+        column, blanks, text, filler, more, unit, integer):
+    # the token begins at column, after filler on the columns before it
+    line = (filler * 80)[:column % 80] + " " * blanks + text
+    cards = [line[i:i + 80] for i in range(0, len(line) or 1, 80)] + more
+    expected = parse_outcome(cards, column, unit, integer, reference=True)
+    assert parse_outcome(cards, column, unit, integer, reference=False) == expected
+
+
+@pytest.mark.parametrize("program, token, rest", COLUMN_80_TOKENS)
+def test_a_number_reads_the_same_across_column_80(program, token, rest):
+    # the same token on one card, as data after its program or in it
+    if program.endswith(")"):
+        plain = [program, token + rest]
+    else:
+        plain = [program + token + rest]
+    lines, status = run(plain)
+    expected = table_rows(lines), status
+    for deck in straddling_decks(program, token, rest):
+        lines, status = run(deck)
+        assert (table_rows(lines), status) == expected, deck

@@ -10,7 +10,9 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
 
 * GENERATED decks from tests/generators.py, seeded 0, 1, 2, ...;
 * the perfbench decks of every workload at seeds 1 to 3;
-* the float-edge decks from tests/generators.py.
+* the float-edge decks from tests/generators.py;
+* the column-80 decks from tests/generators.py, whose constants, counters
+  and I data run across the end of a card.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants and
@@ -53,6 +55,8 @@ def corpus():
                          for i, d in enumerate(make(seed)))
     decks.extend((f"float edge {cards[0]}", cards)
                  for cards in generators.float_edge_decks())
+    decks.extend((f"column 80 {i}", cards)
+                 for i, cards in enumerate(generators.column_80_decks()))
     return decks
 
 
