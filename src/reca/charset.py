@@ -100,21 +100,6 @@ def code_of(char):
     return class_code(WORD_BY_CHAR[char])
 
 
-def is_digit_word(word):
-    """True for the storage words of glyphs 0..9 (-4032 .. -1728)."""
-    return -4032 <= word <= -1728
-
-
-def digit_value(word):
-    """Numeric value 0..9 of a digit storage word."""
-    return (word + 4032) // 256
-
-
-def digit_word(value):
-    """Storage word of the glyph for a digit 0..9."""
-    return value * 256 - 4032
-
-
 def char_of(word):
     """Printable character for a storage word (blank if unassigned)."""
     return CHAR_BY_WORD.get(word, " ")

@@ -12,12 +12,22 @@ followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
-Characters that steer the monitor or the compiler are read and echoed
-one at a time.  What nothing examines one by one is read as a run of the
-card and echoed in one call: the rest of a comment card, blanks between
-command letters and after a program's name, and the bodies of '* comments
-and " strings.  The numbers of constants and counters are scanned off
-the card by numio.parse_number, which echoes them in one call a card.
+The monitor reads and echoes the characters that steer it one at a
+time; the rest of a comment card and the blanks between command letters
+it reads and echoes as runs.  The compiler walks each card with an index
+of its own and handles every class of character straight off the card:
+blanks, operators, predicates, parentheses and separators, the argument
+character of F, S and =, the bodies of '* comments and " strings, and
+the numbers of constants and counters, which numio.scan_number scans.  It
+echoes what it has read in one call a card segment, and hands its place
+back to the reader (cursor and iac) and to the store at the same points:
+at the end of each card, before any diagnostic, before the flush, listing
+and binding that follow a program's name, and before it returns.  A
+number that runs past column 80 is read through the reader instead, by
+numio.parse_number, which reads on across the cards; any other token or
+body that reaches column 80 just goes on from the next card.  The blanks
+and the left parenthesis after a bound program's name, once a program,
+are read through the reader too.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -25,6 +35,7 @@ one diagnostic that does not abort: the monitor prints it and reads on.
 """
 
 from . import charset, numio, tables
+from .charset import BLANK, LETTER_L, LPAREN, QUOTE
 from .iosys import (
     BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, BAD_UNIT,
     CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
@@ -133,189 +144,267 @@ def compile_program(sess):
 
 
 def _compile(sess):
+    """Walk the cards from the reader's cursor.  The walk's place is kept
+    in locals: the card, the index i of its next word, start (card[start:i]
+    is read but not yet echoed) and ilc, the store's next free cell; _sync
+    hands them back before anything else reads, writes or looks."""
     st = sess.store
+    cells = st.cells
+    fill_chain = st.fill_chain
     table = sess.compile_code  # only the monitor replaces it
-    read = sess.reader.read
-    put = sess.writer.put
+    reader = sess.reader
+    frames = sess.frames
+    card, i = _resume(reader)
+    start = i
+    ilc = st.ilc
     while True:
-        if st.ilc > 495:
+        if ilc > 495:
+            _sync(sess, card, start, i, ilc)
             raise Diagnostic(STORE_OVERFLOW)
-        w = read()
-        put(w)
+        if i == 80:
+            card = _next_card(sess, card, start, ilc)
+            i = start = 0
+        w = card[i]
+        i += 1
         # the class code of a word, as charset.class_code computes it
         code = (((w - 64) >> 8) & 63) + 1
         cls = table[code]
         while cls == QUOTE_PREFIX:
-            w = read()
-            put(w)
+            if i == 80:
+                card = _next_card(sess, card, start, ilc)
+                i = start = 0
+            w = card[i]
+            i += 1
             code = (((w - 64) >> 8) & 63) + 65
             cls = table[code]
         if cls == IGNORE:
             continue
-        if cls == OPEN:
-            if len(sess.frames) >= 10:
-                raise Diagnostic(EXCESS_NESTING)
-            sess.frames.append([st.ilc, 0, 0])
-        elif cls == CLOSE:
-            if _close_paren(sess):
-                return
+        if cls == OPERATOR:
+            cells[ilc] = -code
+            ilc += 1
         elif cls == SEQUENT:
-            frame = sess.frames[-1]
-            frame[2] = st.emit(frame[2])
-            st.fill_chain(frame[1], st.ilc)
+            frame = frames[-1]
+            cells[ilc] = frame[2]
+            frame[2] = ilc
+            ilc += 1
+            fill_chain(frame[1], ilc)
             frame[1] = 0
-        elif cls == REPEAT:
-            frame = sess.frames[-1]
-            st.emit(frame[0])
-            st.fill_chain(frame[1], st.ilc)
-            frame[1] = 0
-        elif cls == OPERATOR:
-            st.emit(-code)
+        elif cls == CLOSE:
+            frame = frames.pop()
+            if frames:
+                # thread this exit into the enclosing frame's false chain
+                outer = frames[-1]
+                cells[ilc] = outer[1]
+                outer[1] = ilc
+            else:
+                cells[ilc] = 0  # the program's false exit
+            ilc += 1
+            fill_chain(frame[1], ilc)
+            fill_chain(frame[2], ilc)
+            if frames:
+                continue
+            # level zero: seal the program and read the three name characters
+            cells[ilc] = st.ilc0
+            name = []
+            for _ in range(3):
+                if i == 80:
+                    card = _next_card(sess, card, start, ilc)
+                    i = start = 0
+                name.append(card[i])
+                i += 1
+            _sync(sess, card, start, i, ilc)
+            start = i
+            sess.writer.flush()
+            if name[2] == LETTER_L or sess.config.listing_always:
+                for line in st.dump_listing(st.ilc0, ilc):
+                    sess.writer.emit_text(line)
+            ilc += 1
+            name1 = (((name[0] - 64) >> 8) & 63) + 1
+            if name1 == 1:  # blank name: run it now
+                st.ilc = ilc
+                sess.constants_used = sess.constants_committed
+                sess.writer.echo = True
+                return
+            if table[name1] == QUOTE_PREFIX:
+                name1 = (((name[1] - 64) >> 8) & 63) + 65
+            table[name1] = PREDICATE
+            recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
+            sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
+            if recursive:
+                cells[st.ilc0] = RECURSIVE_MARK
+            sess.constants_committed = sess.constants_used
+            st.ilc0 = ilc
+            cells[ilc] = 0
+            ilc += 1
+            frames = sess.frames = [[ilc, 0, 0]]
+            # a further program must follow on this or a later card; the
+            # blanks before it are not echoed
+            st.ilc = ilc
+            try:
+                w = reader.nonblank()
+            except EndOfInput:
+                raise Terminated from None
+            card, i = _resume(reader)
+            start = i
+            if w != LPAREN:
+                raise Diagnostic(BAD_LEVEL_ZERO)
+            sess.writer.put(w)
         elif cls == PREDICATE:
-            _emit_atom(sess, code, n_args=0, numeric=False, link=True)
+            cells[ilc] = -code
+            frame = frames[-1]
+            cells[ilc + 1] = frame[1]
+            frame[1] = ilc + 1
+            ilc += 2
+        elif cls == OPEN:
+            if len(frames) >= 10:
+                _sync(sess, card, start, i, ilc)
+                raise Diagnostic(EXCESS_NESTING)
+            frames.append([ilc, 0, 0])
         elif cls == OPERATOR_NUM:
-            _emit_atom(sess, code, n_args=1, numeric=True, link=False)
-        elif cls == CHAR_PRED:
-            _emit_atom(sess, code, n_args=1, numeric=False, link=True)
-        elif cls == COUNTER:
-            _compile_counter(sess, code)
+            cells[ilc] = -code
+            ilc += 1
+            if i == 80:
+                card = _next_card(sess, card, start, ilc)
+                i = start = 0
+            c = (((card[i] - 64) >> 8) & 63) + 1
+            i += 1
+            if not 49 <= c <= 58:
+                _sync(sess, card, start, i, ilc)
+                raise Diagnostic(BAD_ARGUMENT)
+            cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
+            ilc += 1
         elif cls == CONSTANT:
-            _compile_constant(sess, code)
-        elif cls == COMMENT:
-            while _read_to_quote(sess)[-1] != charset.QUOTE:
-                pass
+            # '/number' becomes [op, pool slot]; the value goes to the pool
+            cells[ilc] = -code
+            ilc += 1
+            try:
+                value, i = numio.scan_number(card, i, False)
+                w = card[i]
+                i += 1
+            except IndexError:
+                # the number runs across column 80: the reader scans it
+                _sync(sess, card, start, i, ilc)
+                value = numio.parse_number(reader, echo=sess.writer.put_words)
+                card, i = _resume(reader)
+                start = i
+                w = reader.iac
+            while w == BLANK:
+                if i == 80:
+                    card = _next_card(sess, card, start, ilc)
+                    i = start = 0
+                w = card[i]
+                i += 1
+            if w != QUOTE:
+                _sync(sess, card, start, i, ilc)
+                raise Diagnostic(BAD_NUMBER)
+            sess.constants_used += 1
+            cells[ilc] = sess.constants_used
+            ilc += 1
+            if sess.constants_used > len(sess.constants) - 1:
+                _sync(sess, card, start, i, ilc)
+                raise Diagnostic(CONSTANT_EXCESS)
+            sess.constants[sess.constants_used] = value
+        elif cls == REPEAT:
+            frame = frames[-1]
+            cells[ilc] = frame[0]
+            ilc += 1
+            fill_chain(frame[1], ilc)
+            frame[1] = 0
+        elif cls == COUNTER:
+            # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
+            cells[ilc] = -code
+            ilc += 1
+            try:
+                n, i = numio.scan_number(card, i, True)
+                i += 1
+            except IndexError:
+                _sync(sess, card, start, i, ilc)
+                n = numio.parse_number(reader, integer=True, echo=sess.writer.put_words)
+                card, i = _resume(reader)
+                start = i
+            if n <= 0:
+                _sync(sess, card, start, i, ilc)
+                raise Diagnostic(BAD_COUNTER)
+            cells[ilc] = cells[ilc + 1] = -n
+            frame = frames[-1]
+            cells[ilc + 2] = frame[1]
+            frame[1] = ilc + 2
+            ilc += 3
+        elif cls == CHAR_PRED:
+            cells[ilc] = -code
+            ilc += 1
+            if i == 80:
+                card = _next_card(sess, card, start, ilc)
+                i = start = 0
+            cells[ilc] = card[i]
+            i += 1
+            frame = frames[-1]
+            cells[ilc + 1] = frame[1]
+            frame[1] = ilc + 1
+            ilc += 2
         elif cls == STRING:
-            _compile_string(sess, code)
+            # "text' becomes [op, length, the characters verbatim]
+            cells[ilc] = -code
+            count_cell = ilc + 1
+            ilc += 2
+            # the store overflows once the text reaches cell 497, or at once
+            # when the text starts there
+            end = max(497, ilc + 1)
+            while True:
+                if i == 80:
+                    card = _next_card(sess, card, start, ilc)
+                    i = start = 0
+                limit = min(i + end - ilc, 80)
+                try:
+                    stop = card.index(QUOTE, i, limit)
+                except ValueError:
+                    stop = limit
+                cells[ilc:ilc + stop - i] = card[i:stop]
+                ilc += stop - i
+                i = stop
+                if stop < limit:  # the closing quote
+                    i += 1
+                    cells[count_cell] = ilc - count_cell - 1
+                    break
+                if ilc >= end:
+                    _sync(sess, card, start, i, ilc)
+                    raise Diagnostic(STORE_OVERFLOW)
+        elif cls == COMMENT:
+            while True:
+                if i == 80:
+                    card = _next_card(sess, card, start, ilc)
+                    i = start = 0
+                try:
+                    i = card.index(QUOTE, i) + 1
+                    break
+                except ValueError:
+                    i = 80
         else:  # RESERVED
+            _sync(sess, card, start, i, ilc)
             raise Diagnostic(RESERVED_OP)
 
 
-def _close_paren(sess):
-    """Close a level; True when it completed a program to run now."""
-    st = sess.store
-    frames = sess.frames
-    frame = frames.pop()
-    if frames:
-        # thread this exit into the enclosing frame's false chain
-        frames[-1][1] = st.emit(frames[-1][1])
-    else:
-        st.emit(0)  # the program's false exit
-    st.fill_chain(frame[1], st.ilc)
-    st.fill_chain(frame[2], st.ilc)
-    if frames:
-        return False
-    # level zero: seal the program and read the three name characters
-    st.cells[st.ilc] = st.ilc0
-    name1 = charset.class_code(sess.read_echo())
-    name2 = tables.quote_extend(charset.class_code(sess.read_echo()))
-    name3 = sess.read_echo()
-    sess.writer.flush()
-    if name3 == charset.LETTER_L or sess.config.listing_always:
-        for line in st.dump_listing(st.ilc0, st.ilc):
-            sess.writer.emit_text(line)
-    st.ilc += 1
-    if name1 == 1:  # blank name: run it now
-        sess.constants_used = sess.constants_committed
-        sess.writer.echo = True
-        return True
-    if sess.compile_code[name1] == QUOTE_PREFIX:
-        name1 = name2
-    sess.compile_code[name1] = PREDICATE
-    recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
-    sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
-    if recursive:
-        st.cells[st.ilc0] = RECURSIVE_MARK
-    sess.constants_committed = sess.constants_used
-    st.ilc0 = st.ilc
-    st.emit(0)
-    sess.frames = [[st.ilc, 0, 0]]
-    # a further program must follow on this or a later card
-    try:
-        w = sess.reader.nonblank()
-    except EndOfInput:
-        raise Terminated from None
-    if w != charset.LPAREN:
-        raise Diagnostic(BAD_LEVEL_ZERO)
-    sess.writer.put(w)
-    return False
+def _resume(reader):
+    """The reader's card and cursor, for the walk to go on from; a card
+    that is used up is not refilled (and not returned) until the walk
+    reads on."""
+    i = reader.cursor
+    return (reader.card() if i < 80 else None), i
 
 
-def _emit_atom(sess, code, n_args, numeric, link):
-    """Emit an operator cell, its argument cells, and an optional link."""
-    st = sess.store
-    st.emit(-code)
-    for _ in range(n_args):
-        w = sess.read_echo()
-        if numeric:
-            c = charset.class_code(w)
-            if not 49 <= c <= 58:
-                raise Diagnostic(BAD_ARGUMENT)
-            if c == 49:
-                c += 10  # the glyph 0 selects slot ten
-            st.emit(c - 49)
-        else:
-            st.emit(w)
-    if link:
-        frame = sess.frames[-1]
-        frame[1] = st.emit(frame[1])
-
-
-def _compile_counter(sess, code):
-    """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
-    st = sess.store
-    st.emit(-code)
-    n = numio.parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
-    if n <= 0:
-        raise Diagnostic(BAD_COUNTER)
-    st.emit(-n)
-    st.emit(-n)
-    frame = sess.frames[-1]
-    frame[1] = st.emit(frame[1])
-
-
-def _compile_constant(sess, code):
-    """'/number' becomes [op, pool slot]; the value goes to the pool."""
-    st = sess.store
-    st.emit(-code)
-    value = numio.parse_number(sess.reader, echo=sess.writer.put_words)
+def _sync(sess, card, start, i, ilc):
+    """Hand the walk's place back: echo card[start:i], which it has read,
+    leave the reader after card[i - 1] and the store's next free cell at
+    ilc."""
     reader = sess.reader
-    if reader.iac == charset.BLANK:
-        sess.writer.put(reader.nonblank(sess.writer.put_words))
-    if reader.iac != charset.QUOTE:
-        raise Diagnostic(BAD_NUMBER)
-    sess.constants_used += 1
-    st.emit(sess.constants_used)
-    if sess.constants_used > len(sess.constants) - 1:
-        raise Diagnostic(CONSTANT_EXCESS)
-    sess.constants[sess.constants_used] = value
+    if i > start:
+        sess.writer.put_words(card[start:i])
+        reader.iac = card[i - 1]
+    reader.cursor = i
+    sess.store.ilc = ilc
 
 
-def _compile_string(sess, code):
-    """"text' becomes [op, length, the characters verbatim]."""
-    st = sess.store
-    st.emit(-code)
-    count_cell = st.ilc
-    st.ilc += 1
-    # the store overflows once the text reaches cell 497, or at once
-    # when the text starts there
-    end = max(497, st.ilc + 1)
-    while True:
-        run = _read_to_quote(sess, end - st.ilc)
-        closed = run[-1] == charset.QUOTE
-        if closed:
-            run = run[:-1]
-        st.cells[st.ilc:st.ilc + len(run)] = run
-        st.ilc += len(run)
-        if closed:
-            st.cells[count_cell] = st.ilc - count_cell - 1
-            return
-        if st.ilc >= end:
-            raise Diagnostic(STORE_OVERFLOW)
-
-
-def _read_to_quote(sess, limit=80):
-    """Read and echo the current card up to and including the next quote,
-    or to the end of the card; at most limit characters."""
-    run = sess.reader.through_quote(limit)
-    sess.writer.put_words(run)
-    return run
+def _next_card(sess, card, start, ilc):
+    """The walk has used card up: sync, then read the next card in."""
+    _sync(sess, card, start, 80, ilc)
+    return sess.reader.card()

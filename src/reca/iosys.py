@@ -1,14 +1,16 @@
 """Card input and line output.
 
 Input arrives as 80-column card images.  The reader deals them out a
-character at a time, or as a run of the current card in one slice: the
-rest of the card, or everything up to and including the next quote; its
-skip past blanks reads runs across cards.  A scanner may also take the
-current card itself and move the reader's cursor past what it used.  The
-reader holds the current input unit and latches the last character read
-in iac.  Output is accumulated into a single line buffer, a character or
-a run at a time, and released either explicitly or when the buffer
-reaches the width of the current output unit, which the writer holds.
+character at a time, or the rest of the current card in one slice; its
+skip past blanks reads runs across cards.  A scanner (the compiler, the
+number parser) may instead take the current card itself, walk it with an
+index of its own, and then hand its place back: move the reader's cursor
+past what it used and latch the last word it took in iac, before the
+reader is asked for the next card.  The reader holds the current input
+unit and latches the last character read in iac.  Output is accumulated
+into a single line buffer, a character or a run at a time, and released
+either explicitly or when the buffer reaches the width of the current
+output unit, which the writer holds.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -16,7 +18,7 @@ keypunch substitutions ( % < @ # for ( ) ' = ).
 """
 
 from . import charset
-from .charset import BLANK, QUOTE
+from .charset import BLANK
 
 
 class EndOfInput(Exception):
@@ -168,20 +170,6 @@ class CardReader:
                     echo(record[start:stop])
             if stop < 80:
                 return self.read()
-
-    def through_quote(self, limit=80):
-        """The words up to and including the next quote, or up to the end
-        of the card if no quote follows; at most limit words."""
-        record = self.card()
-        start = self.cursor
-        stop = min(start + limit, 80)
-        try:
-            stop = record.index(QUOTE, start, stop) + 1
-        except ValueError:
-            pass
-        self.cursor = stop
-        self.iac = record[stop - 1]
-        return record[start:stop]
 
 
 class LineWriter:

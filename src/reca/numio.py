@@ -2,12 +2,14 @@
 
 All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
-parser scans a number straight off the card a card reader holds and stops
-at the first character that does not fit the token; that character is
-read too and stays latched in the reader's iac.  A token, or the blanks
-before it, may run past column 80 onto the next card.  The formatter
-builds the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd
-as storage words and puts them on a line writer in one call.
+scanner, scan_number, reads a number off any sequence of words from a
+given index and stops at the first word that does not fit the token; the
+compiler runs it on the card it walks.  parse_number runs it on the card
+a card reader holds: the terminator is read too and stays latched in the
+reader's iac, and a token, or the blanks before it, may run past column
+80 onto the next card.  The formatter builds the fixed 13-character
+scientific form [blank][sign]d.dddddE[sign]dd as storage words and puts
+them on a line writer in one call.
 
 Both round through a one-cell array("f"), made fresh on each call so that
 callers share no state: storing into it is C's double-to-float cast, the
@@ -54,12 +56,12 @@ def parse_number(reader, integer=False, echo=None):
     card = reader.card()
     start = reader.cursor
     try:
-        value, stop = _scan(card, start, integer)
+        value, stop = scan_number(card, start, integer)
     except IndexError:
         # the token or the blanks before it reach column 80: scan again
         # over this card and the ones after it
         tape = _CardTape(reader, echo)
-        value, stop = _scan(tape, start, integer)
+        value, stop = scan_number(tape, start, integer)
         card, start, stop = tape.card, tape.start, stop - tape.offset
     reader.cursor = stop + 1
     reader.iac = card[stop]
@@ -68,9 +70,10 @@ def parse_number(reader, integer=False, echo=None):
     return value
 
 
-def _scan(card, i, integer):
+def scan_number(card, i, integer):
     """(value, index of the terminator) of the number that starts at
-    card[i], card being a sequence of words."""
+    card[i], card being a sequence of words; integer as for parse_number.
+    Indexing past the end of card raises IndexError."""
     w = card[i]
     while w == BLANK:
         i += 1
@@ -79,8 +82,8 @@ def _scan(card, i, integer):
     if negative or w == PLUS or w == AMPERSAND:
         i += 1
         w = card[i]
-    # a digit word lies in -4032 .. -1728 and its value is (w + 4032) // 256,
-    # as charset.is_digit_word and charset.digit_value have it
+    # the digit glyphs 0..9 are the words -4032 .. -1728, 256 apart, so a
+    # digit word's value is (w + 4032) // 256
     if integer:
         n = 0
         while -4032 <= w <= -1728:
@@ -189,7 +192,7 @@ def scientific_words(value):
         f[0] = v * 0.1
         v = f[0]
         k += 1
-    # digit_word(n) is n * 256 - 4032
+    # the word of the digit glyph n is n * 256 - 4032
     n = int(v)
     words = [BLANK, sign, n * 256 - 4032, DOT]
     for _ in range(5):

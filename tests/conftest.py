@@ -13,6 +13,21 @@ from reca.store import RECURSIVE_MARK
 FIELD = re.compile(r"-?\d\.\d{5}E[- ]\d\d")
 
 
+def is_digit_word(word):
+    """True for the storage words of glyphs 0..9 (-4032 .. -1728)."""
+    return -4032 <= word <= -1728
+
+
+def digit_value(word):
+    """Numeric value 0..9 of a digit storage word."""
+    return (word + 4032) // 256
+
+
+def digit_word(value):
+    """Storage word of the glyph for a digit 0..9."""
+    return value * 256 - 4032
+
+
 def run(deck, **cfg):
     """Run a deck; returns (printed lines without page ejects, status)."""
     sess, status = run_deck(deck, config=SessionConfig(**cfg) if cfg else None)

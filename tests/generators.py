@@ -11,7 +11,11 @@ float_edge_decks() gives one deck for each operator and each float32 edge
 operand (or pair of them), shaped as float_edge_deck describes.
 
 column_80_decks() gives decks whose number tokens (constants, counters and
-I data) reach column 80 and run across it onto the next card.
+I data) reach column 80 and run across it onto the next card, and
+compile_80_decks() decks whose other compiler tokens do: quote prefixes,
+the arguments of S, F and =, names, comments and strings.  monitor_decks(),
+keypunch_decks() and overflow_decks() give decks that use each monitor
+command, the keypunch glyphs % < @ #, and programs that fill the store.
 
 snapshot(sess, status) records everything a run leaves behind, so that two
 runs of one deck can be compared field by field.
@@ -72,8 +76,14 @@ def _body(rng, depth, ill_formed):
     return "".join(parts)
 
 
-def deck(rng):
-    """A random deck (a list of cards) drawn with rng, a random.Random."""
+def deck(rng, straddle=False):
+    """A random deck (a list of cards) drawn with rng, a random.Random.
+
+    With straddle, each program is laid across its cards at a random card
+    width: its first card holds that many columns of its text, from the
+    ( on, after the * and the command and enough blanks, and the rest
+    follows on full 80-column cards, so that a token of every class, name
+    and ) included, comes to lie across column 80 in some deck."""
     ill_formed = rng.random() < 0.5
     cards = []
     for _ in range(rng.randint(1, 5)):
@@ -83,8 +93,14 @@ def deck(rng):
         elif r < 0.3:
             cards.append("*T")
         else:
-            text = ("*" + rng.choice(COMMANDS) + "(" + _body(rng, 1, ill_formed)
-                    + rng.choice(SEPARATORS) + ")" + rng.choice(NAMES))
+            head = "*" + rng.choice(COMMANDS)
+            text = ("(" + _body(rng, 1, ill_formed) + rng.choice(SEPARATORS)
+                    + ")" + rng.choice(NAMES))
+            if straddle:
+                width = rng.randint(1, 80 - len(head))
+                text = head + " " * (80 - len(head) - width) + text
+            else:
+                text = head + text
             # a long program runs on over as many cards as it needs
             cards.extend(text[i:i + 80] for i in range(0, len(text), 80))
     return cards
@@ -144,6 +160,94 @@ def straddling_decks(program, token, rest):
 
 def column_80_decks():
     return [deck for entry in COLUMN_80_TOKENS for deck in straddling_decks(*entry)]
+
+
+# (program, token, what follows it) for the compiler's own tokens, laid as
+# straddling_decks lays them: every class of character the compiler reads
+# runs across column 80 in one of these decks
+COMPILE_80_TOKENS = [
+    ("*(", "'AOX", ",)"),               # quote prefix and quoted operator
+    ("*('/2'", "S1F1", "OX,)"),         # the digit of S and of F
+    ("*(", "FA", "OX,)"),               # COMP 03 from the next card
+    ("*(", "=A", "'/1'OX,)"),           # the character of =
+    ("*(", "(A.,)", "'/1'OX,)"),        # nesting and the repeat
+    ("*(", "N;'/1'", "OX,)"),           # predicate, sequent
+    ("*(A,", ")'Y ", "('/1''Y OX,)"),   # level-zero ) and its name
+    ("*(A,", ")Y L", "  ('/1'OX,)"),    # the listing letter
+    ("*('/2'OX,", ")  L", ""),          # an immediate program's name
+    ("*(", "'*A NOTE'", "'/1'OX,)"),    # a comment body
+    ("*(", '"HI THERE\'', "X,)"),       # a string body
+    ("*(", "'/5 '", "OX,)"),            # a blank before the closing quote
+    ("*(", "$3 A", ",)"),               # a counter ended by a blank
+]
+
+
+def compile_80_decks():
+    return [deck for entry in COMPILE_80_TOKENS for deck in straddling_decks(*entry)]
+
+
+# decks that use each of the monitor's commands; monitor_decks() adds
+# decks with a command laid across column 80
+MONITOR_DECKS = [
+    ["*I6", "('/1'OX,)"],
+    ["*I6('/1'OX,)", "%@/2@OX<"],
+    ["*I2O1('/1'OX,)", "C ON UNIT ONE", "*O3('/2'OX,)"],
+    ["*O2('/1'OX,)", "*O3('/2'OX,)"],
+    ["*S('/1'OX,)", "*('/2'OX,)"],
+    ["*E", "(A,)Y", "('/1'Y OX,)", "*E", "('/2'Y OX,)"],
+    ["* N'Q", "(N,0L'/1',P'/1'-'Q*,)'Q", "('/5''Q OX,)"],
+    ["*N'Q", "('/1''Q OX,)"],
+    ["*T('/1'OX,)", "*('/2'OX,)"],
+    ["*I5O7('/1'OX,)"],
+]
+
+
+def monitor_decks():
+    decks = list(MONITOR_DECKS)
+    for command in ("I6", "O1", "S", "E", "N'Q", "O9"):
+        decks.extend(straddling_decks("*", command, "('/1'OX,)"))
+    return decks
+
+
+# the keypunch glyphs % < @ # stand for ( ) ' = on the card unit
+KEYPUNCH_DECKS = [
+    ["*%@/2@OX<"],
+    ["*%@/2@S1#A@/1@OX<"],
+    ['*%"AB@X@*NOTE@@/3@OX<'],
+    ["*%A,<Y", "%@/1@Y OX,<"],
+    ["*%%@/1@OX.,<,<"],
+    ["*%$2$@/1@OX.,<"],
+    ["*%@/1@OX,< ", "*(@/2@OX,)"],
+]
+
+
+def keypunch_decks():
+    decks = list(KEYPUNCH_DECKS)
+    decks.extend(straddling_decks("*%", "@/1.5@", "OX<"))
+    decks.extend(straddling_decks("*%A,", "<Y L", "%@/1@OX,<"))
+    return decks
+
+
+def overflow_decks():
+    """Programs that fill the store, so that COMP 02 comes with the last
+    character read at column 1, 17, 40, 63 or 80 of a card: operators,
+    counters, strings that reach cell 497, and a named program before."""
+    # (fill, how many of its characters are read when COMP 02 comes, rest)
+    fills = [
+        ("A" * 494, 494, "OX,)"),
+        ("$1$" * 124, 372, "A,)"),
+        ('"' + "B" * 500 + "'", 494, "X,)"),
+        ("A" * 300 + '"' + "C" * 300 + "'", 494, "X,)"),
+    ]
+    decks = []
+    for column in (1, 17, 40, 63, 80):
+        for fill, read, rest in fills:
+            text = "*(" + " " * ((column - 2 - read) % 80) + fill + rest
+            decks.append([text[i:i + 80] for i in range(0, len(text), 80)])
+        # Y takes cells 1 to 5, so 489 operators fill the next program
+        text = "*(A,)Y  " + " " * ((column - 498) % 80) + "(" + "A" * 489 + ",)"
+        decks.append([text[i:i + 80] for i in range(0, len(text), 80)])
+    return decks
 
 
 def _bits(values):

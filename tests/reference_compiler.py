@@ -1,0 +1,229 @@
+"""The compiler as it stood before it walked each card with a local index,
+kept as a reference that tests/test_properties.py runs generated decks
+against.
+
+It is a verbatim copy of that compiler's _compile and of every helper it
+calls: a read and a put for each character, one helper call for each atom,
+counter, constant and string, and the card reader's through_quote, which
+went when the card walk replaced its last caller.  Only the imports
+changed, and through_quote takes the reader as its first argument instead
+of being a method; parse_number, the tables and the store come from reca.
+"""
+
+from reca import charset, numio, tables
+from reca.charset import QUOTE
+from reca.compiler import Terminated
+from reca.iosys import (
+    BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, CONSTANT_EXCESS,
+    EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic, EndOfInput,
+)
+from reca.store import RECURSIVE_MARK
+from reca.tables import (
+    CHAR_PRED, CLOSE, COMMENT, CONSTANT, COUNTER, DECLARED_RECURSIVE, IGNORE,
+    OPEN, OPERATOR, OPERATOR_NUM, PREDICATE, QUOTE_PREFIX, REPEAT, SEQUENT,
+    STRING, Subroutine,
+)
+
+
+def _compile(sess):
+    st = sess.store
+    table = sess.compile_code  # only the monitor replaces it
+    read = sess.reader.read
+    put = sess.writer.put
+    while True:
+        if st.ilc > 495:
+            raise Diagnostic(STORE_OVERFLOW)
+        w = read()
+        put(w)
+        # the class code of a word, as charset.class_code computes it
+        code = (((w - 64) >> 8) & 63) + 1
+        cls = table[code]
+        while cls == QUOTE_PREFIX:
+            w = read()
+            put(w)
+            code = (((w - 64) >> 8) & 63) + 65
+            cls = table[code]
+        if cls == IGNORE:
+            continue
+        if cls == OPEN:
+            if len(sess.frames) >= 10:
+                raise Diagnostic(EXCESS_NESTING)
+            sess.frames.append([st.ilc, 0, 0])
+        elif cls == CLOSE:
+            if _close_paren(sess):
+                return
+        elif cls == SEQUENT:
+            frame = sess.frames[-1]
+            frame[2] = st.emit(frame[2])
+            st.fill_chain(frame[1], st.ilc)
+            frame[1] = 0
+        elif cls == REPEAT:
+            frame = sess.frames[-1]
+            st.emit(frame[0])
+            st.fill_chain(frame[1], st.ilc)
+            frame[1] = 0
+        elif cls == OPERATOR:
+            st.emit(-code)
+        elif cls == PREDICATE:
+            _emit_atom(sess, code, n_args=0, numeric=False, link=True)
+        elif cls == OPERATOR_NUM:
+            _emit_atom(sess, code, n_args=1, numeric=True, link=False)
+        elif cls == CHAR_PRED:
+            _emit_atom(sess, code, n_args=1, numeric=False, link=True)
+        elif cls == COUNTER:
+            _compile_counter(sess, code)
+        elif cls == CONSTANT:
+            _compile_constant(sess, code)
+        elif cls == COMMENT:
+            while _read_to_quote(sess)[-1] != charset.QUOTE:
+                pass
+        elif cls == STRING:
+            _compile_string(sess, code)
+        else:  # RESERVED
+            raise Diagnostic(RESERVED_OP)
+
+
+def _close_paren(sess):
+    """Close a level; True when it completed a program to run now."""
+    st = sess.store
+    frames = sess.frames
+    frame = frames.pop()
+    if frames:
+        # thread this exit into the enclosing frame's false chain
+        frames[-1][1] = st.emit(frames[-1][1])
+    else:
+        st.emit(0)  # the program's false exit
+    st.fill_chain(frame[1], st.ilc)
+    st.fill_chain(frame[2], st.ilc)
+    if frames:
+        return False
+    # level zero: seal the program and read the three name characters
+    st.cells[st.ilc] = st.ilc0
+    name1 = charset.class_code(sess.read_echo())
+    name2 = tables.quote_extend(charset.class_code(sess.read_echo()))
+    name3 = sess.read_echo()
+    sess.writer.flush()
+    if name3 == charset.LETTER_L or sess.config.listing_always:
+        for line in st.dump_listing(st.ilc0, st.ilc):
+            sess.writer.emit_text(line)
+    st.ilc += 1
+    if name1 == 1:  # blank name: run it now
+        sess.constants_used = sess.constants_committed
+        sess.writer.echo = True
+        return True
+    if sess.compile_code[name1] == QUOTE_PREFIX:
+        name1 = name2
+    sess.compile_code[name1] = PREDICATE
+    recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
+    sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
+    if recursive:
+        st.cells[st.ilc0] = RECURSIVE_MARK
+    sess.constants_committed = sess.constants_used
+    st.ilc0 = st.ilc
+    st.emit(0)
+    sess.frames = [[st.ilc, 0, 0]]
+    # a further program must follow on this or a later card
+    try:
+        w = sess.reader.nonblank()
+    except EndOfInput:
+        raise Terminated from None
+    if w != charset.LPAREN:
+        raise Diagnostic(BAD_LEVEL_ZERO)
+    sess.writer.put(w)
+    return False
+
+
+def _emit_atom(sess, code, n_args, numeric, link):
+    """Emit an operator cell, its argument cells, and an optional link."""
+    st = sess.store
+    st.emit(-code)
+    for _ in range(n_args):
+        w = sess.read_echo()
+        if numeric:
+            c = charset.class_code(w)
+            if not 49 <= c <= 58:
+                raise Diagnostic(BAD_ARGUMENT)
+            if c == 49:
+                c += 10  # the glyph 0 selects slot ten
+            st.emit(c - 49)
+        else:
+            st.emit(w)
+    if link:
+        frame = sess.frames[-1]
+        frame[1] = st.emit(frame[1])
+
+
+def _compile_counter(sess, code):
+    """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
+    st = sess.store
+    st.emit(-code)
+    n = numio.parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
+    if n <= 0:
+        raise Diagnostic(BAD_COUNTER)
+    st.emit(-n)
+    st.emit(-n)
+    frame = sess.frames[-1]
+    frame[1] = st.emit(frame[1])
+
+
+def _compile_constant(sess, code):
+    """'/number' becomes [op, pool slot]; the value goes to the pool."""
+    st = sess.store
+    st.emit(-code)
+    value = numio.parse_number(sess.reader, echo=sess.writer.put_words)
+    reader = sess.reader
+    if reader.iac == charset.BLANK:
+        sess.writer.put(reader.nonblank(sess.writer.put_words))
+    if reader.iac != charset.QUOTE:
+        raise Diagnostic(BAD_NUMBER)
+    sess.constants_used += 1
+    st.emit(sess.constants_used)
+    if sess.constants_used > len(sess.constants) - 1:
+        raise Diagnostic(CONSTANT_EXCESS)
+    sess.constants[sess.constants_used] = value
+
+
+def _compile_string(sess, code):
+    """"text' becomes [op, length, the characters verbatim]."""
+    st = sess.store
+    st.emit(-code)
+    count_cell = st.ilc
+    st.ilc += 1
+    # the store overflows once the text reaches cell 497, or at once
+    # when the text starts there
+    end = max(497, st.ilc + 1)
+    while True:
+        run = _read_to_quote(sess, end - st.ilc)
+        closed = run[-1] == charset.QUOTE
+        if closed:
+            run = run[:-1]
+        st.cells[st.ilc:st.ilc + len(run)] = run
+        st.ilc += len(run)
+        if closed:
+            st.cells[count_cell] = st.ilc - count_cell - 1
+            return
+        if st.ilc >= end:
+            raise Diagnostic(STORE_OVERFLOW)
+
+
+def _read_to_quote(sess, limit=80):
+    """Read and echo the current card up to and including the next quote,
+    or to the end of the card; at most limit characters."""
+    run = through_quote(sess.reader, limit)
+    sess.writer.put_words(run)
+    return run
+
+
+def through_quote(reader, limit=80):
+    """The words up to and including the next quote, or up to the end
+    of the card if no quote follows; at most limit words."""
+    record = reader.card()
+    start = reader.cursor
+    stop = min(start + limit, 80)
+    try:
+        stop = record.index(QUOTE, start, stop) + 1
+    except ValueError:
+        pass
+    reader.cursor = stop
+    reader.iac = record[stop - 1]
+    return record[start:stop]

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from reca import charset
 
+from conftest import digit_value, digit_word, is_digit_word
+
 ALL_CHARS = sorted(charset.WORD_BY_CHAR)
 
 
@@ -34,11 +36,11 @@ def test_known_storage_words():
 def test_digit_words_span_negative_range():
     assert [charset.WORD_BY_CHAR[d] for d in "09"] == [-4032, -1728]
     for v in range(10):
-        w = charset.digit_word(v)
-        assert charset.is_digit_word(w)
-        assert charset.digit_value(w) == v
-    assert not charset.is_digit_word(charset.BLANK)
-    assert not charset.is_digit_word(charset.WORD_BY_CHAR["A"])
+        w = digit_word(v)
+        assert is_digit_word(w)
+        assert digit_value(w) == v
+    assert not is_digit_word(charset.BLANK)
+    assert not is_digit_word(charset.WORD_BY_CHAR["A"])
 
 
 def test_class_codes():

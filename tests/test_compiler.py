@@ -1,7 +1,9 @@
 """Monitor behavior and one-pass compilation."""
 
+import pytest
+
 from reca import charset, tables
-from reca.session import Session, SessionConfig
+from reca.session import Session, SessionConfig, run_deck
 from reca.tables import DECLARED_RECURSIVE, Subroutine
 
 from conftest import run
@@ -245,3 +247,62 @@ def test_keypunch_aliases_compile_on_card_unit():
     lines, status = run(["*%@/2@OX<"])
     assert status == 0
     assert "  2.00000E 00" in lines
+
+
+# each compile diagnostic raised mid-card: (message, what precedes the
+# character read last before it, that character); the program starts
+# "*(" on its own line, and the character falls in column 1, 40 or 80
+DIAGNOSED = [
+    ("COMP 01 EXCESS NESTING", "(" * 9, "("),
+    ("COMP 02 PROGRAM LENGTH EXCEEDS CAPACITY", "A" * 493, "A"),
+    ("COMP 03 ILLEGAL ARGUMENT", "F", "A"),
+    ("COMP 04 ILLEGAL CHARACTER ON PARENTHESIS LEVEL ZERO", "A,)Y    ", "B"),
+    ("COMP 05 NEGATIVE OR ZERO COUNTER", "$0", "$"),
+    ("COMP 06 PROGRAM DEFINED CONSTANT EXCESS", "'/1'" * 30 + "'/1", "'"),
+    ("COMP 07 REC/3150 OPERATOR", "", "D"),
+    ("CONV 01 SYNTAX ERROR IN NUMERIC DATA", "'/1", "X"),
+]
+
+
+def lines_of(text, width):
+    """text put on an empty line buffer: (the lines it fills, the rest)."""
+    full = len(text) // width * width
+    return [text[i:i + width] for i in range(0, full, width)], text[full:]
+
+
+@pytest.mark.parametrize("width", [80, 120])
+@pytest.mark.parametrize("column", [1, 40, 80])
+@pytest.mark.parametrize("message, before, last", DIAGNOSED,
+                         ids=[entry[0][:7] for entry in DIAGNOSED])
+def test_echo_stops_at_the_character_that_raised_the_diagnostic(
+        message, before, last, column, width):
+    # blanks, which the compiler skips, put the last character in column
+    text = "*(" + " " * ((column - 3 - len(before)) % 80) + before + last + "OX,)"
+    cards = [text[i:i + 80] for i in range(0, len(text), 80)]
+    sess = Session(cards=cards, config=SessionConfig(width=width))
+    assert sess.cycle()
+    read = text[2:text.index(before + last) + len(before) + 1]
+    if last == "B":
+        # the name "Y  " is echoed and its line released; the two blanks
+        # after it and the character that is not ( are read, not echoed
+        lines, rest = lines_of(read[:-3], width)
+        expected = ["*(", *lines, *([rest] if rest else []), message]
+    else:
+        lines, rest = lines_of(read, width)
+        expected = ["*(", *lines, message, *([rest] if rest else [])]
+    assert sess.output == [*expected, "\f"]
+    assert charset.char_of(sess.reader.iac) == last
+    assert sess.reader.cursor == column
+
+
+def test_cards_ending_right_after_a_token_across_column_80():
+    deck = ["*(" + " " * 74 + "'/12", ".5'"]
+    echoed = " " * 74 + "'/12" + ".5'" + " " * 77
+    for width in (80, 120):
+        sess, status = run_deck(deck, config=SessionConfig(width=width))
+        assert status == 1
+        assert sess.reader.diagnostics == ["end of input inside a program"]
+        lines, rest = lines_of(echoed, width)
+        assert sess.output == ["*(", *lines, *([rest] if rest else [])]
+        assert (sess.reader.iac, sess.reader.cursor) == (charset.BLANK, 80)
+        assert sess.constants[1] == 12.5

@@ -16,7 +16,7 @@ from reca.iosys import CardReader, EndOfInput, LineWriter
 from reca.numio import f32, format_number, parse_text, scientific_words
 from reca.session import Session
 
-from conftest import run, table_rows
+from conftest import digit_value, digit_word, is_digit_word, run, table_rows
 from generators import COLUMN_80_TOKENS, straddling_decks
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
@@ -130,20 +130,20 @@ def reference_words(value):
         k += 1
     put(sign)
     n = int(v)
-    put(charset.digit_word(n))
+    put(digit_word(n))
     put(charset.DOT)
     for _ in range(5):
         v = f32(10.0 * f32(v - n))
         n = int(v)
-        put(charset.digit_word(n))
+        put(digit_word(n))
     put(charset.LETTER_E)
     if k < 0:
         put(charset.MINUS)
         k = -k
     else:
         put(charset.BLANK)
-    put(charset.digit_word(k // 10))
-    put(charset.digit_word(k % 10))
+    put(digit_word(k // 10))
+    put(digit_word(k % 10))
     return out
 
 
@@ -223,12 +223,12 @@ def reference_parse_float(read):
                 w = read()
             elif w in (charset.PLUS, charset.AMPERSAND):
                 w = read()
-            while charset.is_digit_word(w):
-                exponent = 10 * exponent + charset.digit_value(w)
+            while is_digit_word(w):
+                exponent = 10 * exponent + digit_value(w)
                 w = read()
             break
-        if charset.is_digit_word(w):
-            value = f32(value * 10.0 + charset.digit_value(w))
+        if is_digit_word(w):
+            value = f32(value * 10.0 + digit_value(w))
             w = read()
             continue
         break
@@ -254,8 +254,8 @@ def reference_parse_int(read):
         w = read()
     elif w in (charset.PLUS, charset.AMPERSAND):
         w = read()
-    while charset.is_digit_word(w):
-        value = 10 * value + charset.digit_value(w)
+    while is_digit_word(w):
+        value = 10 * value + digit_value(w)
         w = read()
     return sign * value
 

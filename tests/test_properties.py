@@ -5,19 +5,24 @@ budget run_deck must return, and no exception (a Diagnostic or an
 EndOfInput among them) may escape it.
 
 The execute loop leaves exactly what the reference loop in
-reference_interpreter.py leaves, on every deck.
+reference_interpreter.py leaves, on every deck, and the compiler what the
+per-character compiler in reference_compiler.py leaves, on decks whose
+programs are laid across their cards at a random card width.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_compiler
 import reference_interpreter
 from generators import deck, snapshot
-from reca import interpreter
+from reca import compiler, interpreter
 from reca.session import SessionConfig, run_deck
 
 DECKS = st.randoms(use_true_random=False).map(deck)
+STRADDLED_DECKS = st.randoms(use_true_random=False).map(
+    lambda rng: deck(rng, straddle=True))
 WIDTHS = st.sampled_from([80, 120])
 
 
@@ -41,5 +46,21 @@ def test_execute_matches_the_reference_loop(deck, width):
     config = SessionConfig(width=width, max_steps=2000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interpreter, "execute", reference_interpreter.execute)
+        expected = snapshot(*run_deck(deck, config=config))
+    assert snapshot(*run_deck(deck, config=config)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(STRADDLED_DECKS, WIDTHS)
+@example(["*(" + " " * 77 + "'", "/2'OX,)"], 120)  # quote prefix in column 80
+@example(["*('/2'" + " " * 73 + "S", "1F1OX,)"], 80)  # the digit of S on the next card
+@example(["*(" + " " * 77 + "=", "A'/1'OX,)"], 120)  # the character of = on the next card
+@example(["*(A," + " " * 75 + ")", "Y  ('/1'Y OX,)"], 80)  # ) in column 80, name after
+@example(["*(A,)Y", "", " " * 80, "(B,)Z", "", "('/1'Y Z OX,)"], 120)  # blank cards between
+@example(["*(A,)Y L"], 80)  # the cards end in the blanks after a name
+def test_compile_matches_the_reference_compiler(deck, width):
+    config = SessionConfig(width=width, max_steps=2000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "_compile", reference_compiler._compile)
         expected = snapshot(*run_deck(deck, config=config))
     assert snapshot(*run_deck(deck, config=config)) == expected

@@ -8,11 +8,15 @@ needed.  The base revision's src/ is exported with git archive into a
 temporary directory.  Each tree then runs the corpus in a worker process of
 its own, every deck at widths 80 and 120, under a step budget and an alarm:
 
-* GENERATED decks from tests/generators.py, seeded 0, 1, 2, ...;
+* GENERATED decks from tests/generators.py, seeded 0, 1, 2, ..., and the
+  first STRADDLED of them again with each program laid at a random card
+  width, so that its tokens run across the end of a card;
 * the perfbench decks of every workload at seeds 1 to 3;
 * the float-edge decks from tests/generators.py;
 * the column-80 decks from tests/generators.py, whose constants, counters
-  and I data run across the end of a card.
+  and I data run across the end of a card, and the compile-80 decks,
+  whose quote prefixes, arguments, names, comments and strings do;
+* the monitor, keypunch and store-overflow decks from tests/generators.py.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants and
@@ -37,6 +41,7 @@ CHECKOUT = Path(__file__).resolve().parent.parent
 WIDTHS = (80, 120)
 PERFBENCH_SEEDS = (1, 2, 3)
 GENERATED = 2000
+STRADDLED = 1000
 MAX_STEPS = 200_000  # step budget of each run
 SECONDS = 10  # alarm on each run
 
@@ -49,14 +54,18 @@ def corpus():
 
     decks = [(f"generated {i}", generators.deck(random.Random(i)))
              for i in range(GENERATED)]
+    decks.extend((f"straddled {i}", generators.deck(random.Random(i), straddle=True))
+                 for i in range(STRADDLED))
     for name, (make, _) in sorted(workloads.WORKLOADS.items()):
         for seed in PERFBENCH_SEEDS:
             decks.extend((f"{name} seed {seed} deck {i}", list(d.cards))
                          for i, d in enumerate(make(seed)))
     decks.extend((f"float edge {cards[0]}", cards)
                  for cards in generators.float_edge_decks())
-    decks.extend((f"column 80 {i}", cards)
-                 for i, cards in enumerate(generators.column_80_decks()))
+    for kind in ("column_80", "compile_80", "monitor", "keypunch", "overflow"):
+        make = getattr(generators, f"{kind}_decks")
+        decks.extend((f"{kind.replace('_', ' ')} {i}", cards)
+                     for i, cards in enumerate(make()))
     return decks
 
 
