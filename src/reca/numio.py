@@ -8,8 +8,8 @@ compiler runs it on the card it walks.  parse_number runs it on the card
 a card reader holds: the terminator is read too and stays latched in the
 reader's iac, and a token, or the blanks before it, may run past column
 80 onto the next card.  The formatter builds the fixed 13-character
-scientific form [blank][sign]d.dddddE[sign]dd as storage words and puts
-them on a line writer in one call.
+scientific form [blank][sign]d.dddddE[sign]dd as storage words, straight
+code with one round a digit, and appends them to a line writer's line.
 
 Both round through a one-cell array("f"), made fresh on each call so that
 callers share no state: storing into it is C's double-to-float cast, the
@@ -24,19 +24,17 @@ from .charset import AMPERSAND, BLANK, DOT, LETTER_E, MINUS, PLUS
 from .iosys import CardReader
 
 _F32 = struct.Struct("f")
-_pack = _F32.pack
-_unpack = _F32.unpack
 _new_cell = array("f", (0.0,)).__copy__
-_INF = float("inf")
 
 
 def f32(x):
     """Round a Python float to the nearest IEEE single precision value."""
-    return _unpack(_pack(x))[0]
+    return _F32.unpack(_F32.pack(x))[0]
 
 
 ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
 FIELD_WIDTH = 13
+_DIGITS = tuple(n * 256 - 4032 for n in range(10))  # the word of each digit glyph
 
 
 def parse_number(reader, integer=False, echo=None):
@@ -125,7 +123,7 @@ def scan_number(card, i, integer):
     try:
         f[0] = 10.0 ** (exponent - places)
     except OverflowError:
-        f[0] = _INF  # out of range; arithmetic on it faults later
+        f[0] = float("inf")  # out of range; arithmetic on it faults later
     f[0] = (-1.0 if negative else 1.0) * value * f[0]
     return f[0], i
 
@@ -163,12 +161,12 @@ class _CardTape:
 
 
 def scientific_words(value):
-    """The 13 storage words of value as [blank][sign]d.dddddE[sign]dd.
+    """The 13 storage words of float32 value as [blank][sign]d.dddddE[sign]dd.
 
     The mantissa is normalized by repeated float32 multiplies into [1, 10)
     (overshoot then divide back, so the rounding trail matches the
     original fixed sequence), biased by half the last digit, and its six
-    digits peeled off by repeated scale-and-truncate.
+    digits peeled off by scale-and-truncate, one float32 round a digit.
     """
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
@@ -192,36 +190,35 @@ def scientific_words(value):
         f[0] = v * 0.1
         v = f[0]
         k += 1
-    # the word of the digit glyph n is n * 256 - 4032
-    n = int(v)
-    words = [BLANK, sign, n * 256 - 4032, DOT]
-    for _ in range(5):
-        f[0] = v - n
-        f[0] = 10.0 * f[0]
-        v = f[0]
-        n = int(v)
-        words.append(n * 256 - 4032)
-    words.append(LETTER_E)
-    if k < 0:
-        words.append(MINUS)
-        k = -k
-    else:
-        words.append(BLANK)
-    if k > 99:
-        # unreachable for float32 magnitudes, kept as a hard stop
-        raise OverflowError("exponent does not fit in two digits")
-    words.append(k // 10 * 256 - 4032)
-    words.append(k % 10 * 256 - 4032)
-    return words
+    # v - int(v) is exact for a float32 v below 10; only the times 10 rounds
+    d0 = int(v)
+    f[0] = 10.0 * (v - d0)
+    d1 = int(f[0])
+    f[0] = 10.0 * (f[0] - d1)
+    d2 = int(f[0])
+    f[0] = 10.0 * (f[0] - d2)
+    d3 = int(f[0])
+    f[0] = 10.0 * (f[0] - d3)
+    d4 = int(f[0])
+    f[0] = 10.0 * (f[0] - d4)
+    d5 = int(f[0])
+    e1, e0 = divmod(-k if k < 0 else k, 10)  # two digits for a float32's exponent
+    return [BLANK, sign, _DIGITS[d0], DOT, _DIGITS[d1], _DIGITS[d2], _DIGITS[d3],
+            _DIGITS[d4], _DIGITS[d5], LETTER_E, MINUS if k < 0 else BLANK,
+            _DIGITS[e1], _DIGITS[e0]]
 
 
 def format_scientific(writer, value):
     """Append value's 13-character field to the writer's line, first
     releasing the line if the field would not fit in the unit's width."""
     words = scientific_words(value)
-    if len(writer.buffer) > writer.width - FIELD_WIDTH:
+    buffer = writer.buffer
+    if len(buffer) > writer.width - FIELD_WIDTH:
         writer.flush()
-    writer.put_words(words)
+    if writer.echo:
+        buffer.extend(words)  # it fits: put_words would not split it either
+        if len(buffer) >= writer.width:
+            writer.flush()
 
 
 def format_number(value):

@@ -15,7 +15,9 @@ I data) reach column 80 and run across it onto the next card, and
 compile_80_decks() decks whose other compiler tokens do: quote prefixes,
 the arguments of S, F and =, names, comments and strings.  monitor_decks(),
 keypunch_decks() and overflow_decks() give decks that use each monitor
-command, the keypunch glyphs % < @ #, and programs that fill the store.
+command, the keypunch glyphs % < @ #, and programs that fill the store;
+datum_decks() decks whose I data are framed well and badly, after blanks
+across cards and across column 80, on the card unit and the keyboard.
 
 snapshot(sess, status) records everything a run leaves behind, so that two
 runs of one deck can be compared field by field.
@@ -225,6 +227,34 @@ def keypunch_decks():
     decks = list(KEYPUNCH_DECKS)
     decks.extend(straddling_decks("*%", "@/1.5@", "OX<"))
     decks.extend(straddling_decks("*%A,", "<Y L", "%@/1@OX,<"))
+    return decks
+
+
+# I data frames, well and badly formed: keypunch quotes, blanks inside the
+# frame and after the number, an empty number, no quote, no slash, a blank
+# between quote and slash, a terminator that is neither blank nor quote,
+# a second point, and no closing quote
+DATUM_FRAMES = [
+    "'/1.5'", "@/1.5@", "'/ -2.5E1 '", "'/7E-3'", "'/'", "'1.5'", "/1.5'",
+    "' /1.5'", "'/1.5X", "'/1.5.5'", "'/1.5/", "'/1.5", "X'/1.5'",
+]
+# two reads, on the card unit and, after *I6, on the keyboard, where the
+# cards are read without the keypunch substitutions
+DATUM_PROGRAMS = ["*(($2$IOX.,),)", "*I6(($2$IOX.,),)"]
+
+
+def datum_decks():
+    """Decks whose I data are each of DATUM_FRAMES, followed by a good
+    datum: on a card of their own, after blanks that run over two cards,
+    and laid across column 80; and a datum whose closing quote follows
+    blanks that run onto the next card."""
+    decks = []
+    for program in DATUM_PROGRAMS:
+        for frame in DATUM_FRAMES:
+            decks.append([program, frame + " '/4'"])
+            decks.append([program, "", " " * 80, " " * 40 + frame, "'/4'"])
+            decks.extend(straddling_decks(program, frame, " '/4'"))
+        decks.append([program, " " * 75 + "'/3", "   '", "'/4'"])
     return decks
 
 

@@ -6,14 +6,18 @@ cancel flag read on every operation, and the entry-cell test at the loop
 head.  Only the imports changed, so that it runs from the tests; the limits
 and constants come from reca.interpreter, so that only the loop body is
 frozen.
+
+_read_datum, the framing of an I datum, is frozen too, as it stood before it
+read the frame off the card: the reader's blank skip, a read for the quote
+and one for the slash.  tests/test_interpreter.py compares the two.
 """
 
 import math
 import struct
 
-from reca import numio
+from reca import charset, numio
 from reca.interpreter import (
-    _INF, NEAR_ZERO, RECURSION_LIMIT, STACK_LIMIT, _Interrupted, _read_datum,
+    _INF, NEAR_ZERO, RECURSION_LIMIT, STACK_LIMIT, _Interrupted,
 )
 from reca.iosys import (
     ARITHMETIC_FAULT, BAD_DATUM, DEEP_RECURSION, INTERRUPT_NOTICE, STACK_EMPTY,
@@ -24,6 +28,20 @@ from reca.tables import DECLARED_RECURSIVE
 
 _pack = struct.pack
 _unpack = struct.unpack
+
+
+def _read_datum(reader):
+    """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
+    on a bad shape."""
+    w = reader.nonblank()
+    if w != charset.QUOTE or reader.read() != charset.SLASH:
+        raise Diagnostic(BAD_DATUM)
+    value = numio.parse_number(reader)
+    if reader.iac == charset.BLANK:
+        reader.nonblank()
+    if reader.iac != charset.QUOTE:
+        raise Diagnostic(BAD_DATUM)
+    return value
 
 
 def execute(sess):

@@ -4,8 +4,12 @@ import math
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reca.iosys import PAGE_EJECT
+import reference_interpreter
+from reca import interpreter
+from reca.iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput
 from reca.session import Session, SessionConfig, run_deck
 
 from conftest import field_value, run, time_limit
@@ -135,6 +139,67 @@ def test_numeric_input_past_last_card_is_reported():
     assert sess.output[-3:] == [
         "  1.00000E 00", "CONV 01 SYNTAX ERROR IN NUMERIC DATA", PAGE_EJECT,
     ]
+
+
+def datum_outcome(read_datum, cards, column, unit):
+    """Frame one datum from column (0-based; 80 starts on the first card's
+    refill) of cards read on unit; everything the framing leaves behind."""
+    source = iter(cards)
+    reader = CardReader({unit: lambda: next(source, None)}, unit=unit)
+    if column < 80:
+        reader.card()
+        reader.cursor = column
+    try:
+        value = struct.pack("f", read_datum(reader))  # nan and -0.0 by their bits
+    except Diagnostic as exc:
+        value = f"diagnostic {exc.code}"
+    except EndOfInput:
+        value = "end of input"
+    return value, reader.cursor, reader.iac, reader.record, next(source, "no card left")
+
+
+DATUM_NUMBERS = st.one_of(
+    st.sampled_from(["1.5", "-2.5E1", "7E-3", "12345678", "", "1E39", "0E99", "-0"]),
+    st.text(alphabet="0123456789.E-+& '/@X", max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(column=st.integers(0, 80),
+       at=st.one_of(st.integers(76, 81), st.integers(156, 161), st.integers(0, 170)),
+       opening=st.sampled_from(["'/", "@/", "'", "/", "'X", "X", "' /", "''/", ""]),
+       number=DATUM_NUMBERS, blanks=st.integers(0, 90),
+       closing=st.sampled_from(["'", "@", "", "X", "/", "''"]),
+       more=st.sampled_from([[], ["'"], ["", "  '/3'"]]), unit=st.sampled_from([2, 6]))
+@example(column=3, at=170, opening="'/", number="1.5", blanks=0, closing="'",
+         more=[], unit=2)  # blanks over two cards before the frame
+@example(column=0, at=79, opening="'/", number="2", blanks=0, closing="'",
+         more=[], unit=2)  # the quote in column 80, the slash on the next card
+@example(column=0, at=78, opening="@/", number="2", blanks=0, closing="@",
+         more=[], unit=2)  # the slash in column 80, keypunch quotes
+@example(column=0, at=76, opening="'/", number="1", blanks=0, closing="'",
+         more=[], unit=2)  # the closing quote in column 80
+@example(column=0, at=70, opening="'/", number="4", blanks=85, closing="'",
+         more=[], unit=6)  # blanks after the number across a card, keyboard
+@example(column=80, at=0, opening="@/", number="1.5", blanks=0, closing="@",
+         more=[], unit=6)  # no keypunch quote on the keyboard
+@example(column=0, at=79, opening="'", number="", blanks=0, closing="",
+         more=[], unit=2)  # the deck ends inside the frame
+@example(column=5, at=0, opening="", number="", blanks=0, closing="",
+         more=[], unit=2)  # the deck ends in the blanks before a frame
+@example(column=0, at=0, opening="'/", number="12", blanks=3, closing="",
+         more=[], unit=2)  # no closing quote
+@example(column=0, at=0, opening="'/", number="12", blanks=0, closing="X",
+         more=[], unit=2)  # a non-blank terminator that is not a quote
+def test_read_datum_matches_the_reference_framing(
+        column, at, opening, number, blanks, closing, more, unit):
+    # the frame starts at column at of the text laid across the cards, or
+    # where the reader starts if that is later
+    start = column % 80
+    line = "X" * start + " " * max(at - start, 0) + opening + number + " " * blanks + closing
+    cards = [line[i:i + 80] for i in range(0, len(line), 80)] + more
+    expected = datum_outcome(reference_interpreter._read_datum, cards, column, unit)
+    assert datum_outcome(interpreter._read_datum, cards, column, unit) == expected
 
 
 def test_character_read_past_last_card_is_reported():

@@ -158,8 +158,24 @@ def reference_words(value):
 @example(f32(9.9999999))        # rounds up to 10 before normalizing
 @example(f32(9.999995))         # the rounding bias carries into the exponent
 @example(f32(-0.99999994))
+@example(f32(1.4000049829483032))  # the digits depend on the round after the first
+@example(f32(1.0803149938583374))  # and on the round after the second
 def test_scientific_words_match_reference(v):
     assert scientific_words(v) == reference_words(v)
+
+
+def test_scientific_words_match_reference_in_every_binade():
+    # every exponent field but the all-ones one (inf and nan), 0 being the
+    # subnormals and zero; in each, the first, the last and 100 seeded
+    # mantissas, with either sign
+    rng = random.Random(1973)
+    for exponent in range(255):
+        mantissas = [0, (1 << 23) - 1] + [rng.getrandbits(23) for _ in range(100)]
+        for mantissa in mantissas:
+            for sign in (0, 1 << 31):
+                bits = sign | exponent << 23 | mantissa
+                v = struct.unpack("<f", struct.pack("<I", bits))[0]
+                assert scientific_words(v) == reference_words(v), hex(bits)
 
 
 def test_standalone_helpers_build_no_session(monkeypatch):
