@@ -7,10 +7,10 @@ returns through the entry of the enclosing program.  Nonrecursive calls
 store the return address in the callee's entry cell; recursive callees
 carry a sentinel in the entry and use a pushdown return stack instead.
 
-All arithmetic is float32.  The loop is deliberately flat: dispatch
-runs a couple of hundred thousand times a second on the larger decks,
-so everything hot is a local.  I frames each datum, '/number', on the
-reader's card by index and parses the number with numio.parse_number.
+All arithmetic is float32.  The loop is deliberately flat: operation
+dispatch happens a couple of hundred thousand times a second in the
+larger demo programs, so everything hot is a local and each pass does
+as little as it can.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
 in I or R raises it as CONV 01.  An arithmetic fault or an interrupt
@@ -28,8 +28,7 @@ interrupt typed during a read stops the program that was reading.
 import math
 from array import array
 
-from . import numio
-from .charset import BLANK, QUOTE, SLASH
+from . import charset, numio
 from .iosys import (
     ARITHMETIC_FAULT, BAD_DATUM, DEEP_RECURSION, INTERRUPT_NOTICE, STACK_EMPTY,
     STACK_OVERFLOW, UNDEFINED_CALL, UNDEFINED_RECURSIVE, Diagnostic, EndOfInput,
@@ -49,36 +48,14 @@ class _Interrupted(Exception):
 
 def _read_datum(reader):
     """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
-    on a bad shape.  The frame is read off the reader's card by index; at
-    column 80 the reader is left as reading a word at a time leaves it."""
-    card = reader.card()
-    i = reader.cursor
-    w = card[i]
-    while w == BLANK:
-        i += 1
-        if i == 80:
-            reader.cursor = 80
-            reader.iac = BLANK
-            card = reader.card()
-            i = 0
-        w = card[i]
-    i += 1
-    reader.cursor = i
-    reader.iac = w
-    if w != QUOTE:
-        raise Diagnostic(BAD_DATUM)
-    if i == 80:
-        card = reader.card()
-        i = 0
-    w = card[i]
-    reader.cursor = i + 1
-    reader.iac = w
-    if w != SLASH:
+    on a bad shape."""
+    w = reader.nonblank()
+    if w != charset.QUOTE or reader.read() != charset.SLASH:
         raise Diagnostic(BAD_DATUM)
     value = numio.parse_number(reader)
-    if reader.iac == BLANK:
+    if reader.iac == charset.BLANK:
         reader.nonblank()
-    if reader.iac != QUOTE:
+    if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_DATUM)
     return value
 

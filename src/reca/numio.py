@@ -8,8 +8,9 @@ compiler runs it on the card it walks.  parse_number runs it on the card
 a card reader holds: the terminator is read too and stays latched in the
 reader's iac, and a token, or the blanks before it, may run past column
 80 onto the next card.  The formatter builds the fixed 13-character
-scientific form [blank][sign]d.dddddE[sign]dd as storage words, straight
-code with one round a digit, and appends them to a line writer's line.
+scientific form [blank][sign]d.dddddE[sign]dd as storage words, in
+straight code with one round a digit, and puts them on a line writer in
+one call.
 
 Both round through a one-cell array("f"), made fresh on each call so that
 callers share no state: storing into it is C's double-to-float cast, the
@@ -212,13 +213,9 @@ def format_scientific(writer, value):
     """Append value's 13-character field to the writer's line, first
     releasing the line if the field would not fit in the unit's width."""
     words = scientific_words(value)
-    buffer = writer.buffer
-    if len(buffer) > writer.width - FIELD_WIDTH:
+    if len(writer.buffer) > writer.width - FIELD_WIDTH:
         writer.flush()
-    if writer.echo:
-        buffer.extend(words)  # it fits: put_words would not split it either
-        if len(buffer) >= writer.width:
-            writer.flush()
+    writer.put_words(words)
 
 
 def format_number(value):

@@ -7,9 +7,10 @@ head.  Only the imports changed, so that it runs from the tests; the limits
 and constants come from reca.interpreter, so that only the loop body is
 frozen.
 
-_read_datum, the framing of an I datum, is frozen too, as it stood before it
-read the frame off the card: the reader's blank skip, a read for the quote
-and one for the slash.  tests/test_interpreter.py compares the two.
+_read_datum, the framing of an I datum, is frozen too: the reader's blank
+skip, a read for the quote and one for the slash.  The live one reads the
+same; the copy is here so that a change to it shows, in the loop property
+and in the framing property of tests/test_interpreter.py.
 """
 
 import math
