@@ -15,6 +15,8 @@ A quote prefix shifts a class code into the upper half (65..128) so quoted
 letters get their own table rows.
 """
 
+import struct
+
 # code points for the 63 assigned card glyphs (one slot of the 64 is unused)
 _CODEPOINTS = {
     " ": 0x40,
@@ -159,8 +161,18 @@ class _CharTable(dict):
 
 
 _CHARS = _CharTable(CHAR_BY_WORD)
+# the latin-1 byte of the glyph at each code point, a blank where none is
+_GLYPHS = bytes(ord(CHAR_BY_WORD.get(word_from_codepoint(cp), " ")) for cp in range(256))
 
 
 def decode_words(words):
-    """Render a sequence of storage words as text."""
+    """Render a sequence of storage words as text: as one translation of
+    their code points if every word is 16-bit with low byte 64, as an A1
+    read leaves it, else a word at a time."""
+    try:
+        raw = struct.pack(f"<{len(words)}h", *words)
+    except struct.error:  # a word outside 16 bits, or not an int
+        raw = b""
+    if raw[::2].count(64) == len(words):
+        return raw[1::2].translate(_GLYPHS).decode("latin-1")
     return "".join(map(_CHARS.__getitem__, words))

@@ -12,9 +12,13 @@ scientific form [blank][sign]d.dddddE[sign]dd as storage words, in
 straight code with one round a digit, and puts them on a line writer in
 one call.
 
-Both round through a one-cell array("f"), made fresh on each call so that
-callers share no state: storing into it is C's double-to-float cast, the
-float32 round that struct's native "f" makes too, saturating to inf alike.
+Where the float32 round is normal or exact, Dekker's split makes it:
+c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties to even.  So every
+round of the formatter is split, and each digit step of the parser below
+1e30.  Where the round may be subnormal or inf (a digit step from 1e30,
+the parser's scale and product) C's double-to-float cast makes it:
+struct's native "f", or a one-cell array("f") made fresh so that callers
+share no state.
 """
 
 import struct
@@ -26,6 +30,7 @@ from .iosys import CardReader
 
 _F32 = struct.Struct("f")
 _new_cell = array("f", (0.0,)).__copy__
+_SPLIT = 2.0 ** 29 + 1  # splits a double's 53 bits as 24 + 29
 
 
 def f32(x):
@@ -90,11 +95,12 @@ def scan_number(card, i, integer):
             i += 1
             w = card[i]
         return (-n if negative else n), i
-    f = _new_cell()
     value = 0.0
     while -4032 <= w <= -1728:
-        f[0] = value * 10.0 + (w + 4032) // 256
-        value = f[0]
+        x = value * 10.0 + (w + 4032) // 256
+        c = x * _SPLIT
+        # the split does not saturate to inf; past 1e30 the cast must
+        value = c - (c - x) if x < 1e30 else f32(x)
         i += 1
         w = card[i]
     places = 0
@@ -102,8 +108,9 @@ def scan_number(card, i, integer):
         i += 1
         w = card[i]
         while -4032 <= w <= -1728:
-            f[0] = value * 10.0 + (w + 4032) // 256
-            value = f[0]
+            x = value * 10.0 + (w + 4032) // 256
+            c = x * _SPLIT
+            value = c - (c - x) if x < 1e30 else f32(x)
             places += 1
             i += 1
             w = card[i]
@@ -121,6 +128,7 @@ def scan_number(card, i, integer):
             w = card[i]
         if exp_negative:
             exponent = -exponent
+    f = _new_cell()
     try:
         f[0] = 10.0 ** (exponent - places)
     except OverflowError:
@@ -171,38 +179,52 @@ def scientific_words(value):
     """
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
-    f = _new_cell()
     k = 0
     sign = MINUS if value < 0 else BLANK
     v = value if value >= 0 else -value
     if v > 0:
+        # ten times a subnormal is a whole multiple of 2**-149, so it is
+        # a float32 itself below 2**-126 and the split leaves it exact
         while v < 10.0:
-            f[0] = v * 10.0
-            v = f[0]
+            x = v * 10.0
+            c = x * _SPLIT
+            v = c - (c - x)
             k -= 1
         while v >= 10.0:
-            f[0] = v * 0.1
-            v = f[0]
+            x = v * 0.1
+            c = x * _SPLIT
+            v = c - (c - x)
             k += 1
-    f[0] = v + ROUND_HALF_DIGIT
-    v = f[0]
+    x = v + ROUND_HALF_DIGIT
+    c = x * _SPLIT
+    v = c - (c - x)
     if v >= 10.0:
         # rounding carried into a new leading digit
-        f[0] = v * 0.1
-        v = f[0]
+        x = v * 0.1
+        c = x * _SPLIT
+        v = c - (c - x)
         k += 1
     # v - int(v) is exact for a float32 v below 10; only the times 10 rounds
     d0 = int(v)
-    f[0] = 10.0 * (v - d0)
-    d1 = int(f[0])
-    f[0] = 10.0 * (f[0] - d1)
-    d2 = int(f[0])
-    f[0] = 10.0 * (f[0] - d2)
-    d3 = int(f[0])
-    f[0] = 10.0 * (f[0] - d3)
-    d4 = int(f[0])
-    f[0] = 10.0 * (f[0] - d4)
-    d5 = int(f[0])
+    x = 10.0 * (v - d0)
+    c = x * _SPLIT
+    v = c - (c - x)
+    d1 = int(v)
+    x = 10.0 * (v - d1)
+    c = x * _SPLIT
+    v = c - (c - x)
+    d2 = int(v)
+    x = 10.0 * (v - d2)
+    c = x * _SPLIT
+    v = c - (c - x)
+    d3 = int(v)
+    x = 10.0 * (v - d3)
+    c = x * _SPLIT
+    v = c - (c - x)
+    d4 = int(v)
+    x = 10.0 * (v - d4)
+    c = x * _SPLIT
+    d5 = int(c - (c - x))
     e1, e0 = divmod(-k if k < 0 else k, 10)  # two digits for a float32's exponent
     return [BLANK, sign, _DIGITS[d0], DOT, _DIGITS[d1], _DIGITS[d2], _DIGITS[d3],
             _DIGITS[d4], _DIGITS[d5], LETTER_E, MINUS if k < 0 else BLANK,

@@ -17,7 +17,8 @@ the arguments of S, F and =, names, comments and strings.  monitor_decks(),
 keypunch_decks() and overflow_decks() give decks that use each monitor
 command, the keypunch glyphs % < @ #, and programs that fill the store;
 datum_decks() decks whose I data are framed well and badly, after blanks
-across cards and across column 80, on the card unit and the keyboard.
+across cards and across column 80, on the card unit and the keyboard;
+number_decks() decks that read and print numbers at float32's edges.
 
 snapshot(sess, status) records everything a run leaves behind, so that two
 runs of one deck can be compared field by field.
@@ -255,6 +256,45 @@ def datum_decks():
             decks.append([program, "", " " * 80, " " * 40 + frame, "'/4'"])
             decks.extend(straddling_decks(program, frame, " '/4'"))
         decks.append([program, " " * 75 + "'/3", "   '", "'/4'"])
+    return decks
+
+
+# I data at float32's edges: subnormals and the smallest normal, the
+# largest float32 and values that round to it, mantissas of 24 to 46
+# digits whose digit steps pass 1e30, and every decimal exponent from -45
+# to 38; then data that read as inf or nan, on which O faults
+NUMBER_DATA = [
+    "1E-45", "7E-46", "-1.4E-45", "2.5E-40", "-9.99999E-39", "1.1754942E-38",
+    "1.1754944E-38", "3.4028235E38", "-3.4028234E38", "-3.4028236E38",
+    "9" * 24, "-" + "9" * 31, "2" * 38, "1" * 20 + "." + "1" * 15,
+    "." + "0" * 44 + "15E5", "-" + "3" * 30 + "." + "3" * 8 + "E-45",
+    *(f"{m}E{e}" for e in range(-45, 39) for m in ("1", "-2.71828", "3.14159")),
+]
+NUMBER_INF = [
+    "1E39", "340282356779733661637539395458142568447", "9" * 56,
+    "1" * 24 + "." + "1" * 24, "1" + "0" * 40 + "E-10", "3.14159" + "0" * 40 + "E-40",
+]
+
+
+def _data_cards(data):
+    """Framed data laid on cards, as many a card as fit in 80 columns."""
+    cards = [""]
+    for text in data:
+        datum = f" '/{text}'"
+        if len(cards[-1]) + len(datum) > 80:
+            cards.append("")
+        cards[-1] += datum
+    return cards
+
+
+def number_decks():
+    """Decks that read NUMBER_DATA with I and print each datum with O,
+    twelve a deck; and for each of NUMBER_INF a deck that reads and
+    prints 1.5 and then it."""
+    read = "*(($%d$IOX.,),)"
+    decks = [[read % len(data), *_data_cards(data)]
+             for data in (NUMBER_DATA[i:i + 12] for i in range(0, len(NUMBER_DATA), 12))]
+    decks.extend([read % 2, *_data_cards(["1.5", text])] for text in NUMBER_INF)
     return decks
 
 

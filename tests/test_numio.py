@@ -5,6 +5,7 @@ import math
 import random
 import re
 import struct
+from array import array
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from reca.numio import f32, format_number, parse_text, scientific_words
 from reca.session import Session
 
 from conftest import digit_value, digit_word, is_digit_word, run, table_rows
-from generators import COLUMN_80_TOKENS, straddling_decks
+from generators import COLUMN_80_TOKENS, number_decks, straddling_decks
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
 
@@ -178,6 +179,70 @@ def test_scientific_words_match_reference_in_every_binade():
                 assert scientific_words(v) == reference_words(v), hex(bits)
 
 
+FLT_MAX = f32(3.4028235e38)
+
+
+def cell_round(x):
+    """x rounded to float32 by C's cast, through a one-cell array."""
+    return array("f", (x,))[0]
+
+
+def split_round(x):
+    """x rounded to float32 by Dekker's split, as numio rounds it."""
+    c = x * numio._SPLIT
+    return c - (c - x)
+
+
+@given(st.floats(min_value=2.0 ** -126, max_value=FLT_MAX), st.booleans())
+@example(2.0 ** -126, False)
+@example(2.0 ** -126, True)
+@example(FLT_MAX, False)
+@example(FLT_MAX, True)
+def test_split_rounds_as_the_float32_cast(x, negative):
+    x = -x if negative else x
+    assert split_round(x) == cell_round(x)
+
+
+def test_split_rounds_ties_to_even_in_every_binade():
+    # doubles exactly halfway between two float32s, odd 25-bit
+    # significands: each rounds to the neighbour whose significand is even
+    rng = random.Random(1971)
+    for exponent in range(-126, 128):
+        significands = [(1 << 24) + 1, (1 << 24) + 3, (1 << 25) - 1, (1 << 25) - 3]
+        significands += [rng.getrandbits(24) << 1 | 1 << 24 | 1 for _ in range(20)]
+        for m in significands:
+            x = math.ldexp(m, exponent - 24)
+            if cell_round(x) == math.inf:
+                continue  # the tie above the largest float32 rounds to inf
+            for x in (x, -x):
+                assert split_round(x) == cell_round(x), x.hex()
+
+
+@given(st.integers(1, (1 << 23) - 1))
+@example(1)
+@example((1 << 23) - 1)
+@example(838861)  # the least whose product is normal
+def test_split_scales_a_subnormal_exactly(m):
+    # the formatter's first normalisation steps for a subnormal value
+    x = math.ldexp(m, -149) * 10.0
+    assert split_round(x) == cell_round(x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, width=32), st.integers(0, 9))
+@example(f32(1.1754944e-38), 0)
+@example(f32(3.4028235e38), 9)
+@example(f32(9.999995), 0)
+@example(f32(1e29), 9)
+def test_split_rounds_each_form_numio_rounds(v, d):
+    # the normalisation steps, the rounding bias, a digit of the peel and
+    # a digit step of the parser, wherever the round is normal
+    forms = (v * 10.0, v * 0.1, v + numio.ROUND_HALF_DIGIT, 10.0 * (v - int(v)),
+             v * 10.0 + d)
+    for x in forms:
+        if abs(x) >= 2.0 ** -126 and abs(cell_round(x)) != math.inf:
+            assert split_round(x) == cell_round(x), (v, d, x)
+
+
 def test_standalone_helpers_build_no_session(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Session constructed")
@@ -322,6 +387,22 @@ NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
          integer=False)  # nan, on the keyboard unit
 @example(column=80, blanks=0, text="-0'", filler="", more=[], unit=2,
          integer=False)  # -0.0, read from the first card's refill
+@example(column=0, blanks=0, text="1" + "0" * 40 + "E-10'", filler="", more=[],
+         unit=2, integer=False)  # the digit steps saturate to inf and stay inf
+@example(column=0, blanks=0, text="1E39'", filler="", more=[], unit=2,
+         integer=False)  # the scale overflows
+@example(column=0, blanks=0, text="9" * 31 + "'", filler="", more=[], unit=2,
+         integer=False)  # the digit steps pass 1e30
+@example(column=0, blanks=0, text="4" + "0" * 38 + "E-1'", filler="", more=[], unit=2,
+         integer=False)  # past the largest float32, then scaled back
+@example(column=0, blanks=0, text="4" + "0" * 20 + "." + "0" * 18 + "'", filler="",
+         more=[], unit=2, integer=False)  # the same after the point
+@example(column=0, blanks=0, text="340282356779733661637539395458142568447'",
+         filler="", more=[], unit=2, integer=False)  # a step rounds past the largest
+@example(column=50, blanks=0, text="-" + "3" * 20 + "." + "3" * 24 + "E-9'",
+         filler="9", more=[], unit=2, integer=False)  # past 1e30 after the point, across column 80
+@example(column=0, blanks=0, text="9" * 140 + "'", filler="", more=[],
+         unit=2, integer=False)  # 140 digits over two cards
 def test_parse_number_matches_the_reference_parsers(
         column, blanks, text, filler, more, unit, integer):
     # the token begins at column, after filler on the columns before it
@@ -329,6 +410,24 @@ def test_parse_number_matches_the_reference_parsers(
     cards = [line[i:i + 80] for i in range(0, len(line) or 1, 80)] + more
     expected = parse_outcome(cards, column, unit, integer, reference=True)
     assert parse_outcome(cards, column, unit, integer, reference=False) == expected
+
+
+def test_number_decks_print_what_the_reference_parser_and_formatter_give():
+    # each datum as the frozen parser reads it and the frozen formatter
+    # prints it, until one reads as inf or nan, on which O faults
+    for deck in number_decks():
+        data = re.findall(r"'/([^']*)'", "".join(deck[1:]))
+        expected = []
+        for text in data:
+            cards = iter([text + "'"])
+            reader = CardReader({2: lambda: next(cards, None)})
+            value = reference_parse_float(reader.read)
+            if value - value != 0:
+                break
+            expected.append("".join(map(charset.char_of, reference_words(value))))
+        lines, status = run(deck)
+        assert [line for line in lines if SHAPE.match(line)] == expected, deck
+        assert status == (0 if len(expected) == len(data) else 1), deck
 
 
 @pytest.mark.parametrize("program, token, rest", COLUMN_80_TOKENS)

@@ -17,7 +17,8 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
   and I data run across the end of a card, and the compile-80 decks,
   whose quote prefixes, arguments, names, comments and strings do;
 * the monitor, keypunch, store-overflow and I datum decks from
-  tests/generators.py.
+  tests/generators.py, and its number decks, which read and print
+  numbers at float32's edges.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants and
@@ -63,7 +64,8 @@ def corpus():
                          for i, d in enumerate(make(seed)))
     decks.extend((f"float edge {cards[0]}", cards)
                  for cards in generators.float_edge_decks())
-    for kind in ("column_80", "compile_80", "monitor", "keypunch", "overflow", "datum"):
+    for kind in ("column_80", "compile_80", "monitor", "keypunch", "overflow", "datum",
+                 "number"):
         make = getattr(generators, f"{kind}_decks")
         decks.extend((f"{kind.replace('_', ' ')} {i}", cards)
                      for i, cards in enumerate(make()))
