@@ -5,12 +5,14 @@ program.  Negative cells invoke operations, positive cells are jumps (or
 inline arguments consumed by the preceding operation), and a zero cell
 returns through the entry of the enclosing program.  Nonrecursive calls
 store the return address in the callee's entry cell; recursive callees
-carry a sentinel in the entry and use a pushdown return stack instead.
+carry a sentinel in the entry and use a pushdown return stack instead,
+which the backward jump that ends the callee pops at once.
 
-All arithmetic is float32.  The loop is deliberately flat: operation
-dispatch happens a couple of hundred thousand times a second in the
-larger demo programs, so everything hot is a local and each pass does
-as little as it can.
+All arithmetic is float32.  The loop is deliberately flat and runs some
+four million operations a second: everything hot is a local, and each
+compare has operands of one type, which CPython 3.11+ specialises.  The
+value tests compare with 0.0, and an unbounded run counts its steps
+against an int ceiling under 2**30, lifted to inf if they pass it.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
 in I or R raises it as CONV 01.  An arithmetic fault or an interrupt
@@ -40,6 +42,7 @@ STACK_LIMIT = 200
 RECURSION_LIMIT = 100
 NEAR_ZERO = numio.f32(5.0e-6)
 _INF = float("inf")
+_CEILING = 2**30 - 1  # the budget of an unbounded run, until steps pass it
 
 
 class _Interrupted(Exception):
@@ -60,6 +63,13 @@ def _read_datum(reader):
     return value
 
 
+def _past_budget(sess):
+    """Stop a bounded run; lift an unbounded run's ceiling to inf."""
+    if sess.config.max_steps is not None:
+        raise _Interrupted
+    return _INF
+
+
 def execute(sess):
     """Run the most recently compiled program; a catalog diagnostic
     raises Diagnostic."""
@@ -73,11 +83,12 @@ def execute(sess):
     writer = sess.writer
     ilc0 = st.ilc0
     sp = 0  # the top slot; slot 0 lies below an empty stack
-    iret = [0] * (RECURSION_LIMIT + 2)
+    near, mark, max_sp, max_rec = NEAR_ZERO, RECURSIVE_MARK, STACK_LIMIT, RECURSION_LIMIT
+    iret = [0] * (max_rec + 2)
     irec = 1
     ixl = ilc0 + 1
     steps = 0
-    budget = _INF if sess.config.max_steps is None else sess.config.max_steps
+    budget = _CEILING if sess.config.max_steps is None else sess.config.max_steps
     # storing into a float array is C's double-to-float cast: the float32
     # round, saturating to inf where struct's native "f" does too
     f = array("f", (0.0,))
@@ -94,7 +105,7 @@ def execute(sess):
                 ixl += 1
                 steps += 1
                 if steps > budget:
-                    raise _Interrupted
+                    budget = _past_budget(sess)
                 b = xeq[-cell]
                 if type(b) is int:
                     # the groups and the branches within them are tested in
@@ -114,7 +125,7 @@ def execute(sess):
                             elif b == 18:  # OP_TEST_EQ: branch unless nearly equal
                                 d = y - pdl[sp]
                                 sp += 1  # a test pops nothing
-                                if (d if d >= 0 else -d) <= NEAR_ZERO:
+                                if (d if d >= 0.0 else -d) <= near:
                                     ixl += 1
                                 continue
                             elif b == 19:  # OP_DIV
@@ -128,7 +139,7 @@ def execute(sess):
                                 raise OverflowError("float32 range exceeded")
                             pdl[sp] = r
                         elif b <= 23:  # operations that push
-                            if sp >= STACK_LIMIT:
+                            if sp >= max_sp:
                                 raise Diagnostic(STACK_OVERFLOW)
                             sp += 1
                             if b == 20:  # OP_CONST
@@ -182,10 +193,10 @@ def execute(sess):
                             raise Diagnostic(STACK_EMPTY)
                         a = pdl[sp]
                         if b == 13:  # OP_TEST_ZERO: branch unless near zero
-                            if (a if a >= 0 else -a) <= NEAR_ZERO:
+                            if (a if a >= 0.0 else -a) <= near:
                                 ixl += 1
                         elif b == 6:  # OP_TEST_NEG: branch unless negative
-                            if a < 0:
+                            if a < 0.0:
                                 ixl += 1
                         elif b == 9:  # OP_SET: store to variable, value kept
                             save[prog[ixl]] = a
@@ -195,7 +206,7 @@ def execute(sess):
                         elif b == 5:  # OP_NEG
                             pdl[sp] = -a
                         elif b == 1:  # OP_ABS
-                            pdl[sp] = a if a >= 0 else -a
+                            pdl[sp] = a if a >= 0.0 else -a
                         elif b == 3:  # OP_EXP
                             f[0] = exp(a)
                             a = f[0]
@@ -227,7 +238,7 @@ def execute(sess):
                         raise _Interrupted
                     entry = b.entry
                     if b.recursive:
-                        if irec > RECURSION_LIMIT:
+                        if irec > max_rec:
                             raise Diagnostic(DEEP_RECURSION)
                         iret[irec] = ixl + 1
                         irec += 1
@@ -236,21 +247,26 @@ def execute(sess):
                     ixl = entry + 1
             elif cell > ixl:  # forward jump
                 ixl = cell
-                if ixl >= RECURSIVE_MARK:
+                if ixl >= mark:
                     irec -= 1
                     ixl = iret[irec]
             elif cell:  # backward jump: it may close a loop, so it is a step
                 steps += 1
-                if sess.cancelled or steps > budget:
+                if steps > budget:
+                    budget = _past_budget(sess)
+                if sess.cancelled:
                     raise _Interrupted
                 ixl = cell
                 if ixl == ilc0:
                     break
+                if prog[ixl] >= mark:  # a recursive entry: return from it now
+                    irec -= 1
+                    ixl = iret[irec]
             else:  # return through the program entry
                 ixl = prog[ixl + 1]
                 if ixl == ilc0:
                     break
-                if prog[ixl] >= RECURSIVE_MARK:
+                if prog[ixl] >= mark:
                     irec -= 1
                     ixl = iret[irec] - 1
                 else:

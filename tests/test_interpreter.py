@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import reference_interpreter
 from reca import interpreter
-from reca.iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput
+from reca.decks import FACTORIAL
+from reca.iosys import INTERRUPT_NOTICE, PAGE_EJECT, CardReader, Diagnostic, EndOfInput
 from reca.session import Session, SessionConfig, run_deck
 
 from conftest import field_value, run, time_limit
-from generators import BINARY, EDGE_OPERANDS, TESTS, UNARY, float_edge_deck
+from generators import BINARY, EDGE_OPERANDS, TESTS, UNARY, float_edge_deck, snapshot
 
 
 def result_of(program, extra_cards=()):
@@ -292,6 +293,53 @@ def test_step_budget_counts_backward_jumps(deck):
     assert status == 0
 
 
+# the shape of the recursion workload's decks: 'Y sums 1..n recursively
+TRIANGULAR = ["* N'Y", "(0,P'/1'-'Y&,)'Y", "('/4''Y OX,)"]
+# K calls Y, which is defined after it, so Y returns by a backward jump
+LATER_CALLEE = ["*(Y'/1'&,)K", "(P*,)Y", "('/3'K OX,)"]
+
+
+def live_and_reference(run_once):
+    """Snapshots of run_once(), which returns (session, status), under the
+    live execute loop and under the frozen reference loop."""
+    live = snapshot(*run_once())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpreter, "execute", reference_interpreter.execute)
+        return live, snapshot(*run_once())
+
+
+@pytest.mark.parametrize("deck", [FACTORIAL, TRIANGULAR, LATER_CALLEE],
+                         ids=["factorial", "triangular", "later callee"])
+def test_every_step_budget_stops_where_the_reference_loop_does(deck):
+    # every budget from 0 to one past the run's full step count, so that
+    # the interrupt falls once on every operation and backward jump,
+    # the terminal jumps that return from a subroutine among them
+    max_steps, full = 0, None
+    while full is None or max_steps <= full + 1:
+        config = SessionConfig(max_steps=max_steps)
+        live, expected = live_and_reference(lambda: run_deck(deck, config=config))
+        assert live == expected, f"max_steps={max_steps}"
+        if full is None and INTERRUPT_NOTICE not in live["output"]:
+            full = max_steps
+        max_steps += 1
+    assert full > 0
+
+
+@pytest.mark.parametrize("ceiling", range(200, 212))
+def test_an_unbounded_run_counts_on_past_its_ceiling(monkeypatch, ceiling):
+    # the first 'Y returns after some 200 steps, so a ceiling this low is
+    # passed at an operation for some of these values and at the backward
+    # jump of a return for others; the run must go on to the end all the
+    # same, as a budget of 2**40 does
+    monkeypatch.setattr(interpreter, "_CEILING", ceiling)
+    deck = TRIANGULAR[:2] + ["($10$'/40''Y L.,'/1'OX,)"]
+    live, expected = live_and_reference(lambda: run_deck(deck))
+    assert live == expected
+    assert INTERRUPT_NOTICE not in live["output"]
+    set_high = snapshot(*run_deck(deck, config=SessionConfig(max_steps=2**40)))
+    assert set_high == live
+
+
 def test_stack_pointer_resets_between_programs():
     # leftovers from one program do not leak into the next
     lines, status = run(["*('/1''/2''/3'L,)", "*(*,)"])
@@ -446,3 +494,37 @@ def test_test_operator_matches_float32_oracle(op):
         cases = [([tx], expected_test(op, x)) for tx, x in EDGE_OPERANDS]
     failures = [check_edge(op, texts, want) for texts, want in cases]
     assert [f for f in failures if f] == []
+
+
+@pytest.mark.parametrize("op", TESTS + ["A"])
+@settings(max_examples=60, deadline=None)
+@given(x=st.floats(width=32), y=st.floats(width=32))
+@example(x=-0.0, y=0.0)
+@example(x=2.0**-149, y=-0.0)  # the smallest subnormal
+@example(x=math.nan, y=1.0)  # what '/0E99' reads as
+@example(x=math.inf, y=math.inf)  # what '/1E39' reads as
+@example(x=-math.inf, y=2.0**-149)
+def test_tests_and_abs_match_the_oracle_on_any_float32(op, x, y):
+    # the operands come from variables 1 and 2, so any float32 reaches
+    # the test; the value bits must be the reference loop's as well
+    operands = [x, y] if op == "J" else [x]
+    fetch = "".join(f"F{i}" for i in range(1, len(operands) + 1))
+    if op == "A":
+        body = "A"
+        # A keeps the sign of -0.0, as a >= 0 holds for it
+        want = x if x == 0 else expected_unary(op, x)
+    else:
+        body = f"({op}'/2',{'L' * len(operands)}'/3',)"
+        want = expected_test(op, *operands)
+
+    def run_once():
+        sess = Session(cards=[f"*({fetch}{body}S1L'/1'OX,)"],
+                       config=SessionConfig(echo=False))
+        sess.variables[1:len(operands) + 1] = operands
+        return sess, sess.run()
+
+    live, expected = live_and_reference(run_once)
+    assert live == expected
+    sess, status = run_once()
+    assert status == 0 and sess.output == ["  1.00000E 00", PAGE_EJECT]
+    assert same(sess.variables[1], want)
