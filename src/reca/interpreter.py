@@ -6,7 +6,8 @@ inline arguments consumed by the preceding operation), and a zero cell
 returns through the entry of the enclosing program.  Nonrecursive calls
 store the return address in the callee's entry cell; recursive callees
 carry a sentinel in the entry and use a pushdown return stack instead,
-which the backward jump that ends the callee pops at once.
+which the backward jump that ends the callee pops at once, so no pass
+fetches the sentinel.
 
 All arithmetic is float32.  The loop is deliberately flat and runs some
 four million operations a second: everything hot is a local, and each
@@ -247,9 +248,6 @@ def execute(sess):
                     ixl = entry + 1
             elif cell > ixl:  # forward jump
                 ixl = cell
-                if ixl >= mark:
-                    irec -= 1
-                    ixl = iret[irec]
             elif cell:  # backward jump: it may close a loop, so it is a step
                 steps += 1
                 if steps > budget:

@@ -1,20 +1,22 @@
 """Run one workload of the deck benchmark in pairs, another revision
 against this checkout, and compare their end-to-end metrics.
 
-    python3 tools/pairs.py --base HEAD^ --workload recursion --seed 41 --seconds 30 --pairs 10
+    python3 tools/pairs.py --base HEAD^ --workload recursion --seed 41 --pairs 10
 
 Run from anywhere inside a git checkout; only the standard library is
 needed.  The base revision's src/ is exported with git archive into a
 temporary directory and this checkout's perfbench/ is copied beside it,
 so that both sides run the same harness.  A pair is one
-perfbench/run.py --trace 0 in each tree, one after the other; the side
+perfbench/run.py --trace 0 in each tree, one after the other, each for
+BENCHMARK.json's run_seconds unless --seconds is given; the side
 that goes first alternates from pair to pair, so that a host that slows
 down or speeds up over the pairs favours neither side.
 
 Each pair is printed with both sides' end-to-end metrics (those
 BENCHMARK.json declares) and their ratio, this checkout over the base.
 Then, for each metric, the number of pairs in which this checkout was
-better, and the medians of both sides and of the ratios.  The exit
+better, the base's median and quartiles, this checkout's median and the
+median of the ratios.  The exit
 status is 1 if either side reported correct: false in any pair, else 0.
 """
 
@@ -30,10 +32,11 @@ from pathlib import Path
 from differential import CHECKOUT, export
 
 
-def end_to_end():
-    """(name, better) for each end-to-end metric of the benchmark."""
+def benchmark():
+    """The benchmark's run length in seconds, and (name, better) for each
+    of its end-to-end metrics."""
     spec = json.loads((CHECKOUT / "BENCHMARK.json").read_text())
-    return [(metric["name"], metric["better"]) for metric in spec["end_to_end"]]
+    return spec["run_seconds"], [(m["name"], m["better"]) for m in spec["end_to_end"]]
 
 
 def bench(tree, args):
@@ -49,8 +52,8 @@ def bench(tree, args):
 
 
 def summarise(pairs, metrics):
-    """Per metric over (base, this) result pairs: (name, wins, median of
-    base, median of this, median of this/base)."""
+    """Per metric over (base, this) result pairs: (name, wins, median and
+    quartiles of base, median of this, median of this/base)."""
     rows = []
     for name, better in metrics:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
@@ -58,7 +61,8 @@ def summarise(pairs, metrics):
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (t - b) > 0 for b, t in zip(base, this))
         ratios = [t / b for b, t in zip(base, this) if b]
-        rows.append((name, wins, statistics.median(base), statistics.median(this),
+        q1, q2, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+        rows.append((name, wins, q2, q1, q3, statistics.median(this),
                      statistics.median(ratios) if ratios else float("nan")))
     return rows
 
@@ -68,11 +72,13 @@ def main(argv=None):
     parser.add_argument("--base", required=True, help="git revision to compare with")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
-    metrics = end_to_end()
+    run_seconds, metrics = benchmark()
+    if args.seconds is None:
+        args.seconds = run_seconds
     pairs, correct = [], True
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = export(args.base, Path(tmp)).parent
@@ -96,9 +102,10 @@ def main(argv=None):
             sys.stdout.flush()
     print(f"{args.base} against this checkout: {args.workload}, seed {args.seed},"
           f" {args.pairs} pairs of {args.seconds:g} s runs")
-    for name, wins, base, this, ratio in summarise(pairs, metrics):
+    for name, wins, base, q1, q3, this, ratio in summarise(pairs, metrics):
         print(f"  {name:<12} this better in {wins:>2} of {len(pairs)}"
-              f"  median base {base:.6g}  this {this:.6g}  this/base {ratio:.4f}")
+              f"  median base {base:.6g} [{q1:.6g}, {q3:.6g}]  this {this:.6g}"
+              f"  this/base {ratio:.4f}")
     if not correct:
         print("  a run reported correct: false")
     return 0 if correct else 1
