@@ -12,17 +12,19 @@ followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
-The monitor reads and echoes the characters that steer it one at a
-time; the rest of a comment card and the blanks between command letters
-it reads and echoes as runs.  The compiler walks each card with an index
-of its own and handles every class of character straight off the card:
+The monitor and the compiler each walk the card with an index of their
+own, echo what they have read in one call a card segment, and hand their
+place back to the reader (through its hand_back) and to the store at the
+end of each card and before anything else reads, writes or looks: the
+monitor before each command takes effect and with the ( that starts
+compilation, the compiler before any diagnostic, before the flush,
+listing and binding that follow a program's name, and before it returns.
+The monitor drops a card that is not a control card unechoed, and after
+I it takes the card up again as the new input unit reads it.  The
+compiler handles every class of character straight off the card:
 blanks, operators, predicates, parentheses and separators, the argument
 character of F, S and =, the bodies of '* comments and " strings, and
-the numbers of constants and counters, which numio.scan_number scans.  It
-echoes what it has read in one call a card segment, and hands its place
-back to the reader (cursor and iac) and to the store at the same points:
-at the end of each card, before any diagnostic, before the flush, listing
-and binding that follow a program's name, and before it returns.  A
+the numbers of constants and counters, which numio.scan_number scans.  A
 number that runs past column 80 is read through the reader instead, by
 numio.parse_number, which reads on across the cards; any other token or
 body that reaches column 80 just goes on from the next card.  The blanks
@@ -65,37 +67,50 @@ class UnfinishedProgram(Exception):
 
 
 def monitor(sess):
-    """Scan cards until compilation starts; returns when ( is consumed."""
+    """Scan cards until compilation starts; returns when ( is consumed.
+    card[start:i] is read but not yet echoed, as in _compile."""
     reader = sess.reader
     writer = sess.writer
+    st = sess.store
     while True:
-        reader.force_refill()
-        w = sess.read_echo()
-        if w == charset.LETTER_C:
-            writer.put_words(reader.rest())
-            writer.flush()
-            continue
-        if w == charset.STAR:
+        reader.hand_back(None, 80, 80)  # a control card starts a fresh card
+        card = reader.card()
+        if card[0] == charset.STAR:
             break
-        # not a control card: drop the partial echo and try the next card
-        writer.clear()
+        if card[0] == charset.LETTER_C:
+            reader.hand_back(card, 0, 80, writer.put_words)
+            writer.flush()
+        else:
+            # not a control card: it goes unechoed, read as far as its first word
+            reader.hand_back(card, 0, 1)
+    i, start = 1, 0  # the * is read, not yet echoed
     while True:
-        w = reader.nonblank(writer.put_words)
-        if w == charset.LPAREN:
-            _begin_program(sess)
-            return
-        writer.put(w)
+        if i == 80:
+            card = _next_card(sess, card, start, st.ilc)
+            i = start = 0
+        w = card[i]
+        i += 1
+        if w == BLANK:
+            continue
+        if w == LPAREN:
+            break
         if w not in _COMMANDS:
             continue
-        arg = reader.read()
-        if arg == charset.LPAREN:
-            _begin_program(sess)
-            return
-        writer.put(arg)
+        if i == 80:
+            card = _next_card(sess, card, start, st.ilc)
+            i = start = 0
+        arg = card[i]
+        i += 1
+        if arg == LPAREN:
+            break
+        _sync(sess, card, start, i, st.ilc)
+        start = i
         code = charset.class_code(arg)
         if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
                 reader.unit = code - 49
+                # the unit decides whether the keypunch glyphs are translated
+                card, i = _resume(reader)
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _OUTPUT:
@@ -106,25 +121,25 @@ def monitor(sess):
         elif w == _TERMINATE:
             raise Terminated
         elif w == _ERASE:
-            sess.store.ilc = 1
+            st.ilc = 1
             sess.compile_code = tables.compile_table()
             sess.exec_code = tables.exec_table()
             sess.constants_used = 0
             sess.constants_committed = 0
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
-                code = tables.quote_extend(charset.class_code(sess.read_echo()))
+                if i == 80:
+                    card = _next_card(sess, card, start, st.ilc)
+                    i = start = 0
+                code = tables.quote_extend(charset.class_code(card[i]))
+                i += 1
             sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
             writer.echo = False
-
-
-def _begin_program(sess):
-    """Left parenthesis at level zero: open the program frame."""
-    sess.writer.put(charset.LPAREN)
-    sess.writer.flush()
-    st = sess.store
+    # the left parenthesis at level zero: open the program frame
+    _sync(sess, card, start, i, st.ilc)
+    writer.flush()
     st.ilc0 = st.ilc
     st.emit(0)
     sess.frames = [[st.ilc, 0, 0]]  # [loop target, false chain, true chain]
@@ -396,11 +411,7 @@ def _sync(sess, card, start, i, ilc):
     """Hand the walk's place back: echo card[start:i], which it has read,
     leave the reader after card[i - 1] and the store's next free cell at
     ilc."""
-    reader = sess.reader
-    if i > start:
-        sess.writer.put_words(card[start:i])
-        reader.iac = card[i - 1]
-    reader.cursor = i
+    sess.reader.hand_back(card, start, i, sess.writer.put_words)
     sess.store.ilc = ilc
 
 

@@ -91,7 +91,7 @@ def execute(sess):
     steps = 0
     budget = _CEILING if sess.config.max_steps is None else sess.config.max_steps
     # storing into a float array is C's double-to-float cast: the float32
-    # round, saturating to inf where struct's native "f" does too
+    # round, saturating to inf, as numio.f32 makes it
     f = array("f", (0.0,))
     cos, sin, exp, sqrt, log, atan, tanh, pow_ = (
         math.cos, math.sin, math.exp, math.sqrt, math.log, math.atan, math.tanh,

@@ -1,16 +1,16 @@
 """Card input and line output.
 
 Input arrives as 80-column card images.  The reader deals them out a
-character at a time, or the rest of the current card in one slice; its
-skip past blanks reads runs across cards.  A scanner (the compiler, the
-number parser) may instead take the current card itself, walk it with an
-index of its own, and then hand its place back: move the reader's cursor
-past what it used and latch the last word it took in iac, before the
-reader is asked for the next card.  The reader holds the current input
-unit and latches the last character read in iac.  Output is accumulated
-into a single line buffer, a character or a run at a time, and released
-either explicitly or when the buffer reaches the width of the current
-output unit, which the writer holds.
+character at a time; its skip past blanks reads runs across cards.  A
+scanner (the monitor, the compiler, the number parser) may instead take
+the current card itself, walk it with an index of its own, and then hand
+its place back through hand_back, the one place that does so: echo what
+it read, latch the last word it took in iac and move the reader's cursor
+past it, before the reader is asked for the next card.  The reader holds
+the current input unit and latches the last character read in iac.
+Output is accumulated into a single line buffer, a character or a run at
+a time, and released either explicitly or when the buffer reaches the
+width of the current output unit, which the writer holds.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -83,7 +83,7 @@ ARITHMETIC_FAULT = "EXEC 06 ARITHMETIC FAULT"
 
 
 class CardReader:
-    """Deals characters and runs off 80-column card images.
+    """Deals characters, or whole cards to walk, off 80-column card images.
 
     sources maps a unit number to a callable returning the next source
     line as a string, or None at end of input; unit is the input unit
@@ -94,8 +94,8 @@ class CardReader:
     same list when the card has no keypunch glyph).  Every read latches
     the last word it took in iac.
 
-    Every read starts by refilling when the card is used up, so a run is
-    never empty at the end of a card.
+    Every read starts by refilling when the card is used up, so a read
+    never comes up empty at the end of a card.
     """
 
     def __init__(self, sources, unit=2, strict=False):
@@ -107,10 +107,6 @@ class CardReader:
         self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
         self.iac = 0      # the last word read
-
-    def force_refill(self):
-        """Discard the rest of the current card; next read starts fresh."""
-        self.cursor = 80
 
     def _refill(self):
         source = self.sources.get(self.unit)
@@ -146,16 +142,20 @@ class CardReader:
             self._refill()
         return self.translated if self.unit == 2 else self.record
 
-    def rest(self):
-        """The rest of the current card."""
-        run = self.card()[self.cursor:]
-        self.cursor = 80
-        self.iac = run[-1]
-        return run
+    def hand_back(self, card, start, stop, echo=None):
+        """A scanner that walked card, the current card, from index start
+        hands its place back: card[start:stop] goes to echo if given, its
+        last word is latched in iac, and the cursor moves to stop.  When
+        stop is start, card is not looked at."""
+        if stop > start:
+            if echo:
+                echo(card[start:stop])
+            self.iac = card[stop - 1]
+        self.cursor = stop
 
-    def nonblank(self, echo=None):
-        """Read past blanks, across cards, passing each run of them to
-        echo if given; returns the first other character, read."""
+    def nonblank(self):
+        """Read past blanks, across cards; returns the first other
+        character, read."""
         while True:
             if self.cursor >= 80:
                 self._refill()
@@ -166,8 +166,6 @@ class CardReader:
             if stop > start:
                 self.cursor = stop
                 self.iac = BLANK
-                if echo:
-                    echo(record[start:stop])
             if stop < 80:
                 return self.read()
 
@@ -226,10 +224,6 @@ class LineWriter:
         """Release the buffered line if nonempty; always leaves it empty."""
         if self.buffer:
             self._emit()
-
-    def clear(self):
-        """Drop buffered characters without writing them."""
-        self.buffer.clear()
 
     def emit_text(self, text):
         """Write a whole line directly, bypassing the buffer."""

@@ -15,27 +15,28 @@ one call.
 Where the float32 round is normal or exact, Dekker's split makes it:
 c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties to even.  So every
 round of the formatter is split, and each digit step of the parser below
-1e30.  Where the round may be subnormal or inf (a digit step from 1e30,
-the parser's scale and product) C's double-to-float cast makes it:
-struct's native "f", or a one-cell array("f") made fresh so that callers
-share no state.
+1e30.  Where the round may be subnormal or inf (f32, which a digit step
+from 1e30 calls, and the parser's scale and product) C's double-to-float
+cast makes it, always through a one-cell array("f") made fresh so that
+callers share no state.
 """
 
-import struct
 from array import array
 
 from . import charset
 from .charset import AMPERSAND, BLANK, DOT, LETTER_E, MINUS, PLUS
 from .iosys import CardReader
 
-_F32 = struct.Struct("f")
 _new_cell = array("f", (0.0,)).__copy__
 _SPLIT = 2.0 ** 29 + 1  # splits a double's 53 bits as 24 + 29
 
 
 def f32(x):
-    """Round a Python float to the nearest IEEE single precision value."""
-    return _F32.unpack(_F32.pack(x))[0]
+    """Round a Python float to the nearest IEEE single precision value;
+    past float32's range it saturates to inf, as C's cast does."""
+    f = _new_cell()
+    f[0] = x
+    return f[0]
 
 
 ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
@@ -67,10 +68,7 @@ def parse_number(reader, integer=False, echo=None):
         tape = _CardTape(reader, echo)
         value, stop = scan_number(tape, start, integer)
         card, start, stop = tape.card, tape.start, stop - tape.offset
-    reader.cursor = stop + 1
-    reader.iac = card[stop]
-    if echo:
-        echo(card[start:stop + 1])
+    reader.hand_back(card, start, stop + 1, echo)
     return value
 
 
@@ -158,10 +156,7 @@ class _CardTape:
     def __getitem__(self, i):
         i -= self.offset
         if i >= 80:
-            if self.echo:
-                self.echo(self.card[self.start:])
-            self.reader.cursor = 80
-            self.reader.iac = self.card[79]
+            self.reader.hand_back(self.card, self.start, 80, self.echo)
             self.card = self.reader.card()
             self.start = 0
             self.offset += 80

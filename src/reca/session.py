@@ -80,12 +80,6 @@ class Session:
 
         return pull
 
-    def read_echo(self):
-        """Read one character and list it: put it on the output line."""
-        w = self.reader.read()
-        self.writer.put(w)
-        return w
-
     def diagnose(self, code):
         self.errors_emitted = True
         self.writer.emit_message(code)

@@ -202,6 +202,9 @@ MONITOR_DECKS = [
     ["*N'Q", "('/1''Q OX,)"],
     ["*T('/1'OX,)", "*('/2'OX,)"],
     ["*I5O7('/1'OX,)"],
+    # the rest of the card after I is read as the new unit reads it
+    ["*I6%@/1@OX<", "('/2'OX,)"],
+    ["*I6" + " " * 76 + "I", "2%@/1@OX<"],
 ]
 
 

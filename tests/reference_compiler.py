@@ -1,21 +1,30 @@
-"""The compiler as it stood before it walked each card with a local index,
-kept as a reference that tests/test_properties.py runs generated decks
-against.
+"""The compiler and the monitor as they stood before each walked the card
+with a local index, kept as a reference that tests/test_properties.py runs
+generated decks against.
 
 It is a verbatim copy of that compiler's _compile and of every helper it
 calls: a read and a put for each character, one helper call for each atom,
-counter, constant and string, and the card reader's through_quote, which
-went when the card walk replaced its last caller.  Only the imports
-changed, and through_quote takes the reader as its first argument instead
-of being a method; parse_number, the tables and the store come from reca.
+counter, constant and string.  The monitor and its _begin_program are
+copied too: a read and a put for each character that steers it.  So are
+the reader, writer and session methods that went when a card walk
+replaced their last caller: the card reader's through_quote, force_refill,
+rest and its nonblank that echoes the blanks it skips, the line writer's
+clear and the session's read_echo.  Only the imports changed, and these
+methods take the reader, the writer or the session as their first
+argument instead of being methods; parse_number, the tables and the store
+come from reca.
 """
 
 from reca import charset, numio, tables
-from reca.charset import QUOTE
-from reca.compiler import Terminated
+from reca.charset import BLANK, QUOTE
+from reca.compiler import (
+    _COMMANDS, _ERASE, _INPUT, _OUTPUT, _RECURSIVE, _SUPPRESS, _TERMINATE,
+    Terminated,
+)
 from reca.iosys import (
-    BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, CONSTANT_EXCESS,
-    EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic, EndOfInput,
+    BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, BAD_UNIT,
+    CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
+    EndOfInput,
 )
 from reca.store import RECURSIVE_MARK
 from reca.tables import (
@@ -23,6 +32,72 @@ from reca.tables import (
     OPEN, OPERATOR, OPERATOR_NUM, PREDICATE, QUOTE_PREFIX, REPEAT, SEQUENT,
     STRING, Subroutine,
 )
+
+
+def monitor(sess):
+    """Scan cards until compilation starts; returns when ( is consumed."""
+    reader = sess.reader
+    writer = sess.writer
+    while True:
+        force_refill(reader)
+        w = read_echo(sess)
+        if w == charset.LETTER_C:
+            writer.put_words(rest(reader))
+            writer.flush()
+            continue
+        if w == charset.STAR:
+            break
+        # not a control card: drop the partial echo and try the next card
+        clear(writer)
+    while True:
+        w = nonblank(reader, writer.put_words)
+        if w == charset.LPAREN:
+            _begin_program(sess)
+            return
+        writer.put(w)
+        if w not in _COMMANDS:
+            continue
+        arg = reader.read()
+        if arg == charset.LPAREN:
+            _begin_program(sess)
+            return
+        writer.put(arg)
+        code = charset.class_code(arg)
+        if w == _INPUT:
+            if code in (51, 55):  # glyphs 2 and 6
+                reader.unit = code - 49
+            else:
+                sess.diagnose(BAD_UNIT)
+        elif w == _OUTPUT:
+            if 50 <= code <= 52:  # glyphs 1..3
+                writer.select(code - 49)
+            else:
+                sess.diagnose(BAD_UNIT)
+        elif w == _TERMINATE:
+            raise Terminated
+        elif w == _ERASE:
+            sess.store.ilc = 1
+            sess.compile_code = tables.compile_table()
+            sess.exec_code = tables.exec_table()
+            sess.constants_used = 0
+            sess.constants_committed = 0
+        elif w == _RECURSIVE:
+            if sess.compile_code[code] == QUOTE_PREFIX:
+                code = tables.quote_extend(charset.class_code(read_echo(sess)))
+            sess.compile_code[code] = PREDICATE
+            sess.exec_code[code] = DECLARED_RECURSIVE
+        elif w == _SUPPRESS:
+            writer.echo = False
+
+
+def _begin_program(sess):
+    """Left parenthesis at level zero: open the program frame."""
+    sess.writer.put(charset.LPAREN)
+    sess.writer.flush()
+    st = sess.store
+    st.ilc0 = st.ilc
+    st.emit(0)
+    sess.frames = [[st.ilc, 0, 0]]  # [loop target, false chain, true chain]
 
 
 def _compile(sess):
@@ -99,9 +174,9 @@ def _close_paren(sess):
         return False
     # level zero: seal the program and read the three name characters
     st.cells[st.ilc] = st.ilc0
-    name1 = charset.class_code(sess.read_echo())
-    name2 = tables.quote_extend(charset.class_code(sess.read_echo()))
-    name3 = sess.read_echo()
+    name1 = charset.class_code(read_echo(sess))
+    name2 = tables.quote_extend(charset.class_code(read_echo(sess)))
+    name3 = read_echo(sess)
     sess.writer.flush()
     if name3 == charset.LETTER_L or sess.config.listing_always:
         for line in st.dump_listing(st.ilc0, st.ilc):
@@ -138,7 +213,7 @@ def _emit_atom(sess, code, n_args, numeric, link):
     st = sess.store
     st.emit(-code)
     for _ in range(n_args):
-        w = sess.read_echo()
+        w = read_echo(sess)
         if numeric:
             c = charset.class_code(w)
             if not 49 <= c <= 58:
@@ -173,7 +248,7 @@ def _compile_constant(sess, code):
     value = numio.parse_number(sess.reader, echo=sess.writer.put_words)
     reader = sess.reader
     if reader.iac == charset.BLANK:
-        sess.writer.put(reader.nonblank(sess.writer.put_words))
+        sess.writer.put(nonblank(reader, sess.writer.put_words))
     if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_NUMBER)
     sess.constants_used += 1
@@ -227,3 +302,47 @@ def through_quote(reader, limit=80):
     reader.cursor = stop
     reader.iac = record[stop - 1]
     return record[start:stop]
+
+
+def read_echo(sess):
+    """Read one character and list it: put it on the output line."""
+    w = sess.reader.read()
+    sess.writer.put(w)
+    return w
+
+
+def nonblank(reader, echo=None):
+    """Read past blanks, across cards, passing each run of them to
+    echo if given; returns the first other character, read."""
+    while True:
+        if reader.cursor >= 80:
+            reader._refill()
+        record = reader.record  # blanks read the same on every unit
+        start = stop = reader.cursor
+        while stop < 80 and record[stop] == BLANK:
+            stop += 1
+        if stop > start:
+            reader.cursor = stop
+            reader.iac = BLANK
+            if echo:
+                echo(record[start:stop])
+        if stop < 80:
+            return reader.read()
+
+
+def force_refill(reader):
+    """Discard the rest of the current card; next read starts fresh."""
+    reader.cursor = 80
+
+
+def rest(reader):
+    """The rest of the current card."""
+    run = reader.card()[reader.cursor:]
+    reader.cursor = 80
+    reader.iac = run[-1]
+    return run
+
+
+def clear(writer):
+    """Drop buffered characters without writing them."""
+    writer.buffer.clear()

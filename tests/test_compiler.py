@@ -176,6 +176,32 @@ def test_monitor_bad_unit_diagnosed():
     assert "SUP 01 ILLEGAL I/O UNIT NUMBER" in lines
 
 
+# after I, the rest of the card is read as the new unit reads it: the
+# keyboard, unit 6, takes the keypunch glyphs % < @ as themselves, so the
+# O in "OX" is a command with a bad unit; the card unit takes them as ( ) '
+# (deck, output lines, status, input unit, constant 1, nonzero store cells)
+READ_AFTER_I = [
+    (["*I6%@/1@OX<", "('/2'OX,)"],
+     ["SUP 01 ILLEGAL I/O UNIT NUMBER", "*I6%@/1@OX<" + " " * 69 + "(",
+      "'/2'OX,)   ", "  2.00000E 00", "\f"],
+     1, 6, 2.0, {2: -98, 3: 1, 4: -23, 5: -40, 6: 8, 8: 1}),
+    (["*I6" + " " * 76 + "I", "2%@/1@OX<"],
+     ["*I6" + " " * 76 + "I2(", "'/1'OX)   ", "  1.00000E 00", "\f"],
+     0, 2, 1.0, {2: -98, 3: 1, 4: -23, 5: -40, 7: 1}),
+]
+
+
+@pytest.mark.parametrize("deck, output, status, unit, constant, cells", READ_AFTER_I)
+def test_monitor_reads_on_through_the_new_input_unit(deck, output, status, unit,
+                                                     constant, cells):
+    sess, got = run_deck(deck)
+    assert (sess.output, sess.punch, got) == (output, [], status)
+    assert (sess.reader.unit, sess.reader.iac, sess.reader.cursor) == (unit, charset.BLANK, 80)
+    assert sess.constants[1] == constant
+    assert {i: c for i, c in enumerate(sess.store.cells) if c} == cells
+    assert (sess.store.ilc, sess.store.ilc0) == (1, 1)
+
+
 def test_monitor_erase_resets():
     sess = compile_only(["*(A,)Y", "(,)", "*E", "*('/1'L,)"])
     # Y's definition is gone and the store was reused from cell 1

@@ -27,13 +27,13 @@ def test_reader_pads_to_eighty():
         r.read()
 
 
-def test_reader_card_boundaries_and_force_refill():
+def test_reader_card_boundaries():
     r = reader_for(["A" * 80, "B"])
     assert drain(r, 80) == "A" * 80
     assert drain(r, 1) == "B"
-    r.force_refill()
+    assert drain(r, 79) == " " * 79
     with pytest.raises(EndOfInput):
-        r.read()  # the rest of card two was discarded
+        r.read()
 
 
 def test_keypunch_translation_only_on_card_unit():
@@ -57,7 +57,7 @@ def test_reader_latches_every_read_in_iac():
     assert charset.char_of(r.iac) == "A"
     assert charset.char_of(r.read()) == charset.char_of(r.iac) == "B"
     assert charset.char_of(r.read()) == charset.char_of(r.iac) == "'"
-    r.rest()
+    r.hand_back(r.card(), r.cursor, 80)
     assert charset.char_of(r.iac) == " "
     assert charset.char_of(r.nonblank()) == charset.char_of(r.iac) == "D"
     assert r.cursor == 3
@@ -122,7 +122,8 @@ def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, w
 
 
 # card runs: one slice each, the same as reading the characters one by one;
-# the run up to a quote is the reference compiler's through_quote
+# the run up to a quote is the reference compiler's through_quote, and a
+# hand-back runs to the end of the card or to a drawn stop, echoed or not
 
 RUN_CARDS = st.lists(
     st.one_of(
@@ -138,21 +139,28 @@ def read_run(sess, op, limit):
     reader, writer = sess.reader, sess.writer
     if op == "nonblank":
         return reader.nonblank()
-    if op == "nonblank_echo":
-        return reader.nonblank(writer.put_words)
-    run = reader.rest() if op == "rest" else through_quote(reader, limit)
-    writer.put_words(run)
-    return run
+    if op == "to_quote":
+        run = through_quote(reader, limit)
+        writer.put_words(run)
+        return run
+    card = reader.card()
+    start = reader.cursor
+    stop = 80 if op.startswith("to_end") else min(start + limit, 80)
+    echo = None if op.endswith("unechoed") else writer.put_words
+    reader.hand_back(card, start, stop, echo)
+    return card[start:stop]
 
 
 def read_each(sess, op, limit):
     """What each run stands for, read and put a character at a time."""
     reader, writer = sess.reader, sess.writer
-    if op == "rest":
+    if op.startswith(("to_end", "to_stop")):
         run = []
-        for _ in range(80 - reader.cursor if reader.cursor < 80 else 80):
+        count = 80 - reader.cursor if reader.cursor < 80 else 80
+        for _ in range(count if op.startswith("to_end") else min(count, limit)):
             run.append(reader.read())
-            writer.put(run[-1])
+            if not op.endswith("unechoed"):
+                writer.put(run[-1])
         return run
     if op == "to_quote":
         run = []
@@ -166,8 +174,6 @@ def read_each(sess, op, limit):
         w = reader.read()
         if w != charset.BLANK:
             return w
-        if op == "nonblank_echo":
-            writer.put(w)
 
 
 def run_state(read, cards, config, skip, fill, op, limit):
@@ -193,12 +199,16 @@ def run_state(read, cards, config, skip, fill, op, limit):
        st.tuples(st.sampled_from([80, 120]), st.booleans(),
                  st.sampled_from([2, 6]), st.sampled_from([1, 3])),
        st.integers(0, 170), st.integers(0, 130),
-       st.sampled_from(["rest", "to_quote", "nonblank", "nonblank_echo"]),
+       st.sampled_from(["to_end", "to_end_unechoed", "to_stop", "to_stop_unechoed",
+                        "to_quote", "nonblank"]),
        st.integers(1, 90))
 @example(["A" * 79 + "'"], (120, True, 2, 3), 1, 0, "to_quote", 80)  # quote in column 80
-@example(["AB" + " " * 78, "(A"], (80, True, 2, 3), 2, 0, "nonblank_echo", 1)
-@example([" " * 80, "", "@"], (120, True, 2, 3), 0, 0, "nonblank_echo", 1)  # all-blank cards
-@example(["A" * 80], (80, False, 6, 1), 1, 79, "rest", 1)  # echo off
+@example(["AB" + " " * 78, "(A"], (80, True, 2, 3), 2, 0, "nonblank", 1)
+@example([" " * 80, "", "@"], (120, True, 2, 3), 0, 0, "nonblank", 1)  # all-blank cards
+@example(["A" * 80], (80, False, 6, 1), 1, 79, "to_end", 1)  # echo off
+@example(["A@B'" * 20], (80, True, 2, 3), 3, 78, "to_stop", 5)  # the line fills on the way
+@example(["A@B'" * 20], (80, True, 2, 3), 79, 0, "to_stop_unechoed", 5)  # iac latched, no echo
+@example(["A"], (120, True, 2, 3), 80, 0, "to_end_unechoed", 1)  # the cards have run out
 @example(["A@B'"], (120, True, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
 @example(["'(@)"], (120, True, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
 @example(["A"], (120, True, 2, 3), 1, 0, "nonblank", 1)  # blanks to the end of input
@@ -242,14 +252,6 @@ def test_writer_echo_suppression():
     put_text(w, "LOUD", 3)
     w.flush()
     assert lines == [(3, "LOUD")]
-
-
-def test_writer_clear_discards():
-    w, lines = collect_writer()
-    put_text(w, "DROPPED", 3)
-    w.clear()
-    w.flush()
-    assert lines == []
 
 
 def test_message_catalog():

@@ -182,6 +182,17 @@ def test_scientific_words_match_reference_in_every_binade():
 FLT_MAX = f32(3.4028235e38)
 
 
+def test_f32_casts_as_c_does_at_the_edges():
+    # saturation to inf, underflow to zero, the least subnormal and nan
+    flt_max = float.fromhex("0x1.fffffep+127")
+    assert f32(flt_max) == flt_max
+    assert f32(3.5e38) == math.inf
+    assert f32(-1e39) == -math.inf
+    assert math.copysign(1.0, f32(1e-46)) == 1.0 and f32(1e-46) == 0.0
+    assert f32(2.0 ** -149) == 2.0 ** -149
+    assert math.isnan(f32(math.nan))
+
+
 def cell_round(x):
     """x rounded to float32 by C's cast, through a one-cell array."""
     return array("f", (x,))[0]

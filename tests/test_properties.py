@@ -5,9 +5,10 @@ budget run_deck must return, and no exception (a Diagnostic or an
 EndOfInput among them) may escape it.
 
 The execute loop leaves exactly what the reference loop in
-reference_interpreter.py leaves, on every deck, and the compiler what the
-per-character compiler in reference_compiler.py leaves, on decks whose
-programs are laid across their cards at a random card width.
+reference_interpreter.py leaves, on every deck, and the monitor and the
+compiler what the per-character ones in reference_compiler.py leave, on
+decks whose programs are laid across their cards at a random card width
+and on the monitor and keypunch decks of generators.py.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_compiler
 import reference_interpreter
-from generators import deck, snapshot
+from generators import deck, keypunch_decks, monitor_decks, snapshot
 from reca import compiler, interpreter
 from reca.session import SessionConfig, run_deck
 
@@ -50,6 +51,15 @@ def test_execute_matches_the_reference_loop(deck, width):
     assert snapshot(*run_deck(deck, config=config)) == expected
 
 
+def assert_front_end_matches_the_reference(deck, width):
+    config = SessionConfig(width=width, max_steps=2000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "monitor", reference_compiler.monitor)
+        mp.setattr(compiler, "_compile", reference_compiler._compile)
+        expected = snapshot(*run_deck(deck, config=config))
+    assert snapshot(*run_deck(deck, config=config)) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(STRADDLED_DECKS, WIDTHS)
 @example(["*(" + " " * 77 + "'", "/2'OX,)"], 120)  # quote prefix in column 80
@@ -58,9 +68,13 @@ def test_execute_matches_the_reference_loop(deck, width):
 @example(["*(A," + " " * 75 + ")", "Y  ('/1'Y OX,)"], 80)  # ) in column 80, name after
 @example(["*(A,)Y", "", " " * 80, "(B,)Z", "", "('/1'Y Z OX,)"], 120)  # blank cards between
 @example(["*(A,)Y L"], 80)  # the cards end in the blanks after a name
+@example(["*E" + " " * 78, "C A COMMENT", "X NOT A CONTROL CARD", "*O1('/1'OX,)"], 120)
+@example(["* N'", "Q('/1'OX,)"], 80)  # the quoted name of N on the next card
 def test_compile_matches_the_reference_compiler(deck, width):
-    config = SessionConfig(width=width, max_steps=2000)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compiler, "_compile", reference_compiler._compile)
-        expected = snapshot(*run_deck(deck, config=config))
-    assert snapshot(*run_deck(deck, config=config)) == expected
+    assert_front_end_matches_the_reference(deck, width)
+
+
+@pytest.mark.parametrize("width", [80, 120])
+def test_monitor_and_keypunch_decks_match_the_reference(width):
+    for deck in monitor_decks() + keypunch_decks():
+        assert_front_end_matches_the_reference(deck, width)
