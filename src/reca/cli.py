@@ -60,7 +60,7 @@ def main(argv=None):
         try:
             with open(args.deck, encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"reca: cannot read deck: {exc}", file=sys.stderr)
             return 2
         sess = Session(cards=lines, config=config, on_line=_print_line)

@@ -14,22 +14,24 @@ the third position prints the object-code listing.
 
 The monitor and the compiler each walk the card with an index of their
 own, echo what they have read in one call a card segment, and hand their
-place back to the reader (through its hand_back) and to the store at the
-end of each card and before anything else reads, writes or looks: the
-monitor before each command takes effect and with the ( that starts
-compilation, the compiler before any diagnostic, before the flush,
-listing and binding that follow a program's name, and before it returns.
-The monitor drops a card that is not a control card unechoed, and after
-I it takes the card up again as the new input unit reads it.  The
-compiler handles every class of character straight off the card:
-blanks, operators, predicates, parentheses and separators, the argument
-character of F, S and =, the bodies of '* comments and " strings, and
-the numbers of constants and counters, which numio.scan_number scans.  A
-number that runs past column 80 is read through the reader instead, by
-numio.parse_number, which reads on across the cards; any other token or
-body that reaches column 80 just goes on from the next card.  The blanks
-and the left parenthesis after a bound program's name, once a program,
-are read through the reader too.
+place back to the reader: through its next_card at the end of each card,
+which reads the next one in, and through its hand_back before anything
+else reads, writes or looks.  The monitor hands back before each command
+takes effect and with the ( that starts compilation; the compiler before
+the flush, listing and binding that follow a program's name, and when a
+diagnostic it raises abandons the program.  The compiler keeps the
+store's next free cell in a local as well, and stores it back however
+the walk ends.  The monitor drops a card that is not a control card
+unechoed, and after I it takes the card up again as the new input unit
+reads it.  The compiler handles every class of character straight off
+the card: blanks, operators, predicates, parentheses and separators, the
+argument character of F, S and =, the bodies of '* comments and "
+strings, and the numbers of constants and counters, which
+numio.scan_number scans.  A number that runs past column 80 is read
+through the reader instead, by numio.parse_number, which reads on across
+the cards; any other token or body that reaches column 80 just goes on
+from the next card.  The blanks and the left parenthesis after a bound
+program's name, once a program, are read through the reader too.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -73,8 +75,7 @@ def monitor(sess):
     writer = sess.writer
     st = sess.store
     while True:
-        reader.hand_back(None, 80, 80)  # a control card starts a fresh card
-        card = reader.card()
+        card = reader.next_card(None, 80)  # a control card starts a fresh card
         if card[0] == charset.STAR:
             break
         if card[0] == charset.LETTER_C:
@@ -86,7 +87,7 @@ def monitor(sess):
     i, start = 1, 0  # the * is read, not yet echoed
     while True:
         if i == 80:
-            card = _next_card(sess, card, start, st.ilc)
+            card = reader.next_card(card, start, writer.put_words)
             i = start = 0
         w = card[i]
         i += 1
@@ -97,20 +98,20 @@ def monitor(sess):
         if w not in _COMMANDS:
             continue
         if i == 80:
-            card = _next_card(sess, card, start, st.ilc)
+            card = reader.next_card(card, start, writer.put_words)
             i = start = 0
         arg = card[i]
         i += 1
         if arg == LPAREN:
             break
-        _sync(sess, card, start, i, st.ilc)
+        reader.hand_back(card, start, i, writer.put_words)
         start = i
         code = charset.class_code(arg)
         if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
                 reader.unit = code - 49
                 # the unit decides whether the keypunch glyphs are translated
-                card, i = _resume(reader)
+                card, i = reader.resume()
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _OUTPUT:
@@ -129,7 +130,7 @@ def monitor(sess):
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
                 if i == 80:
-                    card = _next_card(sess, card, start, st.ilc)
+                    card = reader.next_card(card, start, writer.put_words)
                     i = start = 0
                 code = tables.quote_extend(charset.class_code(card[i]))
                 i += 1
@@ -138,7 +139,7 @@ def monitor(sess):
         elif w == _SUPPRESS:
             writer.echo = False
     # the left parenthesis at level zero: open the program frame
-    _sync(sess, card, start, i, st.ilc)
+    reader.hand_back(card, start, i, writer.put_words)
     writer.flush()
     st.ilc0 = st.ilc
     st.emit(0)
@@ -161,261 +162,238 @@ def compile_program(sess):
 def _compile(sess):
     """Walk the cards from the reader's cursor.  The walk's place is kept
     in locals: the card, the index i of its next word, start (card[start:i]
-    is read but not yet echoed) and ilc, the store's next free cell; _sync
-    hands them back before anything else reads, writes or looks."""
+    is read but not yet echoed) and ilc, the store's next free cell.  The
+    walk hands its place back to the reader before anything else reads,
+    writes or looks, and when a diagnostic raised here leaves it; ilc goes
+    back to the store however the walk ends."""
     st = sess.store
     cells = st.cells
     fill_chain = st.fill_chain
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
+    echo = sess.writer.put_words
     frames = sess.frames
-    card, i = _resume(reader)
+    card, i = reader.resume()
     start = i
     ilc = st.ilc
-    while True:
-        if ilc > 495:
-            _sync(sess, card, start, i, ilc)
-            raise Diagnostic(STORE_OVERFLOW)
-        if i == 80:
-            card = _next_card(sess, card, start, ilc)
-            i = start = 0
-        w = card[i]
-        i += 1
-        # the class code of a word, as charset.class_code computes it
-        code = (((w - 64) >> 8) & 63) + 1
-        cls = table[code]
-        while cls == QUOTE_PREFIX:
+    try:
+        while True:
+            if ilc > 495:
+                raise Diagnostic(STORE_OVERFLOW)
             if i == 80:
-                card = _next_card(sess, card, start, ilc)
+                card = reader.next_card(card, start, echo)
                 i = start = 0
             w = card[i]
             i += 1
-            code = (((w - 64) >> 8) & 63) + 65
+            # the class code of a word, as charset.class_code computes it
+            code = (((w - 64) >> 8) & 63) + 1
             cls = table[code]
-        if cls == IGNORE:
-            continue
-        if cls == OPERATOR:
-            cells[ilc] = -code
-            ilc += 1
-        elif cls == SEQUENT:
-            frame = frames[-1]
-            cells[ilc] = frame[2]
-            frame[2] = ilc
-            ilc += 1
-            fill_chain(frame[1], ilc)
-            frame[1] = 0
-        elif cls == CLOSE:
-            frame = frames.pop()
-            if frames:
-                # thread this exit into the enclosing frame's false chain
-                outer = frames[-1]
-                cells[ilc] = outer[1]
-                outer[1] = ilc
-            else:
-                cells[ilc] = 0  # the program's false exit
-            ilc += 1
-            fill_chain(frame[1], ilc)
-            fill_chain(frame[2], ilc)
-            if frames:
+            while cls == QUOTE_PREFIX:
+                if i == 80:
+                    card = reader.next_card(card, start, echo)
+                    i = start = 0
+                w = card[i]
+                i += 1
+                code = (((w - 64) >> 8) & 63) + 65
+                cls = table[code]
+            if cls == IGNORE:
                 continue
-            # level zero: seal the program and read the three name characters
-            cells[ilc] = st.ilc0
-            name = []
-            for _ in range(3):
-                if i == 80:
-                    card = _next_card(sess, card, start, ilc)
-                    i = start = 0
-                name.append(card[i])
-                i += 1
-            _sync(sess, card, start, i, ilc)
-            start = i
-            sess.writer.flush()
-            if name[2] == LETTER_L or sess.config.listing_always:
-                for line in st.dump_listing(st.ilc0, ilc):
-                    sess.writer.emit_text(line)
-            ilc += 1
-            name1 = (((name[0] - 64) >> 8) & 63) + 1
-            if name1 == 1:  # blank name: run it now
-                st.ilc = ilc
-                sess.constants_used = sess.constants_committed
-                sess.writer.echo = True
-                return
-            if table[name1] == QUOTE_PREFIX:
-                name1 = (((name[1] - 64) >> 8) & 63) + 65
-            table[name1] = PREDICATE
-            recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
-            sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
-            if recursive:
-                cells[st.ilc0] = RECURSIVE_MARK
-            sess.constants_committed = sess.constants_used
-            st.ilc0 = ilc
-            cells[ilc] = 0
-            ilc += 1
-            frames = sess.frames = [[ilc, 0, 0]]
-            # a further program must follow on this or a later card; the
-            # blanks before it are not echoed
-            st.ilc = ilc
-            try:
-                w = reader.nonblank()
-            except EndOfInput:
-                raise Terminated from None
-            card, i = _resume(reader)
-            start = i
-            if w != LPAREN:
-                raise Diagnostic(BAD_LEVEL_ZERO)
-            sess.writer.put(w)
-        elif cls == PREDICATE:
-            cells[ilc] = -code
-            frame = frames[-1]
-            cells[ilc + 1] = frame[1]
-            frame[1] = ilc + 1
-            ilc += 2
-        elif cls == OPEN:
-            if len(frames) >= 10:
-                _sync(sess, card, start, i, ilc)
-                raise Diagnostic(EXCESS_NESTING)
-            frames.append([ilc, 0, 0])
-        elif cls == OPERATOR_NUM:
-            cells[ilc] = -code
-            ilc += 1
-            if i == 80:
-                card = _next_card(sess, card, start, ilc)
-                i = start = 0
-            c = (((card[i] - 64) >> 8) & 63) + 1
-            i += 1
-            if not 49 <= c <= 58:
-                _sync(sess, card, start, i, ilc)
-                raise Diagnostic(BAD_ARGUMENT)
-            cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
-            ilc += 1
-        elif cls == CONSTANT:
-            # '/number' becomes [op, pool slot]; the value goes to the pool
-            cells[ilc] = -code
-            ilc += 1
-            try:
-                value, i = numio.scan_number(card, i, False)
-                w = card[i]
-                i += 1
-            except IndexError:
-                # the number runs across column 80: the reader scans it
-                _sync(sess, card, start, i, ilc)
-                value = numio.parse_number(reader, echo=sess.writer.put_words)
-                card, i = _resume(reader)
-                start = i
-                w = reader.iac
-            while w == BLANK:
-                if i == 80:
-                    card = _next_card(sess, card, start, ilc)
-                    i = start = 0
-                w = card[i]
-                i += 1
-            if w != QUOTE:
-                _sync(sess, card, start, i, ilc)
-                raise Diagnostic(BAD_NUMBER)
-            sess.constants_used += 1
-            cells[ilc] = sess.constants_used
-            ilc += 1
-            if sess.constants_used > len(sess.constants) - 1:
-                _sync(sess, card, start, i, ilc)
-                raise Diagnostic(CONSTANT_EXCESS)
-            sess.constants[sess.constants_used] = value
-        elif cls == REPEAT:
-            frame = frames[-1]
-            cells[ilc] = frame[0]
-            ilc += 1
-            fill_chain(frame[1], ilc)
-            frame[1] = 0
-        elif cls == COUNTER:
-            # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
-            cells[ilc] = -code
-            ilc += 1
-            try:
-                n, i = numio.scan_number(card, i, True)
-                i += 1
-            except IndexError:
-                _sync(sess, card, start, i, ilc)
-                n = numio.parse_number(reader, integer=True, echo=sess.writer.put_words)
-                card, i = _resume(reader)
-                start = i
-            if n <= 0:
-                _sync(sess, card, start, i, ilc)
-                raise Diagnostic(BAD_COUNTER)
-            cells[ilc] = cells[ilc + 1] = -n
-            frame = frames[-1]
-            cells[ilc + 2] = frame[1]
-            frame[1] = ilc + 2
-            ilc += 3
-        elif cls == CHAR_PRED:
-            cells[ilc] = -code
-            ilc += 1
-            if i == 80:
-                card = _next_card(sess, card, start, ilc)
-                i = start = 0
-            cells[ilc] = card[i]
-            i += 1
-            frame = frames[-1]
-            cells[ilc + 1] = frame[1]
-            frame[1] = ilc + 1
-            ilc += 2
-        elif cls == STRING:
-            # "text' becomes [op, length, the characters verbatim]
-            cells[ilc] = -code
-            count_cell = ilc + 1
-            ilc += 2
-            # the store overflows once the text reaches cell 497, or at once
-            # when the text starts there
-            end = max(497, ilc + 1)
-            while True:
-                if i == 80:
-                    card = _next_card(sess, card, start, ilc)
-                    i = start = 0
-                limit = min(i + end - ilc, 80)
-                try:
-                    stop = card.index(QUOTE, i, limit)
-                except ValueError:
-                    stop = limit
-                cells[ilc:ilc + stop - i] = card[i:stop]
-                ilc += stop - i
-                i = stop
-                if stop < limit:  # the closing quote
+            if cls == OPERATOR:
+                cells[ilc] = -code
+                ilc += 1
+            elif cls == SEQUENT:
+                frame = frames[-1]
+                cells[ilc] = frame[2]
+                frame[2] = ilc
+                ilc += 1
+                fill_chain(frame[1], ilc)
+                frame[1] = 0
+            elif cls == CLOSE:
+                frame = frames.pop()
+                if frames:
+                    # thread this exit into the enclosing frame's false chain
+                    outer = frames[-1]
+                    cells[ilc] = outer[1]
+                    outer[1] = ilc
+                else:
+                    cells[ilc] = 0  # the program's false exit
+                ilc += 1
+                fill_chain(frame[1], ilc)
+                fill_chain(frame[2], ilc)
+                if frames:
+                    continue
+                # level zero: seal the program and read the three name characters
+                cells[ilc] = st.ilc0
+                name = []
+                for _ in range(3):
+                    if i == 80:
+                        card = reader.next_card(card, start, echo)
+                        i = start = 0
+                    name.append(card[i])
                     i += 1
-                    cells[count_cell] = ilc - count_cell - 1
-                    break
-                if ilc >= end:
-                    _sync(sess, card, start, i, ilc)
-                    raise Diagnostic(STORE_OVERFLOW)
-        elif cls == COMMENT:
-            while True:
-                if i == 80:
-                    card = _next_card(sess, card, start, ilc)
-                    i = start = 0
+                reader.hand_back(card, start, i, echo)
+                start = i
+                sess.writer.flush()
+                if name[2] == LETTER_L or sess.config.listing_always:
+                    for line in st.dump_listing(st.ilc0, ilc):
+                        sess.writer.emit_text(line)
+                ilc += 1
+                name1 = (((name[0] - 64) >> 8) & 63) + 1
+                if name1 == 1:  # blank name: run it now
+                    sess.constants_used = sess.constants_committed
+                    sess.writer.echo = True
+                    return
+                if table[name1] == QUOTE_PREFIX:
+                    name1 = (((name[1] - 64) >> 8) & 63) + 65
+                table[name1] = PREDICATE
+                recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
+                sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
+                if recursive:
+                    cells[st.ilc0] = RECURSIVE_MARK
+                sess.constants_committed = sess.constants_used
+                st.ilc0 = ilc
+                cells[ilc] = 0
+                ilc += 1
+                frames = sess.frames = [[ilc, 0, 0]]
+                # a further program must follow on this or a later card; the
+                # blanks before it are not echoed
                 try:
-                    i = card.index(QUOTE, i) + 1
-                    break
-                except ValueError:
-                    i = 80
-        else:  # RESERVED
-            _sync(sess, card, start, i, ilc)
-            raise Diagnostic(RESERVED_OP)
-
-
-def _resume(reader):
-    """The reader's card and cursor, for the walk to go on from; a card
-    that is used up is not refilled (and not returned) until the walk
-    reads on."""
-    i = reader.cursor
-    return (reader.card() if i < 80 else None), i
-
-
-def _sync(sess, card, start, i, ilc):
-    """Hand the walk's place back: echo card[start:i], which it has read,
-    leave the reader after card[i - 1] and the store's next free cell at
-    ilc."""
-    sess.reader.hand_back(card, start, i, sess.writer.put_words)
-    sess.store.ilc = ilc
-
-
-def _next_card(sess, card, start, ilc):
-    """The walk has used card up: sync, then read the next card in."""
-    _sync(sess, card, start, 80, ilc)
-    return sess.reader.card()
+                    w = reader.nonblank()
+                except EndOfInput:
+                    raise Terminated from None
+                card, i = reader.resume()
+                start = i
+                if w != LPAREN:
+                    raise Diagnostic(BAD_LEVEL_ZERO)
+                sess.writer.put(w)
+            elif cls == PREDICATE:
+                cells[ilc] = -code
+                frame = frames[-1]
+                cells[ilc + 1] = frame[1]
+                frame[1] = ilc + 1
+                ilc += 2
+            elif cls == OPEN:
+                if len(frames) >= 10:
+                    raise Diagnostic(EXCESS_NESTING)
+                frames.append([ilc, 0, 0])
+            elif cls == OPERATOR_NUM:
+                cells[ilc] = -code
+                ilc += 1
+                if i == 80:
+                    card = reader.next_card(card, start, echo)
+                    i = start = 0
+                c = (((card[i] - 64) >> 8) & 63) + 1
+                i += 1
+                if not 49 <= c <= 58:
+                    raise Diagnostic(BAD_ARGUMENT)
+                cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
+                ilc += 1
+            elif cls == CONSTANT:
+                # '/number' becomes [op, pool slot]; the value goes to the pool
+                cells[ilc] = -code
+                ilc += 1
+                try:
+                    value, i = numio.scan_number(card, i, False)
+                    w = card[i]
+                    i += 1
+                except IndexError:
+                    # the number runs across column 80: the reader scans it
+                    reader.hand_back(card, start, i, echo)
+                    value = numio.parse_number(reader, echo=echo)
+                    card, i = reader.resume()
+                    start = i
+                    w = reader.iac
+                while w == BLANK:
+                    if i == 80:
+                        card = reader.next_card(card, start, echo)
+                        i = start = 0
+                    w = card[i]
+                    i += 1
+                if w != QUOTE:
+                    raise Diagnostic(BAD_NUMBER)
+                sess.constants_used += 1
+                cells[ilc] = sess.constants_used
+                ilc += 1
+                if sess.constants_used > len(sess.constants) - 1:
+                    raise Diagnostic(CONSTANT_EXCESS)
+                sess.constants[sess.constants_used] = value
+            elif cls == REPEAT:
+                frame = frames[-1]
+                cells[ilc] = frame[0]
+                ilc += 1
+                fill_chain(frame[1], ilc)
+                frame[1] = 0
+            elif cls == COUNTER:
+                # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
+                cells[ilc] = -code
+                ilc += 1
+                try:
+                    n, i = numio.scan_number(card, i, True)
+                    i += 1
+                except IndexError:
+                    reader.hand_back(card, start, i, echo)
+                    n = numio.parse_number(reader, integer=True, echo=echo)
+                    card, i = reader.resume()
+                    start = i
+                if n <= 0:
+                    raise Diagnostic(BAD_COUNTER)
+                cells[ilc] = cells[ilc + 1] = -n
+                frame = frames[-1]
+                cells[ilc + 2] = frame[1]
+                frame[1] = ilc + 2
+                ilc += 3
+            elif cls == CHAR_PRED:
+                cells[ilc] = -code
+                ilc += 1
+                if i == 80:
+                    card = reader.next_card(card, start, echo)
+                    i = start = 0
+                cells[ilc] = card[i]
+                i += 1
+                frame = frames[-1]
+                cells[ilc + 1] = frame[1]
+                frame[1] = ilc + 1
+                ilc += 2
+            elif cls == STRING:
+                # "text' becomes [op, length, the characters verbatim]
+                cells[ilc] = -code
+                count_cell = ilc + 1
+                ilc += 2
+                # the store overflows once the text reaches cell 497, or at once
+                # when the text starts there
+                end = max(497, ilc + 1)
+                while True:
+                    if i == 80:
+                        card = reader.next_card(card, start, echo)
+                        i = start = 0
+                    limit = min(i + end - ilc, 80)
+                    try:
+                        stop = card.index(QUOTE, i, limit)
+                    except ValueError:
+                        stop = limit
+                    cells[ilc:ilc + stop - i] = card[i:stop]
+                    ilc += stop - i
+                    i = stop
+                    if stop < limit:  # the closing quote
+                        i += 1
+                        cells[count_cell] = ilc - count_cell - 1
+                        break
+                    if ilc >= end:
+                        raise Diagnostic(STORE_OVERFLOW)
+            elif cls == COMMENT:
+                while True:
+                    if i == 80:
+                        card = reader.next_card(card, start, echo)
+                        i = start = 0
+                    try:
+                        i = card.index(QUOTE, i) + 1
+                        break
+                    except ValueError:
+                        i = 80
+            else:  # RESERVED
+                raise Diagnostic(RESERVED_OP)
+    except Diagnostic:
+        reader.hand_back(card, start, i, echo)
+        raise
+    finally:
+        st.ilc = ilc

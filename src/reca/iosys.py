@@ -6,7 +6,9 @@ scanner (the monitor, the compiler, the number parser) may instead take
 the current card itself, walk it with an index of its own, and then hand
 its place back through hand_back, the one place that does so: echo what
 it read, latch the last word it took in iac and move the reader's cursor
-past it, before the reader is asked for the next card.  The reader holds
+past it.  next_card is the one card turn: it hands back the rest of the
+card and reads the next one in.  resume gives a scanner the card and
+cursor to walk on from, without reading a card in.  The reader holds
 the current input unit and latches the last character read in iac.
 Output is accumulated into a single line buffer, a character or a run at
 a time, and released either explicitly or when the buffer reaches the
@@ -152,6 +154,19 @@ class CardReader:
                 echo(card[start:stop])
             self.iac = card[stop - 1]
         self.cursor = stop
+
+    def next_card(self, card, start, echo=None):
+        """Hand back card[start:80], as hand_back does, and return the
+        next card; the cards running out raise EndOfInput only after the
+        hand-back."""
+        self.hand_back(card, start, 80, echo)
+        return self.card()
+
+    def resume(self):
+        """(card, cursor) for a scanner to walk on from; card is None at
+        cursor 80, and the card is not refilled until next_card."""
+        i = self.cursor
+        return (self.card() if i < 80 else None), i
 
     def nonblank(self):
         """Read past blanks, across cards; returns the first other

@@ -6,11 +6,12 @@ scanner, scan_number, reads a number off any sequence of words from a
 given index and stops at the first word that does not fit the token; the
 compiler runs it on the card it walks.  parse_number runs it on the card
 a card reader holds: the terminator is read too and stays latched in the
-reader's iac, and a token, or the blanks before it, may run past column
-80 onto the next card.  The formatter builds the fixed 13-character
-scientific form [blank][sign]d.dddddE[sign]dd as storage words, in
-straight code with one round a digit, and puts them on a line writer in
-one call.
+reader's iac.  A token, or the blanks before it, may run past column 80:
+parse_number then turns the card through the reader's next_card and scans
+again over the cards read so far, laid end to end.  The formatter builds
+the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
+storage words, in straight code with one round a digit, and puts them on
+a line writer in one call.
 
 Where the float32 round is normal or exact, Dekker's split makes it:
 c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties to even.  So every
@@ -58,17 +59,23 @@ def parse_number(reader, integer=False, echo=None):
     most one point, optional exponent E[sign]digits.  Anything else ends
     the token; an empty token is zero.
     """
-    card = reader.card()
-    start = reader.cursor
-    try:
-        value, stop = scan_number(card, start, integer)
-    except IndexError:
-        # the token or the blanks before it reach column 80: scan again
-        # over this card and the ones after it
-        tape = _CardTape(reader, echo)
-        value, stop = scan_number(tape, start, integer)
-        card, start, stop = tape.card, tape.start, stop - tape.offset
-    reader.hand_back(card, start, stop + 1, echo)
+    # tape is the cards read so far laid end to end, the token starts at
+    # tape[begin], and card[start:] is what the last card has not echoed
+    tape = card = reader.card()
+    begin = start = reader.cursor
+    while True:
+        try:
+            value, stop = scan_number(tape, begin, integer)
+            break
+        except IndexError:
+            # the token or the blanks before it run off the end of tape:
+            # turn the card and scan again
+            card = reader.next_card(card, start, echo)
+            start = 0
+            tape = tape + card
+    # hand back through the terminator, tape[stop], which is on card at
+    # stop - len(tape) + 80
+    reader.hand_back(card, start, stop - len(tape) + 81, echo)
     return value
 
 
@@ -133,35 +140,6 @@ def scan_number(card, i, integer):
         f[0] = float("inf")  # out of range; arithmetic on it faults later
     f[0] = (-1.0 if negative else 1.0) * value * f[0]
     return f[0], i
-
-
-class _CardTape:
-    """The reader's current card and the cards after it, indexed as one
-    sequence laid end to end; a card is read in when a scan first indexes
-    past the one before it.
-
-    Moving on to the next card leaves the reader and the echo as reading
-    a character at a time would: the rest of the card is echoed, its last
-    word latched in iac, and only then is the next card read in, which
-    may raise EndOfInput.
-    """
-
-    def __init__(self, reader, echo):
-        self.reader = reader
-        self.echo = echo
-        self.card = reader.card()
-        self.start = reader.cursor  # the first word of card not yet echoed
-        self.offset = 0             # the index of card[0]
-
-    def __getitem__(self, i):
-        i -= self.offset
-        if i >= 80:
-            self.reader.hand_back(self.card, self.start, 80, self.echo)
-            self.card = self.reader.card()
-            self.start = 0
-            self.offset += 80
-            i -= 80
-        return self.card[i]
 
 
 def scientific_words(value):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from reca import charset, tables
+import reference_compiler
+from reca import charset, compiler, tables
 from reca.session import Session, SessionConfig, run_deck
 from reca.tables import DECLARED_RECURSIVE, Subroutine
 
@@ -319,6 +320,14 @@ def test_echo_stops_at_the_character_that_raised_the_diagnostic(
     assert sess.output == [*expected, "\f"]
     assert charset.char_of(sess.reader.iac) == last
     assert sess.reader.cursor == column
+    # the store as the per-character compiler leaves it, ilc included
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compiler, "monitor", reference_compiler.monitor)
+        mp.setattr(compiler, "_compile", reference_compiler._compile)
+        ref = Session(cards=cards, config=SessionConfig(width=width))
+        assert ref.cycle()
+    assert (sess.store.ilc, sess.store.ilc0, sess.store.cells) == (
+        ref.store.ilc, ref.store.ilc0, ref.store.cells)
 
 
 def test_cards_ending_right_after_a_token_across_column_80():

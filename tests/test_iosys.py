@@ -66,6 +66,59 @@ def test_reader_latches_every_read_in_iac():
     assert r.iac == charset.BLANK  # the blanks were read before the cards ran out
 
 
+def test_next_card_hands_back_the_rest_and_reads_the_next():
+    r = reader_for(["AB" + "C" * 77 + "D", "%E"])
+    card = r.card()
+    echoed = []
+    nxt = r.next_card(card, 2, echoed.extend)
+    assert "".join(map(charset.char_of, echoed)) == "C" * 77 + "D"
+    assert charset.char_of(r.iac) == "D"
+    assert nxt is r.card() and r.cursor == 0
+    assert charset.char_of(nxt[0]) == "("  # read in as the card unit reads it
+
+
+def test_next_card_of_a_fresh_card_echoes_nothing():
+    r = reader_for(["A", "B"])
+    echoed = []
+    card = r.next_card(None, 80, echoed.extend)
+    assert charset.char_of(card[0]) == "A"
+    assert (echoed, r.iac, r.cursor) == ([], 0, 0)
+
+
+def test_next_card_hands_back_before_the_cards_run_out():
+    r = reader_for(["A" * 79 + "B"])
+    card = r.card()
+    echoed = []
+    with pytest.raises(EndOfInput):
+        r.next_card(card, 78, echoed.extend)
+    assert "".join(map(charset.char_of, echoed)) == "AB"
+    assert charset.char_of(r.iac) == "B"
+    assert r.cursor == 80
+
+
+def test_resume_gives_the_card_to_walk_on_from():
+    r = reader_for(["A%"])
+    r.read()
+    card, i = r.resume()
+    assert card is r.card() and i == 1
+    assert charset.char_of(card[i]) == "("
+
+
+def test_resume_at_column_80_reads_no_card_in():
+    pulled = []
+    cards = iter(["A" * 80, "B"])
+
+    def source():
+        pulled.append(next(cards, None))
+        return pulled[-1]
+
+    r = CardReader({2: source})
+    drain(r, 80)
+    assert r.resume() == (None, 80)
+    assert pulled == ["A" * 80]
+    assert r.cursor == 80 and charset.char_of(r.iac) == "A"
+
+
 def collect_writer(width=120):
     lines = []
     writer = LineWriter([], [], width=width,

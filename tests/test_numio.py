@@ -394,6 +394,8 @@ NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
          integer=False)  # the cards run out inside the token
 @example(column=3, blanks=160, text="-7%", filler="", more=[], unit=2,
          integer=True)  # blanks over two cards, then a keypunch terminator
+@example(column=79, blanks=161, text="1.5E2'", filler="9", more=[], unit=2,
+         integer=False)  # three card ends before the token
 @example(column=79, blanks=0, text="0E99@", filler="", more=[], unit=6,
          integer=False)  # nan, on the keyboard unit
 @example(column=80, blanks=0, text="-0'", filler="", more=[], unit=2,

@@ -70,6 +70,8 @@ def assert_front_end_matches_the_reference(deck, width):
 @example(["*(A,)Y L"], 80)  # the cards end in the blanks after a name
 @example(["*E" + " " * 78, "C A COMMENT", "X NOT A CONTROL CARD", "*O1('/1'OX,)"], 120)
 @example(["* N'", "Q('/1'OX,)"], 80)  # the quoted name of N on the next card
+@example(["*('/", "", " " * 80, "  7.25'OX,)"], 120)  # a constant's blanks over two blank cards
+@example(["*(($", "", "  3$'/1'OX.,),)"], 80)  # a counter's blanks over an empty card
 def test_compile_matches_the_reference_compiler(deck, width):
     assert_front_end_matches_the_reference(deck, width)
 

@@ -203,6 +203,16 @@ def test_cli_missing_deck_is_status_two(tmp_path, capsys):
     assert "cannot read deck" in capsys.readouterr().err
 
 
+def test_cli_deck_that_is_not_utf8_is_status_two(tmp_path, capsys):
+    path = tmp_path / "latin.deck"
+    path.write_bytes(b"*('/1'OX,) \xff\n")
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("reca: cannot read deck: ")
+    assert "can't decode byte 0xff" in captured.err
+
+
 def test_cli_strict_charset_rejects_stray_characters(tmp_path, capsys):
     path = write_deck(tmp_path, ["*('/1'OX,) é"])
     assert main([path, "--strict-charset"]) == 2
