@@ -10,22 +10,25 @@ which the backward jump that ends the callee pops at once, so no pass
 fetches the sentinel.
 
 All arithmetic is float32.  The loop is deliberately flat and runs some
-four million operations a second: everything hot is a local, and each
-compare has operands of one type, which CPython 3.11+ specialises.  The
-value tests compare with 0.0, and an unbounded run counts its steps
-against an int ceiling under 2**30, lifted to inf if they pass it.
+four million operations a second: everything hot is a local, the
+operation numbers too, named as in tables.OPERATIONS, and each compare
+has operands of one type, which CPython 3.11+ specialises.  The value
+tests compare with 0.0, and an unbounded run counts its steps against an
+int ceiling under 2**30, lifted to inf if they pass it.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
-in I or R raises it as CONV 01.  An arithmetic fault or an interrupt
-prints its notice and ends the program.  The step budget counts every
-operation and every backward jump and is checked at each, so
---max-steps stops at the same cell whatever the program.  The cancel
-flag (Ctrl-C) is checked where a program could run on without end: when
-execute starts, at every backward jump and at every subroutine call.
-Between two of those points execution makes at most one forward pass
-through the store.  It is checked as well after each read by I and R,
-which can wait on the keyboard for as long as the user takes, so an
-interrupt typed during a read stops the program that was reading.
+in I or R raises it as CONV 01.  A stray character on a card that I or
+R reads in raises charset.CharsetError when the reader is strict.  An
+arithmetic fault or an interrupt prints its notice and ends the program.
+The step budget counts every operation and every backward jump and is
+checked at each, so --max-steps stops at the same cell whatever the
+program.  The cancel flag (Ctrl-C) is checked where a program could run
+on without end: when execute starts, at every backward jump and at every
+subroutine call.  Between two of those points execution makes at most
+one forward pass through the store.  It is checked as well after each
+read by I and R, which can wait on the keyboard for as long as the user
+takes, so an interrupt typed during a read stops the program that was
+reading.
 """
 
 import math
@@ -37,7 +40,7 @@ from .iosys import (
     STACK_OVERFLOW, UNDEFINED_CALL, UNDEFINED_RECURSIVE, Diagnostic, EndOfInput,
 )
 from .store import RECURSIVE_MARK
-from .tables import DECLARED_RECURSIVE
+from .tables import DECLARED_RECURSIVE, OPERATIONS
 
 STACK_LIMIT = 200
 RECURSION_LIMIT = 100
@@ -97,6 +100,10 @@ def execute(sess):
         math.cos, math.sin, math.exp, math.sqrt, math.log, math.atan, math.tanh,
         math.pow,
     )
+    # the operation numbers, as locals named as in tables.OPERATIONS
+    (ABS, COS, EXP, TANH, NEG, TEST_NEG, PRINT, SQRT, SET, ATAN, LOG, SIN,
+     TEST_ZERO, POW, ADD, SUB, MUL, TEST_EQ, DIV, CONST, GET, INPUT, DUP, READ,
+     WRITE, STRING, MATCH, FLUSH, COUNTER, POP) = range(1, len(OPERATIONS) + 1)
     try:
         if sess.cancelled:
             raise _Interrupted
@@ -111,27 +118,27 @@ def execute(sess):
                 if type(b) is int:
                     # the groups and the branches within them are tested in
                     # order of how often the demo and bench decks run them
-                    if b >= 14:
-                        if b <= 19:  # binary
+                    if b >= POW:
+                        if b <= DIV:  # binary
                             if sp <= 1:
                                 raise Diagnostic(STACK_EMPTY)
                             y = pdl[sp]
                             sp -= 1
-                            if b == 15:  # OP_ADD
+                            if b == ADD:
                                 r = pdl[sp] + y
-                            elif b == 17:  # OP_MUL
+                            elif b == MUL:
                                 r = pdl[sp] * y
-                            elif b == 16:  # OP_SUB
+                            elif b == SUB:
                                 r = pdl[sp] - y
-                            elif b == 18:  # OP_TEST_EQ: branch unless nearly equal
+                            elif b == TEST_EQ:  # branch unless nearly equal
                                 d = y - pdl[sp]
                                 sp += 1  # a test pops nothing
                                 if (d if d >= 0.0 else -d) <= near:
                                     ixl += 1
                                 continue
-                            elif b == 19:  # OP_DIV
+                            elif b == DIV:
                                 r = pdl[sp] / y
-                            else:  # OP_POW, ValueError on a bad domain
+                            else:  # POW, ValueError on a bad domain
                                 r = pow_(pdl[sp], y)
                             f[0] = r
                             r = f[0]
@@ -139,25 +146,25 @@ def execute(sess):
                             if not -3.5e38 < r < 3.5e38:
                                 raise OverflowError("float32 range exceeded")
                             pdl[sp] = r
-                        elif b <= 23:  # operations that push
+                        elif b <= DUP:  # operations that push
                             if sp >= max_sp:
                                 raise Diagnostic(STACK_OVERFLOW)
                             sp += 1
-                            if b == 20:  # OP_CONST
+                            if b == CONST:
                                 pdl[sp] = const[prog[ixl]]
                                 ixl += 1
-                            elif b == 23:  # OP_DUP: duplicate the value below
+                            elif b == DUP:  # duplicate the value below
                                 if sp <= 1:
                                     raise Diagnostic(STACK_EMPTY)
                                 pdl[sp] = pdl[sp - 1]
-                            elif b == 21:  # OP_GET: variable fetch
+                            elif b == GET:  # variable fetch
                                 pdl[sp] = save[prog[ixl]]
                                 ixl += 1
-                            else:  # OP_INPUT
+                            else:  # INPUT
                                 pdl[sp] = _read_datum(reader)
                                 if sess.cancelled:  # Ctrl-C during the read
                                     raise _Interrupted
-                        elif b == 29:  # OP_COUNTER
+                        elif b == COUNTER:
                             ixl += 1
                             k = prog[ixl]
                             if k < 0:
@@ -166,49 +173,49 @@ def execute(sess):
                             else:
                                 prog[ixl] = prog[ixl - 1]  # reload and fall false
                                 ixl += 1
-                        elif b == 26:  # OP_STRING: emit the stored run
+                        elif b == STRING:  # emit the stored run
                             n = prog[ixl]
                             if n > 0:
                                 reader.iac = prog[ixl + n]
                                 writer.put_words(prog[ixl + 1:ixl + n + 1])
                                 ixl += n
                             ixl += 1
-                        elif b == 27:  # OP_MATCH: branch if last character matches
+                        elif b == MATCH:  # branch if last character matches
                             if reader.iac == prog[ixl]:
                                 ixl += 2
                             else:
                                 ixl += 1
-                        elif b == 24:  # OP_READ
+                        elif b == READ:
                             reader.read()
                             if sess.cancelled:  # Ctrl-C during the read
                                 raise _Interrupted
-                        elif b == 25:  # OP_WRITE
+                        elif b == WRITE:
                             writer.put(reader.iac)
-                        elif b == 28:  # OP_FLUSH
+                        elif b == FLUSH:
                             writer.flush()
-                        elif b == 30:  # OP_POP
+                        elif b == POP:
                             if sp > 0:
                                 sp -= 1
                     elif b:  # unary and tests
                         if sp <= 0:
                             raise Diagnostic(STACK_EMPTY)
                         a = pdl[sp]
-                        if b == 13:  # OP_TEST_ZERO: branch unless near zero
+                        if b == TEST_ZERO:  # branch unless near zero
                             if (a if a >= 0.0 else -a) <= near:
                                 ixl += 1
-                        elif b == 6:  # OP_TEST_NEG: branch unless negative
+                        elif b == TEST_NEG:  # branch unless negative
                             if a < 0.0:
                                 ixl += 1
-                        elif b == 9:  # OP_SET: store to variable, value kept
+                        elif b == SET:  # store to variable, value kept
                             save[prog[ixl]] = a
                             ixl += 1
-                        elif b == 7:  # OP_PRINT
+                        elif b == PRINT:
                             numio.format_scientific(writer, a)
-                        elif b == 5:  # OP_NEG
+                        elif b == NEG:
                             pdl[sp] = -a
-                        elif b == 1:  # OP_ABS
+                        elif b == ABS:
                             pdl[sp] = a if a >= 0.0 else -a
-                        elif b == 3:  # OP_EXP
+                        elif b == EXP:
                             f[0] = exp(a)
                             a = f[0]
                             if a == _INF:
@@ -217,17 +224,17 @@ def execute(sess):
                         else:
                             # no range check: sqrt and log of inf are inf, as
                             # the loop has always let them be
-                            if b == 12:  # OP_SIN
+                            if b == SIN:
                                 f[0] = sin(a)
-                            elif b == 2:  # OP_COS
+                            elif b == COS:
                                 f[0] = cos(a)
-                            elif b == 8:  # OP_SQRT
+                            elif b == SQRT:
                                 f[0] = sqrt(a)
-                            elif b == 11:  # OP_LOG
+                            elif b == LOG:
                                 f[0] = log(a)
-                            elif b == 10:  # OP_ATAN
+                            elif b == ATAN:
                                 f[0] = atan(a)
-                            else:  # OP_TANH
+                            else:  # TANH
                                 f[0] = tanh(a)
                             pdl[sp] = f[0]
                     else:
@@ -269,6 +276,8 @@ def execute(sess):
                     ixl = iret[irec] - 1
                 else:
                     ixl = prog[ixl] - 1
+    except charset.CharsetError:  # a ValueError, but no arithmetic fault
+        raise
     except (ValueError, ZeroDivisionError, OverflowError):
         writer.emit_text(ARITHMETIC_FAULT)
         sess.errors_emitted = True

@@ -9,6 +9,9 @@ the machine it models.  Cell meanings:
 * other positive- jump target, or an inline argument cell skipped by its
                   operator
 
+An operator cell's inline layout, the cells that follow it, is given by
+the compile class of its operation in tables.OPERATIONS.
+
 Forward references are kept as chains: each pending jump cell holds the
 address of the previous pending cell (0 ends the chain) until the target
 is known and the whole chain is filled in one sweep.

@@ -5,39 +5,65 @@ Two tables of 128 entries (indexed 1..128; 65..128 are the quoted forms):
 * compile table - how the compiler treats a source character
 * exec table    - what an operator cell with that class code runs
 
-Both start from pristine defaults and are mutated as a session defines
-subroutines; the monitor's erase command restores the defaults.
+OPERATIONS states each builtin operation once: its number in the exec
+table, the characters bound to it and its compile class, which is also
+the inline layout of its operator cell, the cells that follow it in the
+store.  Both tables are built from it.  They start from pristine defaults
+and are mutated as a session defines subroutines; the monitor's erase
+command restores the defaults.
 """
 
+import re
 from dataclasses import dataclass
 
 from .charset import code_of, quote_extend
 
-# compile classes
+# compile classes; an operation's class is also the layout of the cells that
+# follow its operator cell
 IGNORE = 0
 OPEN = 1          # (
 CLOSE = 2         # ) and its keypunch twin
 SEQUENT = 3       # , ;
 REPEAT = 4        # . :
-OPERATOR = 5      # emit operator cell, no argument
-OPERATOR_NUM = 6  # operator with one numeric argument (variable fetch)
-PREDICATE = 7     # operator with a false-branch link
-CHAR_PRED = 8     # one raw character argument, then a false link
-COUNTER = 9       # $n$
-CONSTANT = 10     # '/number'
+OPERATOR = 5      # no cells
+OPERATOR_NUM = 6  # a variable number, 1..10
+PREDICATE = 7     # a false link
+CHAR_PRED = 8     # one raw character, then a false link
+COUNTER = 9       # $n$: the count to reload, the live count, a false link
+CONSTANT = 10     # '/number': the constant's slot in the pool
 QUOTE_PREFIX = 11
 COMMENT = 12      # '* ... '
-STRING = 13       # " ... '
+STRING = 13       # " ... ': the length, then the characters
 RESERVED = 14     # operators of a larger sibling system; rejected
 
-# builtin operation numbers used in the exec table
-OP_ABS, OP_COS, OP_EXP, OP_TANH, OP_NEG = 1, 2, 3, 4, 5
-OP_TEST_NEG, OP_PRINT, OP_SQRT, OP_SET, OP_ATAN = 6, 7, 8, 9, 10
-OP_LOG, OP_SIN, OP_TEST_ZERO = 11, 12, 13
-OP_POW, OP_ADD, OP_SUB, OP_MUL, OP_TEST_EQ, OP_DIV = 14, 15, 16, 17, 18, 19
-OP_CONST, OP_GET, OP_INPUT, OP_DUP = 20, 21, 22, 23
-OP_READ, OP_WRITE, OP_STRING, OP_MATCH, OP_FLUSH = 24, 25, 26, 27, 28
-OP_COUNTER, OP_POP = 29, 30
+# (name, compile class, characters): an operation's number is its place
+# here, counted from 1, and a ' before a character quotes it.  execute
+# tests the binary group (POW to DIV) and the push group (CONST to DUP) by
+# range, so each must stay contiguous.
+OPERATIONS = (
+    # unary operations and tests
+    ("ABS", OPERATOR, "A"), ("COS", OPERATOR, "C"), ("EXP", OPERATOR, "E"),
+    ("TANH", OPERATOR, "H"), ("NEG", OPERATOR, "M"), ("TEST_NEG", PREDICATE, "N"),
+    ("PRINT", OPERATOR, "O"), ("SQRT", OPERATOR, "Q"), ("SET", OPERATOR_NUM, "S"),
+    ("ATAN", OPERATOR, "'A"), ("LOG", OPERATOR, "'L"), ("SIN", OPERATOR, "'S"),
+    ("TEST_ZERO", PREDICATE, "0"),
+    # binary operations
+    ("POW", OPERATOR, "B"), ("ADD", OPERATOR, "+&"), ("SUB", OPERATOR, "-"),
+    ("MUL", OPERATOR, "*"), ("TEST_EQ", PREDICATE, "J"), ("DIV", OPERATOR, "/"),
+    # operations that push
+    ("CONST", CONSTANT, "'/"), ("GET", OPERATOR_NUM, "F"), ("INPUT", OPERATOR, "I"),
+    ("DUP", OPERATOR, "P"),
+    # character input and output, counters, and the pop
+    ("READ", OPERATOR, "R"), ("WRITE", OPERATOR, "W"), ("STRING", STRING, '"'),
+    ("MATCH", CHAR_PRED, "=#"), ("FLUSH", OPERATOR, "X"), ("COUNTER", COUNTER, "$"),
+    ("POP", OPERATOR, "L"),
+)
+
+# (compile class, characters) of the characters that are no operation's
+_SYNTAX = [
+    (OPEN, "(%"), (CLOSE, ")<"), (SEQUENT, ",;"), (REPEAT, ".:"),
+    (COMMENT, "'*"), (RESERVED, "DGTUVZ'D'G'T'U'V'Z"),
+]
 
 UNDEFINED = 0
 
@@ -59,27 +85,10 @@ class Subroutine:
     recursive: bool
 
 
-def _q(char):
-    return quote_extend(code_of(char))
-
-
-_COMPILE_SPECIALS = {
-    code_of("("): OPEN, code_of("%"): OPEN,
-    code_of(")"): CLOSE, code_of("<"): CLOSE,
-    code_of(","): SEQUENT, code_of(";"): SEQUENT,
-    code_of("."): REPEAT, code_of(":"): REPEAT,
-    code_of("$"): COUNTER,
-    code_of("'"): QUOTE_PREFIX, code_of("@"): QUOTE_PREFIX,
-    code_of('"'): STRING,
-    code_of("="): CHAR_PRED, code_of("#"): CHAR_PRED,
-    code_of("F"): OPERATOR_NUM, code_of("S"): OPERATOR_NUM,
-    _q("/"): CONSTANT,
-    _q("*"): COMMENT,
-    _q("A"): OPERATOR, _q("L"): OPERATOR, _q("S"): OPERATOR,
-}
-
-_OPERATOR_CHARS = "ABCEHILMOPQRWX+&-*/"
-_RESERVED_CHARS = "DGTUVZ"
+def _codes(chars):
+    """The class codes of chars, where a ' quotes the character after it."""
+    return [quote_extend(code_of(c[1])) if c[0] == "'" else code_of(c)
+            for c in re.findall("'?.", chars)]
 
 
 def _build_compile_table():
@@ -89,33 +98,18 @@ def _build_compile_table():
     table[0] = IGNORE
     table[code_of(" ")] = IGNORE
     table[43] = IGNORE  # the one unassigned code
-    for ch in _OPERATOR_CHARS:
-        table[code_of(ch)] = OPERATOR
-    for ch in _RESERVED_CHARS:
-        table[code_of(ch)] = RESERVED
-        table[_q(ch)] = RESERVED
-    for code, cls in _COMPILE_SPECIALS.items():
-        table[code] = cls
+    table[code_of("'")] = table[code_of("@")] = QUOTE_PREFIX
+    for cls, chars in [row[1:] for row in OPERATIONS] + _SYNTAX:
+        for code in _codes(chars):
+            table[code] = cls
     return table
 
 
 def _build_exec_table():
     table = [UNDEFINED] * 129
-    bindings = {
-        "A": OP_ABS, "B": OP_POW, "C": OP_COS, "E": OP_EXP, "F": OP_GET,
-        "H": OP_TANH, "I": OP_INPUT, "+": OP_ADD, "&": OP_ADD, "J": OP_TEST_EQ,
-        "L": OP_POP, "M": OP_NEG, "N": OP_TEST_NEG, "O": OP_PRINT,
-        "P": OP_DUP, "Q": OP_SQRT, "R": OP_READ, "$": OP_COUNTER,
-        "*": OP_MUL, "-": OP_SUB, "/": OP_DIV, "S": OP_SET, "W": OP_WRITE,
-        "X": OP_FLUSH, "0": OP_TEST_ZERO, "#": OP_MATCH, "=": OP_MATCH,
-        '"': OP_STRING,
-    }
-    for ch, op in bindings.items():
-        table[code_of(ch)] = op
-    table[_q("A")] = OP_ATAN
-    table[_q("L")] = OP_LOG
-    table[_q("S")] = OP_SIN
-    table[_q("/")] = OP_CONST
+    for op, (_, _, chars) in enumerate(OPERATIONS, 1):
+        for code in _codes(chars):
+            table[code] = op
     return table
 
 

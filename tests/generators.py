@@ -4,8 +4,9 @@ tools/differential.py.
 deck(rng) builds a random deck from the language's pieces, legal and
 illegal: every kind of operator (including the card readers I and R),
 predicates, counters, constants (float32 edge values among them), strings,
-reserved letters, nesting, named and immediate programs, monitor commands
-and data cards.
+reserved letters, nesting, named and immediate programs, predicate
+subroutines that can run on to their end and return false there, monitor
+commands and data cards.
 
 float_edge_decks() gives one deck for each operator and each float32 edge
 operand (or pair of them), shaped as float_edge_deck describes.
@@ -20,8 +21,9 @@ datum_decks() decks whose I data are framed well and badly, after blanks
 across cards and across column 80, on the card unit and the keyboard;
 number_decks() decks that read and print numbers at float32's edges.
 
-snapshot(sess, status) records everything a run leaves behind, so that two
-runs of one deck can be compared field by field.
+snapshot(sess, status) records everything a run leaves behind, both
+dispatch tables included, so that two runs of one deck can be compared
+field by field.
 
 Only the standard library is imported here, and nothing from reca: the
 differential tool runs snapshot under another checkout's reca.
@@ -91,21 +93,28 @@ def deck(rng, straddle=False):
     cards = []
     for _ in range(rng.randint(1, 5)):
         r = rng.random()
-        if r < 0.25:
-            cards.append(rng.choice(DATA))
-        elif r < 0.3:
-            cards.append("*T")
+        if r < 0.3:
+            cards.append(rng.choice(DATA) if r < 0.25 else "*T")
+            continue
+        if r < 0.4:
+            # a predicate subroutine, recursive or not, with no separator
+            # before its ), so that it can run on to its end and return
+            # false there; and a program that calls it
+            name = rng.choice(["K", "Y", "'R", "'Q"])
+            head = "*" + rng.choice(["", "N" + name])
+            text = (f"({_body(rng, 1, ill_formed)}){name:<3}"
+                    f"({rng.choice(PUSHES)}({name}\"T',\"F',)X,)   ")
         else:
             head = "*" + rng.choice(COMMANDS)
             text = ("(" + _body(rng, 1, ill_formed) + rng.choice(SEPARATORS)
                     + ")" + rng.choice(NAMES))
-            if straddle:
-                width = rng.randint(1, 80 - len(head))
-                text = head + " " * (80 - len(head) - width) + text
-            else:
-                text = head + text
-            # a long program runs on over as many cards as it needs
-            cards.extend(text[i:i + 80] for i in range(0, len(text), 80))
+        if straddle:
+            width = rng.randint(1, 80 - len(head))
+            text = head + " " * (80 - len(head) - width) + text
+        else:
+            text = head + text
+        # a long program runs on over as many cards as it needs
+        cards.extend(text[i:i + 80] for i in range(0, len(text), 80))
     return cards
 
 
@@ -329,6 +338,17 @@ def _bits(values):
     return struct.pack(f"<{len(values)}d", *values).hex()
 
 
+def _binding(value):
+    """An exec-table entry as a plain value: an operation number (0 for
+    none), a defined program as [entry, recursive], and the binding of a
+    program declared recursive but not yet defined as its name."""
+    if type(value) is int:
+        return value
+    if hasattr(value, "entry"):
+        return [value.entry, value.recursive]
+    return repr(value)
+
+
 def snapshot(sess, status):
     """Everything a run of run_deck leaves behind, field by field, in
     plain values that compare with == and pass through JSON."""
@@ -348,4 +368,6 @@ def snapshot(sess, status):
         "store cells": list(store.cells),
         "ilc": store.ilc,
         "ilc0": store.ilc0,
+        "compile table": list(sess.compile_code),
+        "exec table": [_binding(b) for b in sess.exec_code],
     }

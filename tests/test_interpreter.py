@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import reference_interpreter
 from reca import interpreter
+from reca.charset import CharsetError
 from reca.decks import FACTORIAL
 from reca.iosys import INTERRUPT_NOTICE, PAGE_EJECT, CardReader, Diagnostic, EndOfInput
 from reca.session import Session, SessionConfig, run_deck
@@ -297,6 +298,10 @@ def test_step_budget_counts_backward_jumps(deck):
 TRIANGULAR = ["* N'Y", "(0,P'/1'-'Y&,)'Y", "('/4''Y OX,)"]
 # K calls Y, which is defined after it, so Y returns by a backward jump
 LATER_CALLEE = ["*(Y'/1'&,)K", "(P*,)Y", "('/3'K OX,)"]
+# Y's body runs on to its end, its false exit, when N holds: a false
+# return from a recursive Y, and from a nonrecursive one
+FALSE_RETURN_RECURSIVE = ["*NY", "(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"]
+FALSE_RETURN = ["*(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"]
 
 
 def live_and_reference(run_once):
@@ -308,8 +313,19 @@ def live_and_reference(run_once):
         return live, snapshot(*run_once())
 
 
-@pytest.mark.parametrize("deck", [FACTORIAL, TRIANGULAR, LATER_CALLEE],
-                         ids=["factorial", "triangular", "later callee"])
+@pytest.mark.parametrize("deck", [FALSE_RETURN_RECURSIVE, FALSE_RETURN],
+                         ids=["recursive", "nonrecursive"])
+def test_a_false_return_takes_the_false_branch_of_the_call(deck):
+    config = SessionConfig(echo=False)
+    live, expected = live_and_reference(lambda: run_deck(deck, config=config))
+    assert live == expected
+    assert live["output"] == ["POS", PAGE_EJECT]
+    assert live["status"] == 0
+
+
+@pytest.mark.parametrize(
+    "deck", [FACTORIAL, TRIANGULAR, LATER_CALLEE, FALSE_RETURN_RECURSIVE, FALSE_RETURN],
+    ids=["factorial", "triangular", "later callee", "false return recursive", "false return"])
 def test_every_step_budget_stops_where_the_reference_loop_does(deck):
     # every budget from 0 to one past the run's full step count, so that
     # the interrupt falls once on every operation and backward jump,
@@ -396,6 +412,59 @@ def test_cancel_during_a_keyboard_read_stops_the_reading_program():
     ]
     assert status == 0
     assert not sess.cancelled
+
+
+def test_cancel_stops_a_program_at_a_subroutine_call():
+    # the flag goes up as X prints the first value; Y's call sees it, so
+    # Y's text never prints, though its return would stop the program too
+    def cancel_on_value(unit, text):
+        if text == "  1.00000E 00":
+            sess.cancelled = True
+
+    sess = Session(cards=["*(\"IN Y'X,)Y", "('/1'OXY'/2'OX,)", "*('/3'OX,)"],
+                   config=SessionConfig(echo=False), on_line=cancel_on_value)
+    with time_limit(5):
+        status = sess.run()
+    assert sess.output == [
+        "  1.00000E 00", "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT,
+        "  3.00000E 00", PAGE_EJECT,
+    ]
+    assert status == 0
+    assert not sess.cancelled
+
+
+def test_cancel_during_an_r_read_stops_the_reading_program():
+    # the program's name ends its card, so R reads the next keyboard line;
+    # Ctrl-C during that read stops the program before W writes the A
+    lines = iter(["*" + " " * 68 + "(RWRWX,)", "AB", "*('/3'OX,)", None])
+
+    def keyboard():
+        line = next(lines)
+        if line == "AB":
+            sess.cancelled = True
+        return line
+
+    sess = Session(keyboard=keyboard, config=SessionConfig(echo=False))
+    with time_limit(5):
+        status = sess.run()
+    assert sess.output == [
+        "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT, "  3.00000E 00", PAGE_EJECT,
+    ]
+    assert status == 0
+    assert not sess.cancelled
+
+
+@pytest.mark.parametrize("deck", [
+    ["*(IOX,)", "'/1\u00e9'"],  # I reads a datum card with a stray character
+    ["*" + " " * 70 + "(RWX,)   ", "A\u00e9"],  # R reads the next card
+], ids=["I", "R"])
+def test_a_strict_charset_error_in_a_read_is_no_arithmetic_fault(deck):
+    with pytest.raises(CharsetError, match="column [24]: character '\u00e9'"):
+        run_deck(deck, config=SessionConfig(strict_charset=True))
+    # without strict the stray character reads as a blank
+    sess, _ = run_deck(deck)
+    assert "EXEC 06 ARITHMETIC FAULT" not in sess.output
+    assert sess.reader.diagnostics
 
 
 def f32(x):

@@ -43,6 +43,8 @@ def test_every_deck_ends_with_a_status(deck, width):
 @example(["*('/1E39''L'/1'OX,)"], 80)
 @example(["* N'R", "(N,0L'/1',P'/1'-'R*,)'R", "('/5''R OX,)"], 120)
 @example(["*('/1''/1'(J'/2',)*+OX,)"], 80)  # J pops nothing
+@example(["*NY", "(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 120)  # a recursive false return
+@example(["*(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 80)  # a nonrecursive false return
 def test_execute_matches_the_reference_loop(deck, width):
     config = SessionConfig(width=width, max_steps=2000)
     with pytest.MonkeyPatch.context() as mp:

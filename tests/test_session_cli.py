@@ -219,6 +219,15 @@ def test_cli_strict_charset_rejects_stray_characters(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("reca:")
 
 
+def test_cli_strict_charset_error_in_a_read_is_status_two(tmp_path, capsys):
+    # the stray character is on a data card that I reads while the program runs
+    path = write_deck(tmp_path, ["*(IOX,)", "'/1\u00e9'"])
+    assert main([path, "--strict-charset"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "reca: column 4: character '\u00e9' not in character set\n"
+    assert "ARITHMETIC FAULT" not in captured.out
+
+
 def test_cli_no_echo_flag(tmp_path, capsys):
     path = write_deck(tmp_path, ["*('/7'OX,)"])
     assert main([path, "--no-echo"]) == 0

@@ -21,8 +21,8 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
   numbers at float32's edges.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
-reader notes, the reader and writer state, stack, variables, constants and
-every store cell.  A run that hits the alarm in either tree is excluded.
+reader notes, the reader and writer state, stack, variables, constants,
+every store cell and every row of both dispatch tables.  A run that hits the alarm in either tree is excluded.
 The report gives how many runs were identical, how many differed and how
 many were excluded, and names the first field that differs for each
 differing run.  The exit status is 1 if any run differed, else 0.
