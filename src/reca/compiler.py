@@ -23,15 +23,18 @@ diagnostic it raises abandons the program.  The compiler keeps the
 store's next free cell in a local as well, and stores it back however
 the walk ends.  The monitor drops a card that is not a control card
 unechoed, and after I it takes the card up again as the new input unit
-reads it.  The compiler handles every class of character straight off
-the card: blanks, operators, predicates, parentheses and separators, the
-argument character of F, S and =, the bodies of '* comments and "
-strings, and the numbers of constants and counters, which
-numio.scan_number scans.  A number that runs past column 80 is read
-through the reader instead, by numio.parse_number, which reads on across
-the cards; any other token or body that reaches column 80 just goes on
-from the next card.  The blanks and the left parenthesis after a bound
-program's name, once a program, are read through the reader too.
+reads it.
+
+The compiler handles every class of character straight off a tape: the
+current card, preceded by the words of the current token that lie on
+earlier cards.  Blanks, operators, predicates, parentheses and
+separators, the argument character of F, S and =, the bodies of '*
+comments and " strings, and the numbers of constants and counters, which
+numio.scan_number scans, are all read off the tape.  A token that runs
+off the end of the tape is taken again, from its first word, once the
+next card is in: the one card turn of the compiler, besides the name
+read after the level-zero ).  The blanks and the left parenthesis after
+a bound program's name, once a program, are read through the reader.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -160,12 +163,30 @@ def compile_program(sess):
 
 
 def _compile(sess):
-    """Walk the cards from the reader's cursor.  The walk's place is kept
-    in locals: the card, the index i of its next word, start (card[start:i]
-    is read but not yet echoed) and ilc, the store's next free cell.  The
-    walk hands its place back to the reader before anything else reads,
-    writes or looks, and when a diagnostic raised here leaves it; ilc goes
-    back to the store however the walk ends."""
+    """Walk a tape of cards from the reader's cursor.  The tape is the
+    current card, preceded only by the words of the current token that lie
+    on earlier cards.  The walk's place is kept in locals: the tape, the
+    index i of its next word, the card, start (card[start:] is not yet
+    echoed) and ilc, the store's next free cell; tape[i] is the card's
+    word i - len(tape) + 80.  The walk hands its place back to the reader
+    before anything else reads, writes or looks, and when a diagnostic
+    raised here leaves it; ilc goes back to the store however the walk
+    ends.
+
+    A token that reads past the end of the tape, or a string or comment
+    whose closing quote the tape does not hold, raises IndexError.  The
+    next card is then read in, the tape cut to the token's words and that
+    card, and the token taken again from its first word, with ilc reset to
+    where it began; reset only after the read, so that the cards running
+    out leave ilc where the token had got to.  Taking a token again is
+    taking it once because every branch reads all its words before it
+    changes anything but ilc and the store cells from its own first cell
+    on; the level-zero ) does not, and turns the card itself for its name.
+    The tape may be the reader's card, so the walk never writes to it.
+    Only the tape can run out: a branch indexes besides it only the store,
+    which has 8 cells of headroom past the ilc > 495 check, frames, which
+    is never empty inside a program, and the table, whose 129 rows cover
+    every class code."""
     st = sess.store
     cells = st.cells
     fill_chain = st.fill_chain
@@ -174,226 +195,195 @@ def _compile(sess):
     echo = sess.writer.put_words
     frames = sess.frames
     card, i = reader.resume()
-    start = i
+    tape, start = card, i
     ilc = st.ilc
     try:
         while True:
             if ilc > 495:
                 raise Diagnostic(STORE_OVERFLOW)
-            if i == 80:
-                card = reader.next_card(card, start, echo)
-                i = start = 0
-            w = card[i]
-            i += 1
-            # the class code of a word, as charset.class_code computes it
-            code = (((w - 64) >> 8) & 63) + 1
-            cls = table[code]
-            while cls == QUOTE_PREFIX:
-                if i == 80:
-                    card = reader.next_card(card, start, echo)
-                    i = start = 0
-                w = card[i]
+            token, token_ilc = i, ilc
+            try:
+                w = tape[i]
                 i += 1
-                code = (((w - 64) >> 8) & 63) + 65
+                # the class code of a word, as charset.class_code computes it
+                code = (((w - 64) >> 8) & 63) + 1
                 cls = table[code]
-            if cls == IGNORE:
-                continue
-            if cls == OPERATOR:
-                cells[ilc] = -code
-                ilc += 1
-            elif cls == SEQUENT:
-                frame = frames[-1]
-                cells[ilc] = frame[2]
-                frame[2] = ilc
-                ilc += 1
-                fill_chain(frame[1], ilc)
-                frame[1] = 0
-            elif cls == CLOSE:
-                frame = frames.pop()
-                if frames:
-                    # thread this exit into the enclosing frame's false chain
-                    outer = frames[-1]
-                    cells[ilc] = outer[1]
-                    outer[1] = ilc
-                else:
-                    cells[ilc] = 0  # the program's false exit
-                ilc += 1
-                fill_chain(frame[1], ilc)
-                fill_chain(frame[2], ilc)
-                if frames:
+                while cls == QUOTE_PREFIX:
+                    w = tape[i]
+                    i += 1
+                    code = (((w - 64) >> 8) & 63) + 65
+                    cls = table[code]
+                if cls == IGNORE:
                     continue
-                # level zero: seal the program and read the three name characters
-                cells[ilc] = st.ilc0
-                name = []
-                for _ in range(3):
-                    if i == 80:
-                        card = reader.next_card(card, start, echo)
-                        i = start = 0
-                    name.append(card[i])
-                    i += 1
-                reader.hand_back(card, start, i, echo)
-                start = i
-                sess.writer.flush()
-                if name[2] == LETTER_L or sess.config.listing_always:
-                    for line in st.dump_listing(st.ilc0, ilc):
-                        sess.writer.emit_text(line)
-                ilc += 1
-                name1 = (((name[0] - 64) >> 8) & 63) + 1
-                if name1 == 1:  # blank name: run it now
-                    sess.constants_used = sess.constants_committed
-                    sess.writer.echo = True
-                    return
-                if table[name1] == QUOTE_PREFIX:
-                    name1 = (((name[1] - 64) >> 8) & 63) + 65
-                table[name1] = PREDICATE
-                recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
-                sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
-                if recursive:
-                    cells[st.ilc0] = RECURSIVE_MARK
-                sess.constants_committed = sess.constants_used
-                st.ilc0 = ilc
-                cells[ilc] = 0
-                ilc += 1
-                frames = sess.frames = [[ilc, 0, 0]]
-                # a further program must follow on this or a later card; the
-                # blanks before it are not echoed
-                try:
-                    w = reader.nonblank()
-                except EndOfInput:
-                    raise Terminated from None
-                card, i = reader.resume()
-                start = i
-                if w != LPAREN:
-                    raise Diagnostic(BAD_LEVEL_ZERO)
-                sess.writer.put(w)
-            elif cls == PREDICATE:
-                cells[ilc] = -code
-                frame = frames[-1]
-                cells[ilc + 1] = frame[1]
-                frame[1] = ilc + 1
-                ilc += 2
-            elif cls == OPEN:
-                if len(frames) >= 10:
-                    raise Diagnostic(EXCESS_NESTING)
-                frames.append([ilc, 0, 0])
-            elif cls == OPERATOR_NUM:
-                cells[ilc] = -code
-                ilc += 1
-                if i == 80:
-                    card = reader.next_card(card, start, echo)
-                    i = start = 0
-                c = (((card[i] - 64) >> 8) & 63) + 1
-                i += 1
-                if not 49 <= c <= 58:
-                    raise Diagnostic(BAD_ARGUMENT)
-                cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
-                ilc += 1
-            elif cls == CONSTANT:
-                # '/number' becomes [op, pool slot]; the value goes to the pool
-                cells[ilc] = -code
-                ilc += 1
-                try:
-                    value, i = numio.scan_number(card, i, False)
-                    w = card[i]
-                    i += 1
-                except IndexError:
-                    # the number runs across column 80: the reader scans it
-                    reader.hand_back(card, start, i, echo)
-                    value = numio.parse_number(reader, echo=echo)
-                    card, i = reader.resume()
-                    start = i
-                    w = reader.iac
-                while w == BLANK:
-                    if i == 80:
-                        card = reader.next_card(card, start, echo)
-                        i = start = 0
-                    w = card[i]
-                    i += 1
-                if w != QUOTE:
-                    raise Diagnostic(BAD_NUMBER)
-                sess.constants_used += 1
-                cells[ilc] = sess.constants_used
-                ilc += 1
-                if sess.constants_used > len(sess.constants) - 1:
-                    raise Diagnostic(CONSTANT_EXCESS)
-                sess.constants[sess.constants_used] = value
-            elif cls == REPEAT:
-                frame = frames[-1]
-                cells[ilc] = frame[0]
-                ilc += 1
-                fill_chain(frame[1], ilc)
-                frame[1] = 0
-            elif cls == COUNTER:
-                # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
-                cells[ilc] = -code
-                ilc += 1
-                try:
-                    n, i = numio.scan_number(card, i, True)
-                    i += 1
-                except IndexError:
-                    reader.hand_back(card, start, i, echo)
-                    n = numio.parse_number(reader, integer=True, echo=echo)
-                    card, i = reader.resume()
-                    start = i
-                if n <= 0:
-                    raise Diagnostic(BAD_COUNTER)
-                cells[ilc] = cells[ilc + 1] = -n
-                frame = frames[-1]
-                cells[ilc + 2] = frame[1]
-                frame[1] = ilc + 2
-                ilc += 3
-            elif cls == CHAR_PRED:
-                cells[ilc] = -code
-                ilc += 1
-                if i == 80:
-                    card = reader.next_card(card, start, echo)
-                    i = start = 0
-                cells[ilc] = card[i]
-                i += 1
-                frame = frames[-1]
-                cells[ilc + 1] = frame[1]
-                frame[1] = ilc + 1
-                ilc += 2
-            elif cls == STRING:
-                # "text' becomes [op, length, the characters verbatim]
-                cells[ilc] = -code
-                count_cell = ilc + 1
-                ilc += 2
-                # the store overflows once the text reaches cell 497, or at once
-                # when the text starts there
-                end = max(497, ilc + 1)
-                while True:
-                    if i == 80:
-                        card = reader.next_card(card, start, echo)
-                        i = start = 0
-                    limit = min(i + end - ilc, 80)
+                if cls == OPERATOR:
+                    cells[ilc] = -code
+                    ilc += 1
+                elif cls == SEQUENT:
+                    frame = frames[-1]
+                    cells[ilc] = frame[2]
+                    frame[2] = ilc
+                    ilc += 1
+                    fill_chain(frame[1], ilc)
+                    frame[1] = 0
+                elif cls == CLOSE:
+                    frame = frames.pop()
+                    if frames:
+                        # thread this exit into the enclosing frame's false chain
+                        outer = frames[-1]
+                        cells[ilc] = outer[1]
+                        outer[1] = ilc
+                    else:
+                        cells[ilc] = 0  # the program's false exit
+                    ilc += 1
+                    fill_chain(frame[1], ilc)
+                    fill_chain(frame[2], ilc)
+                    if frames:
+                        continue
+                    # level zero: seal the program and read the three name
+                    # characters, turning the card here, for the frame is gone
+                    cells[ilc] = st.ilc0
+                    name = []
+                    for _ in range(3):
+                        if i == len(tape):
+                            card = tape = reader.next_card(card, start, echo)
+                            i = start = 0
+                        name.append(tape[i])
+                        i += 1
+                    reader.hand_back(card, start, i - len(tape) + 80, echo)
+                    sess.writer.flush()
+                    if name[2] == LETTER_L or sess.config.listing_always:
+                        for line in st.dump_listing(st.ilc0, ilc):
+                            sess.writer.emit_text(line)
+                    ilc += 1
+                    name1 = (((name[0] - 64) >> 8) & 63) + 1
+                    if name1 == 1:  # blank name: run it now
+                        sess.constants_used = sess.constants_committed
+                        sess.writer.echo = True
+                        return
+                    if table[name1] == QUOTE_PREFIX:
+                        name1 = (((name[1] - 64) >> 8) & 63) + 65
+                    table[name1] = PREDICATE
+                    recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
+                    sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
+                    if recursive:
+                        cells[st.ilc0] = RECURSIVE_MARK
+                    sess.constants_committed = sess.constants_used
+                    st.ilc0 = ilc
+                    cells[ilc] = 0
+                    ilc += 1
+                    frames = sess.frames = [[ilc, 0, 0]]
+                    # a further program must follow on this or a later card;
+                    # the blanks before it are not echoed
                     try:
-                        stop = card.index(QUOTE, i, limit)
+                        w = reader.nonblank()
+                    except EndOfInput:
+                        raise Terminated from None
+                    card, i = reader.resume()
+                    tape, start = card, i
+                    if w != LPAREN:
+                        raise Diagnostic(BAD_LEVEL_ZERO)
+                    sess.writer.put(w)
+                elif cls == PREDICATE:
+                    cells[ilc] = -code
+                    frame = frames[-1]
+                    cells[ilc + 1] = frame[1]
+                    frame[1] = ilc + 1
+                    ilc += 2
+                elif cls == OPEN:
+                    if len(frames) >= 10:
+                        raise Diagnostic(EXCESS_NESTING)
+                    frames.append([ilc, 0, 0])
+                elif cls == OPERATOR_NUM:
+                    cells[ilc] = -code
+                    ilc += 1
+                    c = (((tape[i] - 64) >> 8) & 63) + 1
+                    i += 1
+                    if not 49 <= c <= 58:
+                        raise Diagnostic(BAD_ARGUMENT)
+                    cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
+                    ilc += 1
+                elif cls == CONSTANT:
+                    # '/number' becomes [op, pool slot]; the value goes to the pool
+                    cells[ilc] = -code
+                    ilc += 1
+                    value, i = numio.scan_number(tape, i, False)
+                    w = tape[i]
+                    i += 1
+                    while w == BLANK:
+                        w = tape[i]
+                        i += 1
+                    if w != QUOTE:
+                        raise Diagnostic(BAD_NUMBER)
+                    sess.constants_used += 1
+                    cells[ilc] = sess.constants_used
+                    ilc += 1
+                    if sess.constants_used > len(sess.constants) - 1:
+                        raise Diagnostic(CONSTANT_EXCESS)
+                    sess.constants[sess.constants_used] = value
+                elif cls == REPEAT:
+                    frame = frames[-1]
+                    cells[ilc] = frame[0]
+                    ilc += 1
+                    fill_chain(frame[1], ilc)
+                    frame[1] = 0
+                elif cls == COUNTER:
+                    # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
+                    cells[ilc] = -code
+                    ilc += 1
+                    n, i = numio.scan_number(tape, i, True)
+                    i += 1
+                    if n <= 0:
+                        raise Diagnostic(BAD_COUNTER)
+                    cells[ilc] = cells[ilc + 1] = -n
+                    frame = frames[-1]
+                    cells[ilc + 2] = frame[1]
+                    frame[1] = ilc + 2
+                    ilc += 3
+                elif cls == CHAR_PRED:
+                    cells[ilc] = -code
+                    ilc += 1
+                    cells[ilc] = tape[i]
+                    i += 1
+                    frame = frames[-1]
+                    cells[ilc + 1] = frame[1]
+                    frame[1] = ilc + 1
+                    ilc += 2
+                elif cls == STRING:
+                    # "text' becomes [op, length, the characters verbatim]
+                    cells[ilc] = -code
+                    count_cell = ilc + 1
+                    ilc += 2
+                    # the store overflows once the text reaches cell 497, or
+                    # at once when the text starts there
+                    limit = i + max(497 - ilc, 1)
+                    try:
+                        stop = tape.index(QUOTE, i, limit)
                     except ValueError:
-                        stop = limit
-                    cells[ilc:ilc + stop - i] = card[i:stop]
+                        stop = min(limit, len(tape))
+                    cells[ilc:ilc + stop - i] = tape[i:stop]
                     ilc += stop - i
                     i = stop
-                    if stop < limit:  # the closing quote
-                        i += 1
-                        cells[count_cell] = ilc - count_cell - 1
-                        break
-                    if ilc >= end:
+                    if stop == limit:
                         raise Diagnostic(STORE_OVERFLOW)
-            elif cls == COMMENT:
-                while True:
-                    if i == 80:
-                        card = reader.next_card(card, start, echo)
-                        i = start = 0
+                    if stop == len(tape):
+                        raise IndexError  # no closing quote yet
+                    i += 1
+                    cells[count_cell] = ilc - count_cell - 1
+                elif cls == COMMENT:
                     try:
-                        i = card.index(QUOTE, i) + 1
-                        break
+                        i = tape.index(QUOTE, i) + 1
                     except ValueError:
-                        i = 80
-            else:  # RESERVED
-                raise Diagnostic(RESERVED_OP)
+                        raise IndexError from None  # no closing quote yet
+                else:  # RESERVED
+                    raise Diagnostic(RESERVED_OP)
+            except IndexError:
+                # the tape ran out: read the next card in, keep the token's
+                # words, and take it again
+                card = reader.next_card(card, start, echo)
+                tape = tape[token:] + card if token < len(tape) else card
+                i, ilc, start = 0, token_ilc, 0
     except Diagnostic:
-        reader.hand_back(card, start, i, echo)
+        reader.hand_back(card, start, i - len(tape) + 80, echo)
         raise
     finally:
         st.ilc = ilc

@@ -20,12 +20,14 @@ A catalog diagnostic raises iosys.Diagnostic; running out of data cards
 in I or R raises it as CONV 01.  A stray character on a card that I or
 R reads in raises charset.CharsetError when the reader is strict.  An
 arithmetic fault or an interrupt prints its notice and ends the program.
-The step budget counts every operation and every backward jump and is
-checked at each, so --max-steps stops at the same cell whatever the
-program.  The cancel flag (Ctrl-C) is checked where a program could run
-on without end: when execute starts, at every backward jump and at every
-subroutine call.  Between two of those points execution makes at most
-one forward pass through the store.  It is checked as well after each
+The step budget counts every operation, every backward jump and every
+false return from a subroutine and is checked at each, so --max-steps
+stops at the same cell whatever the program.  The cancel flag (Ctrl-C)
+is checked where a program could run on without end: when execute
+starts, at every backward jump, at every subroutine call and at every
+false return from one (a subroutine that has called itself returns false
+into its own body).  Between two of those points execution makes at
+most one forward pass through the store.  It is checked as well after each
 read by I and R, which can wait on the keyboard for as long as the user
 takes, so an interrupt typed during a read stops the program that was
 reading.
@@ -271,6 +273,13 @@ def execute(sess):
                 ixl = prog[ixl + 1]
                 if ixl == ilc0:
                     break
+                # a subroutine's false return: a step, as the backward jump
+                # of a true return is, for it may close a loop too
+                steps += 1
+                if steps > budget:
+                    budget = _past_budget(sess)
+                if sess.cancelled:
+                    raise _Interrupted
                 if prog[ixl] >= mark:
                     irec -= 1
                     ixl = iret[irec] - 1

@@ -8,7 +8,8 @@ its place back through hand_back, the one place that does so: echo what
 it read, latch the last word it took in iac and move the reader's cursor
 past it.  next_card is the one card turn: it hands back the rest of the
 card and reads the next one in.  resume gives a scanner the card and
-cursor to walk on from, without reading a card in.  The reader holds
+cursor to walk on from, the used-up card at cursor 80, without reading a
+card in, so that the scanner's own turn reads it.  The reader holds
 the current input unit and latches the last character read in iac.
 Output is accumulated into a single line buffer, a character or a run at
 a time, and released either explicitly or when the buffer reaches the
@@ -163,10 +164,10 @@ class CardReader:
         return self.card()
 
     def resume(self):
-        """(card, cursor) for a scanner to walk on from; card is None at
-        cursor 80, and the card is not refilled until next_card."""
-        i = self.cursor
-        return (self.card() if i < 80 else None), i
+        """(card, cursor) for a scanner to walk on from, the card as the
+        input unit reads it; at cursor 80 it is the used-up card, for no
+        card is read in until next_card."""
+        return (self.translated if self.unit == 2 else self.record), self.cursor
 
     def nonblank(self):
         """Read past blanks, across cards; returns the first other

@@ -3,8 +3,10 @@
 All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
 scanner, scan_number, reads a number off any sequence of words from a
-given index and stops at the first word that does not fit the token; the
-compiler runs it on the card it walks.  parse_number runs it on the card
+given index and stops at the first word that does not fit the token; a
+read past the end of the words raises IndexError.  The compiler runs it
+on the tape of cards it walks, and takes the token again when the tape
+runs out.  parse_number, which reads the data of I, runs it on the card
 a card reader holds: the terminator is read too and stays latched in the
 reader's iac.  A token, or the blanks before it, may run past column 80:
 parse_number then turns the card through the reader's next_card and scans

@@ -106,8 +106,13 @@ def deck(rng, straddle=False):
                     f"({rng.choice(PUSHES)}({name}\"T',\"F',)X,)   ")
         else:
             head = "*" + rng.choice(COMMANDS)
-            text = ("(" + _body(rng, 1, ill_formed) + rng.choice(SEPARATORS)
-                    + ")" + rng.choice(NAMES))
+            text = "(" + _body(rng, 1, ill_formed) + rng.choice(SEPARATORS) + ")"
+            name = rng.choice(NAMES)
+            text += name
+            if name[0] != " ":
+                # a named program is followed, on the same card, by a
+                # program that calls it
+                text += f"({rng.choice(PUSHES)}({name.strip()}\"T',\"F',)X,)   "
         if straddle:
             width = rng.randint(1, 80 - len(head))
             text = head + " " * (80 - len(head) - width) + text

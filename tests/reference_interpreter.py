@@ -3,9 +3,11 @@ reference that tests/test_properties.py runs generated decks against.
 
 It is a verbatim copy of that loop: one struct round per float32 result, the
 cancel flag read on every operation, and the entry-cell test at the loop
-head.  Only the imports changed, so that it runs from the tests; the limits
-and constants come from reca.interpreter, so that only the loop body is
-frozen.
+head.  Only the imports changed, so that it runs from the tests, and a
+subroutine's false return became a step with a cancel check, as in the
+live loop, for without one a subroutine that has called itself can
+return false into its own body without end; the limits and constants
+come from reca.interpreter, so that only the loop body is frozen.
 
 _read_datum, the framing of an I datum, is frozen too: the reader's blank
 skip, a read for the quote and one for the slash.  The live one reads the
@@ -219,6 +221,9 @@ def execute(sess):
                 ixl = prog[ixl + 1]
                 if ixl == ilc0:
                     break
+                steps += 1
+                if sess.cancelled or steps > budget:
+                    raise _Interrupted
                 if prog[ixl] >= RECURSIVE_MARK:
                     irec -= 1
                     ixl = iret[irec] - 1

@@ -294,6 +294,16 @@ def test_step_budget_counts_backward_jumps(deck):
     assert status == 0
 
 
+def test_step_budget_counts_false_returns():
+    # Y calls itself, which sets its return to its own link cell; once the
+    # counter is spent Y returns false there, runs on to its false exit and
+    # returns false there again, through forward jumps alone
+    with time_limit(5):
+        sess, status = run_deck(["*($1$Y.)Y", "(Y,)"], config=SessionConfig(max_steps=100))
+    assert sess.output[-2:] == ["MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
+    assert status == 0
+
+
 # the shape of the recursion workload's decks: 'Y sums 1..n recursively
 TRIANGULAR = ["* N'Y", "(0,P'/1'-'Y&,)'Y", "('/4''Y OX,)"]
 # K calls Y, which is defined after it, so Y returns by a backward jump
@@ -429,6 +439,22 @@ def test_cancel_stops_a_program_at_a_subroutine_call():
         "  1.00000E 00", "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT,
         "  3.00000E 00", PAGE_EJECT,
     ]
+    assert status == 0
+    assert not sess.cancelled
+
+
+def test_cancel_stops_a_program_at_a_false_return():
+    # the flag goes up as Y prints; N then holds and Y runs on to its false
+    # exit, whose return sees the flag before POS prints
+    def cancel_on_text(unit, text):
+        if text == "IN Y":
+            sess.cancelled = True
+
+    sess = Session(cards=["*(\"IN Y'XN)Y", "('/-1'(Y\"NEG',\"POS',)X,)"],
+                   config=SessionConfig(echo=False), on_line=cancel_on_text)
+    with time_limit(5):
+        status = sess.run()
+    assert sess.output == ["IN Y", "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
     assert status == 0
     assert not sess.cancelled
 

@@ -114,7 +114,8 @@ def test_resume_at_column_80_reads_no_card_in():
 
     r = CardReader({2: source})
     drain(r, 80)
-    assert r.resume() == (None, 80)
+    card, i = r.resume()
+    assert card is r.record and i == 80  # the used-up card
     assert pulled == ["A" * 80]
     assert r.cursor == 80 and charset.char_of(r.iac) == "A"
 

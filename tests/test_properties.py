@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import reference_compiler
 import reference_interpreter
-from generators import deck, keypunch_decks, monitor_decks, snapshot
+from generators import (
+    column_80_decks, compile_80_decks, deck, keypunch_decks, monitor_decks, snapshot,
+)
 from reca import compiler, interpreter
 from reca.session import SessionConfig, run_deck
 
@@ -38,15 +40,16 @@ def test_every_deck_ends_with_a_status(deck, width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(DECKS, WIDTHS)
-@example(["*('/1E39'Q'/1'OX,)"], 120)
-@example(["*('/1E39''L'/1'OX,)"], 80)
-@example(["* N'R", "(N,0L'/1',P'/1'-'R*,)'R", "('/5''R OX,)"], 120)
-@example(["*('/1''/1'(J'/2',)*+OX,)"], 80)  # J pops nothing
-@example(["*NY", "(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 120)  # a recursive false return
-@example(["*(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 80)  # a nonrecursive false return
-def test_execute_matches_the_reference_loop(deck, width):
-    config = SessionConfig(width=width, max_steps=2000)
+@given(DECKS, WIDTHS, st.integers(0, 3000))
+@example(["*('/1E39'Q'/1'OX,)"], 120, 2000)
+@example(["*('/1E39''L'/1'OX,)"], 80, 2000)
+@example(["* N'R", "(N,0L'/1',P'/1'-'R*,)'R", "('/5''R OX,)"], 120, 2000)
+@example(["*('/1''/1'(J'/2',)*+OX,)"], 80, 2000)  # J pops nothing
+@example(["*NY", "(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 120, 2000)  # a recursive false return
+@example(["*(N)Y", "('/-1'(Y\"NEG',\"POS',)X,)"], 80, 2000)  # a nonrecursive false return
+@example(["*($90$R.,\"DONE'X,)"], 120, 0)  # no step at all
+def test_execute_matches_the_reference_loop(deck, width, max_steps):
+    config = SessionConfig(width=width, max_steps=max_steps)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(interpreter, "execute", reference_interpreter.execute)
         expected = snapshot(*run_deck(deck, config=config))
@@ -82,3 +85,18 @@ def test_compile_matches_the_reference_compiler(deck, width):
 def test_monitor_and_keypunch_decks_match_the_reference(width):
     for deck in monitor_decks() + keypunch_decks():
         assert_front_end_matches_the_reference(deck, width)
+
+
+def cut_short(deck):
+    """deck cut short after each of its cards, itself included, and at
+    every column of its last card."""
+    return ([deck[:k] for k in range(1, len(deck) + 1)]
+            + [deck[:-1] + [deck[-1][:column]] for column in range(len(deck[-1]))])
+
+
+@pytest.mark.parametrize("width", [80, 120])
+@pytest.mark.parametrize("decks", [compile_80_decks, column_80_decks])
+def test_column_80_decks_cut_anywhere_match_the_reference(decks, width):
+    for deck in decks():
+        for cut in cut_short(deck):
+            assert_front_end_matches_the_reference(cut, width)
