@@ -4,9 +4,9 @@ tools/differential.py.
 deck(rng) builds a random deck from the language's pieces, legal and
 illegal: every kind of operator (including the card readers I and R),
 predicates, counters, constants (float32 edge values among them), strings,
-reserved letters, nesting, named and immediate programs, predicate
-subroutines that can run on to their end and return false there, monitor
-commands and data cards.
+reserved letters, nesting, immediate programs, named programs each
+followed by a program that calls it, predicate subroutines that can run
+on to their end and return false there, monitor commands and data cards.
 
 float_edge_decks() gives one deck for each operator and each float32 edge
 operand (or pair of them), shaped as float_edge_deck describes.

@@ -5,10 +5,12 @@ budget run_deck must return, and no exception (a Diagnostic or an
 EndOfInput among them) may escape it.
 
 The execute loop leaves exactly what the reference loop in
-reference_interpreter.py leaves, on every deck, and the monitor and the
-compiler what the per-character ones in reference_compiler.py leave, on
-decks whose programs are laid across their cards at a random card width
-and on the monitor and keypunch decks of generators.py.
+reference_interpreter.py leaves, on every deck and at every step budget,
+and the monitor and the compiler what the per-character ones in
+reference_compiler.py leave, on decks whose programs are laid across
+their cards at a random card width, on the monitor and keypunch decks of
+generators.py, and on its decks whose tokens run across column 80, cut
+short anywhere.
 """
 
 import pytest
