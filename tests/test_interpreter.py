@@ -286,20 +286,14 @@ def test_step_budget_interrupts():
 @pytest.mark.parametrize("deck", [
     ["*S", "((.),)"],     # a loop of jumps alone, no operation in it
     ["*(:M(H.,),)"],      # an inner loop that never reaches an operation
+    # a loop of false returns: Y calls itself, which sets its return to its
+    # own link cell; once the counter is spent Y returns false there, runs
+    # on to its false exit through forward jumps and returns false again
+    ["*($1$Y.)Y", "(Y,)"],
 ])
 def test_step_budget_counts_backward_jumps(deck):
     with time_limit(5):
         sess, status = run_deck(deck, config=SessionConfig(max_steps=100))
-    assert sess.output[-2:] == ["MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
-    assert status == 0
-
-
-def test_step_budget_counts_false_returns():
-    # Y calls itself, which sets its return to its own link cell; once the
-    # counter is spent Y returns false there, runs on to its false exit and
-    # returns false there again, through forward jumps alone
-    with time_limit(5):
-        sess, status = run_deck(["*($1$Y.)Y", "(Y,)"], config=SessionConfig(max_steps=100))
     assert sess.output[-2:] == ["MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
     assert status == 0
 
