@@ -153,14 +153,6 @@ def encode_card(text, strict=False, diagnostics=None):
     return words
 
 
-class _CharTable(dict):
-    """Character by storage word, blank for a word no glyph has."""
-
-    def __missing__(self, word):
-        return " "
-
-
-_CHARS = _CharTable(CHAR_BY_WORD)
 # the latin-1 byte of the glyph at each code point, a blank where none is
 _GLYPHS = bytes(ord(CHAR_BY_WORD.get(word_from_codepoint(cp), " ")) for cp in range(256))
 
@@ -175,4 +167,4 @@ def decode_words(words):
         raw = b""
     if raw[::2].count(64) == len(words):
         return raw[1::2].translate(_GLYPHS).decode("latin-1")
-    return "".join(map(_CHARS.__getitem__, words))
+    return "".join(map(char_of, words))

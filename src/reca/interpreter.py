@@ -14,7 +14,10 @@ four million operations a second: everything hot is a local, the
 operation numbers too, named as in tables.OPERATIONS, and each compare
 has operands of one type, which CPython 3.11+ specialises.  The value
 tests compare with 0.0, and an unbounded run counts its steps against an
-int ceiling under 2**30, lifted to inf if they pass it.
+int ceiling under 2**30, lifted to inf if they pass it.  The seven
+operations that call a function of the math library (COS, EXP, SQRT,
+ATAN, LOG, SIN and TANH) share one branch, which looks the function up
+in FUNCTIONS by operation number.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
 in I or R raises it as CONV 01.  A stray character on a card that I or
@@ -49,6 +52,11 @@ RECURSION_LIMIT = 100
 NEAR_ZERO = numio.f32(5.0e-6)
 _INF = float("inf")
 _CEILING = 2**30 - 1  # the budget of an unbounded run, until steps pass it
+# the library function of each operation that calls one, by operation
+# number, and None for every other number
+_LIBRARY = ("COS", "EXP", "SQRT", "ATAN", "LOG", "SIN", "TANH")
+FUNCTIONS = [None] + [getattr(math, name.lower()) if name in _LIBRARY else None
+                      for name, _, _ in OPERATIONS]
 
 
 class _Interrupted(Exception):
@@ -98,10 +106,7 @@ def execute(sess):
     # storing into a float array is C's double-to-float cast: the float32
     # round, saturating to inf, as numio.f32 makes it
     f = array("f", (0.0,))
-    cos, sin, exp, sqrt, log, atan, tanh, pow_ = (
-        math.cos, math.sin, math.exp, math.sqrt, math.log, math.atan, math.tanh,
-        math.pow,
-    )
+    functions, pow_ = FUNCTIONS, math.pow
     # the operation numbers, as locals named as in tables.OPERATIONS
     (ABS, COS, EXP, TANH, NEG, TEST_NEG, PRINT, SQRT, SET, ATAN, LOG, SIN,
      TEST_ZERO, POW, ADD, SUB, MUL, TEST_EQ, DIV, CONST, GET, INPUT, DUP, READ,
@@ -217,28 +222,14 @@ def execute(sess):
                             pdl[sp] = -a
                         elif b == ABS:
                             pdl[sp] = a if a >= 0.0 else -a
-                        elif b == EXP:
-                            f[0] = exp(a)
+                        else:  # a library function
+                            f[0] = functions[b](a)
                             a = f[0]
-                            if a == _INF:
+                            # only EXP faults on inf: sqrt and log of inf
+                            # stay inf, as the loop has always let them be
+                            if a == _INF and b == EXP:
                                 raise OverflowError("float32 range exceeded")
                             pdl[sp] = a
-                        else:
-                            # no range check: sqrt and log of inf are inf, as
-                            # the loop has always let them be
-                            if b == SIN:
-                                f[0] = sin(a)
-                            elif b == COS:
-                                f[0] = cos(a)
-                            elif b == SQRT:
-                                f[0] = sqrt(a)
-                            elif b == LOG:
-                                f[0] = log(a)
-                            elif b == ATAN:
-                                f[0] = atan(a)
-                            else:  # TANH
-                                f[0] = tanh(a)
-                            pdl[sp] = f[0]
                     else:
                         raise Diagnostic(UNDEFINED_CALL)
                 elif b is DECLARED_RECURSIVE:

@@ -47,22 +47,20 @@ FIELD_WIDTH = 13
 _DIGITS = tuple(n * 256 - 4032 for n in range(10))  # the word of each digit glyph
 
 
-def parse_number(reader, integer=False, echo=None):
+def parse_number(reader, integer=False):
     """Read one number off reader's cards; return its value.
 
     integer parses an integer, otherwise a float.  The first character
     after the token is read too; it ends the token, is not part of it,
     and is latched in reader.iac.  The reader is left where reading the
-    token a character at a time would leave it.  echo, if given, is
-    called with the words read, the leading blanks and the terminator
-    included: once, or once a card when the token runs onto later cards.
+    token a character at a time would leave it.
 
     Accepted float shape: blanks, optional sign (- + &), digits with at
     most one point, optional exponent E[sign]digits.  Anything else ends
     the token; an empty token is zero.
     """
     # tape is the cards read so far laid end to end, the token starts at
-    # tape[begin], and card[start:] is what the last card has not echoed
+    # tape[begin], and card[start:] is what the last card has not handed back
     tape = card = reader.card()
     begin = start = reader.cursor
     while True:
@@ -72,12 +70,12 @@ def parse_number(reader, integer=False, echo=None):
         except IndexError:
             # the token or the blanks before it run off the end of tape:
             # turn the card and scan again
-            card = reader.next_card(card, start, echo)
+            card = reader.next_card(card, start)
             start = 0
             tape = tape + card
     # hand back through the terminator, tape[stop], which is on card at
     # stop - len(tape) + 80
-    reader.hand_back(card, start, stop - len(tape) + 81, echo)
+    reader.hand_back(card, start, stop - len(tape) + 81)
     return value
 
 
@@ -103,24 +101,20 @@ def scan_number(card, i, integer):
             w = card[i]
         return (-n if negative else n), i
     value = 0.0
-    while -4032 <= w <= -1728:
-        x = value * 10.0 + (w + 4032) // 256
-        c = x * _SPLIT
-        # the split does not saturate to inf; past 1e30 the cast must
-        value = c - (c - x) if x < 1e30 else f32(x)
-        i += 1
-        w = card[i]
-    places = 0
-    if w == DOT:
-        i += 1
-        w = card[i]
-        while -4032 <= w <= -1728:
+    point = None  # the index of the point, once one is read
+    while True:
+        if -4032 <= w <= -1728:
             x = value * 10.0 + (w + 4032) // 256
             c = x * _SPLIT
+            # the split does not saturate to inf; past 1e30 the cast must
             value = c - (c - x) if x < 1e30 else f32(x)
-            places += 1
-            i += 1
-            w = card[i]
+        elif w == DOT and point is None:
+            point = i
+        else:
+            break
+        i += 1
+        w = card[i]
+    places = 0 if point is None else i - point - 1
     exponent = 0
     if w == LETTER_E:
         i += 1

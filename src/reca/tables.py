@@ -68,14 +68,9 @@ _SYNTAX = [
 UNDEFINED = 0
 
 
-class _DeclaredRecursive:
-    """Placeholder binding: declared recursive, body not yet compiled."""
-
-    def __repr__(self):
-        return "DECLARED_RECURSIVE"
-
-
-DECLARED_RECURSIVE = _DeclaredRecursive()
+# the binding of a program declared recursive whose body is not yet
+# compiled; execute tells it by identity, with is
+DECLARED_RECURSIVE = "DECLARED_RECURSIVE"
 
 
 @dataclass(frozen=True)

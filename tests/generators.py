@@ -351,7 +351,7 @@ def _binding(value):
         return value
     if hasattr(value, "entry"):
         return [value.entry, value.recursive]
-    return repr(value)
+    return str(value)
 
 
 def snapshot(sess, status):

@@ -9,13 +9,14 @@ copied too: a read and a put for each character that steers it.  So are
 the reader, writer and session methods that went when a card walk
 replaced their last caller: the card reader's through_quote, force_refill,
 rest and its nonblank that echoes the blanks it skips, the line writer's
-clear and the session's read_echo.  Only the imports changed, and these
-methods take the reader, the writer or the session as their first
-argument instead of being methods; parse_number, the tables and the store
-come from reca.
+clear and the session's read_echo.  So is numio's parse_number with its
+echo argument, which only the compiler copied here passed.  Only the
+imports changed, and these methods take the reader, the writer or the
+session as their first argument instead of being methods; scan_number,
+the tables and the store come from reca.
 """
 
-from reca import charset, numio, tables
+from reca import charset, tables
 from reca.charset import BLANK, QUOTE
 from reca.compiler import (
     _COMMANDS, _ERASE, _INPUT, _OUTPUT, _RECURSIVE, _SUPPRESS, _TERMINATE,
@@ -26,6 +27,7 @@ from reca.iosys import (
     CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
     EndOfInput,
 )
+from reca.numio import scan_number
 from reca.store import RECURSIVE_MARK
 from reca.tables import (
     CHAR_PRED, CLOSE, COMMENT, CONSTANT, COUNTER, DECLARED_RECURSIVE, IGNORE,
@@ -232,7 +234,7 @@ def _compile_counter(sess, code):
     """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
     st = sess.store
     st.emit(-code)
-    n = numio.parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
+    n = parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
     if n <= 0:
         raise Diagnostic(BAD_COUNTER)
     st.emit(-n)
@@ -245,7 +247,7 @@ def _compile_constant(sess, code):
     """'/number' becomes [op, pool slot]; the value goes to the pool."""
     st = sess.store
     st.emit(-code)
-    value = numio.parse_number(sess.reader, echo=sess.writer.put_words)
+    value = parse_number(sess.reader, echo=sess.writer.put_words)
     reader = sess.reader
     if reader.iac == charset.BLANK:
         sess.writer.put(nonblank(reader, sess.writer.put_words))
@@ -346,3 +348,37 @@ def rest(reader):
 def clear(writer):
     """Drop buffered characters without writing them."""
     writer.buffer.clear()
+
+
+def parse_number(reader, integer=False, echo=None):
+    """Read one number off reader's cards; return its value.
+
+    integer parses an integer, otherwise a float.  The first character
+    after the token is read too; it ends the token, is not part of it,
+    and is latched in reader.iac.  The reader is left where reading the
+    token a character at a time would leave it.  echo, if given, is
+    called with the words read, the leading blanks and the terminator
+    included: once, or once a card when the token runs onto later cards.
+
+    Accepted float shape: blanks, optional sign (- + &), digits with at
+    most one point, optional exponent E[sign]digits.  Anything else ends
+    the token; an empty token is zero.
+    """
+    # tape is the cards read so far laid end to end, the token starts at
+    # tape[begin], and card[start:] is what the last card has not echoed
+    tape = card = reader.card()
+    begin = start = reader.cursor
+    while True:
+        try:
+            value, stop = scan_number(tape, begin, integer)
+            break
+        except IndexError:
+            # the token or the blanks before it run off the end of tape:
+            # turn the card and scan again
+            card = reader.next_card(card, start, echo)
+            start = 0
+            tape = tape + card
+    # hand back through the terminator, tape[stop], which is on card at
+    # stop - len(tape) + 80
+    reader.hand_back(card, start, stop - len(tape) + 81, echo)
+    return value

@@ -275,6 +275,13 @@ def test_arithmetic_fault_stops_execution():
 def test_float32_overflow_is_a_fault():
     lines, status = run(["*('/1E30''/1E30'*OX,)"])
     assert "EXEC 06 ARITHMETIC FAULT" in lines
+    # a constant whose scale overflows a double reads as inf, which faults
+    # when printed; 0 times that scale is nan, which is not negative, so N
+    # falls false and nothing faults (pinned as they are today)
+    lines, status = run(["*('/1E400'OX,)"])
+    assert (lines[-1], status) == ("EXEC 06 ARITHMETIC FAULT", 1)
+    lines, status = run(["*('/0E400'(N'/2',L'/3',)OX,)"])
+    assert (lines[-1], status) == ("  3.00000E 00", 0)
 
 
 def test_step_budget_interrupts():

@@ -34,6 +34,9 @@ def test_reader_card_boundaries():
     assert drain(r, 79) == " " * 79
     with pytest.raises(EndOfInput):
         r.read()
+    # a reader with no source on any unit has no card to read
+    with pytest.raises(EndOfInput):
+        CardReader({}).read()
 
 
 def test_keypunch_translation_only_on_card_unit():

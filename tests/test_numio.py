@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_compiler
 from reca import charset, numio
 from reca.iosys import CardReader, EndOfInput, LineWriter
 from reca.numio import f32, format_number, parse_text, scientific_words
@@ -39,6 +40,7 @@ def test_parse_basic_floats():
     assert parse_text("2.5E-1'")[0] == 0.25
     assert parse_text("1.5E&2'")[0] == 150.0
     assert parse_text("3E04'")[0] == 30000.0
+    assert parse_text("1E400'") == (math.inf, "'")  # the scale overflows a double
 
 
 def test_parse_terminator_latched_not_consumed():
@@ -352,25 +354,31 @@ def reference_parse_int(read):
     return sign * value
 
 
-def parse_outcome(cards, column, unit, integer, reference):
+def parse_outcome(cards, column, unit, integer, parser):
     """Parse from column (0-based; 80 starts on the first card's refill)
-    of cards read on unit; everything the parse leaves behind."""
+    of cards read on unit; everything the parse leaves behind.  parser is
+    "reference", the frozen parsers, which read a character at a time;
+    "copy", the parse_number with an echo argument that
+    tests/reference_compiler.py keeps; or "reca", numio.parse_number."""
     source = iter(cards)
     reader = CardReader({unit: lambda: next(source, None)}, unit=unit)
     if column < 80:
         reader.card()
         reader.cursor = column
     echoed = []
-    if reference:
+    if parser == "reference":
         def read():
             echoed.append(reader.read())
             return echoed[-1]
 
         parse = reference_parse_int if integer else reference_parse_float
         args = (read,)
+    elif parser == "copy":
+        parse = reference_compiler.parse_number
+        args = (reader, integer, echoed.extend)
     else:
         parse = numio.parse_number
-        args = (reader, integer, echoed.extend)
+        args = (reader, integer)
     try:
         value = parse(*args)
     except EndOfInput:
@@ -421,8 +429,10 @@ def test_parse_number_matches_the_reference_parsers(
     # the token begins at column, after filler on the columns before it
     line = (filler * 80)[:column % 80] + " " * blanks + text
     cards = [line[i:i + 80] for i in range(0, len(line) or 1, 80)] + more
-    expected = parse_outcome(cards, column, unit, integer, reference=True)
-    assert parse_outcome(cards, column, unit, integer, reference=False) == expected
+    expected = parse_outcome(cards, column, unit, integer, "reference")
+    assert parse_outcome(cards, column, unit, integer, "copy") == expected
+    # numio's parse_number echoes nothing, and leaves the rest as the copy does
+    assert parse_outcome(cards, column, unit, integer, "reca") == expected[:3] + ([],)
 
 
 def test_number_decks_print_what_the_reference_parser_and_formatter_give():

@@ -247,6 +247,28 @@ def test_cli_punch_file(tmp_path, capsys):
     punch = tmp_path / "out.punch"
     assert main([path, "--punch", str(punch)]) == 0
     assert "CARD TEXT" in punch.read_text(encoding="utf-8")
+    # a directory cannot be written as a punch file
+    assert main([path, "--punch", str(tmp_path)]) == 2
+    assert "reca: cannot write punch file: " in capsys.readouterr().err
+
+
+def test_cli_prompt_reads_the_keyboard_until_end_of_file(monkeypatch, capsys):
+    typed = iter(["*('/7'OX,)"])
+    prompts = []
+
+    def keyboard(prompt):
+        prompts.append(prompt)
+        try:
+            return next(typed)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", keyboard)
+    assert main([]) == 0
+    # the page eject prints as an empty line
+    assert capsys.readouterr().out.splitlines() == [
+        "*(", "'/7'OX,)   ", "  7.00000E 00", ""]
+    assert prompts == ["| ", "| "]
 
 
 def test_cli_max_steps_interrupts(tmp_path, capsys):

@@ -22,10 +22,14 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants,
-every store cell and every row of both dispatch tables.  A run that hits the alarm in either tree is excluded.
-The report gives how many runs were identical, how many differed and how
-many were excluded, and names the first field that differs for each
-differing run.  The exit status is 1 if any run differed, else 0.
+every store cell and every row of both dispatch tables.  A run that hits
+the alarm in this checkout but finishes in the base has hung here; a run
+that hits the alarm in the base is excluded, for there is nothing to
+compare it with.  The report gives how many runs were identical, how many
+differed, how many hung here and how many were excluded, names the first
+field that differs for each differing run, and names each run that hung
+here or was excluded.  The exit status is 1 if any run differed or hung
+here, else 0.
 """
 
 import argparse
@@ -143,12 +147,14 @@ def main(argv=None):
             for src in (export(args.base, tmp / "base"), CHECKOUT / "src")
         ]
         runs = [(name, width) for name, _ in decks for width in WIDTHS]
-        identical, differed, excluded = 0, [], []
+        identical, differed, hung, excluded = 0, [], [], []
         # read the two workers in step, so neither holds more than a line
         for run, base, this in zip(runs, *(p.stdout for p in procs)):
             base, this = json.loads(base), json.loads(this)
-            if base is None or this is None:
+            if base is None:
                 excluded.append(run)
+            elif this is None:
+                hung.append(run)
             elif base == this:
                 identical += 1
             else:
@@ -157,18 +163,21 @@ def main(argv=None):
             p.stdout.close()
             if p.wait() != 0:
                 raise SystemExit(f"differential.py: the {side} worker failed")
-    if identical + len(differed) + len(excluded) != len(runs):
+    if identical + len(differed) + len(hung) + len(excluded) != len(runs):
         raise SystemExit("differential.py: a worker stopped early")
     print(f"{args.base} against this checkout: {len(runs)} runs of {len(decks)} decks"
           f" at widths {' and '.join(map(str, WIDTHS))}, step budget {MAX_STEPS}")
     print(f"  identical {identical}")
     print(f"  differed  {len(differed)}")
-    print(f"  excluded  {len(excluded)} (alarm after {SECONDS} s)")
+    print(f"  hung here {len(hung)} (alarm after {SECONDS} s in this checkout only)")
+    print(f"  excluded  {len(excluded)} (alarm after {SECONDS} s in the base)")
     for (name, width), field in differed:
         print(f"  differs: {name}, width {width}: first in {field}")
+    for name, width in hung:
+        print(f"  hung here: {name}, width {width}")
     for name, width in excluded:
         print(f"  excluded: {name}, width {width}")
-    return 1 if differed else 0
+    return 1 if differed or hung else 0
 
 
 if __name__ == "__main__":
