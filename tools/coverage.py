@@ -1,15 +1,14 @@
 """Run tier 1 under line monitoring and print every line of src/ that it
 never ran, save those that the allow-list names.
 
-    python3 tools/coverage.py [pytest arguments]
+    python3 tools/coverage.py
 
 Needs Python 3.12 or later, for sys.monitoring (PEP 669), and pytest;
 nothing else outside the standard library.  Run from anywhere inside a
 git checkout.  pytest runs in this process, with src/ first on sys.path,
-over tier 1 (the tests/ directory, -q and --continue-on-collection-errors
-unless other arguments are given).  A line event is counted once, and its
-callback then returns DISABLE, so each line slows the run only the first
-time it runs.
+over tier 1 (the tests/ directory, -q and --continue-on-collection-errors).
+A line event is counted once, and its callback then returns DISABLE, so
+each line slows the run only the first time it runs.
 
 The executable lines of a file are those that its code objects, compiled
 from the source, give through co_lines().  tools/coverage_allow.txt names
@@ -52,9 +51,9 @@ def allowed():
     return entries
 
 
-def run_tier_1(args):
-    """Run pytest with args under line monitoring; (its exit status, the
-    set of (absolute path, line) it ran in src/)."""
+def run_tier_1():
+    """Run tier 1 under line monitoring; (pytest's exit status, the set
+    of (absolute path, line) it ran in src/)."""
     import pytest
 
     mon = sys.monitoring
@@ -72,17 +71,17 @@ def run_tier_1(args):
     mon.register_callback(tool, mon.events.LINE, on_line)
     mon.set_events(tool, mon.events.LINE)
     try:
-        status = pytest.main(args or [str(CHECKOUT / "tests"), *TIER_1])
+        status = pytest.main([str(CHECKOUT / "tests"), *TIER_1])
     finally:
         mon.set_events(tool, 0)
         mon.free_tool_id(tool)
     return int(status), ran
 
 
-def main(argv=None):
+def main():
     if sys.version_info < (3, 12):
         raise SystemExit("coverage.py: needs Python 3.12 or later (sys.monitoring)")
-    status, ran = run_tier_1(sys.argv[1:] if argv is None else argv)
+    status, ran = run_tier_1()
     allow = allowed()
     unrun = {}
     for pattern in SOURCES:
