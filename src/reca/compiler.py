@@ -13,17 +13,18 @@ program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
 The monitor and the compiler each walk the card with an index of their
-own, echo what they have read in one call a card segment, and hand their
-place back to the reader: through its next_card at the end of each card,
-which reads the next one in, and through its hand_back before anything
-else reads, writes or looks.  The monitor hands back before each command
-takes effect and with the ( that starts compilation; the compiler before
+own, echo what they have read in one call a card segment, as the card's
+text, which the reader decodes once a card, and hand their place back to
+the reader: through its next_card at the end of each card, which reads
+the next one in, and through its hand_back before anything else reads,
+writes or looks.  The monitor hands back before each command takes
+effect and with the ( that starts compilation; the compiler before
 the flush, listing and binding that follow a program's name, and when a
 diagnostic it raises abandons the program.  The compiler keeps the
 store's next free cell in a local as well, and stores it back however
 the walk ends.  The monitor drops a card that is not a control card
-unechoed, and after I it takes the card up again as the new input unit
-reads it.
+unechoed, skips a run of blanks with one search of the card's text, and
+after I it takes the card up again as the new input unit reads it.
 
 The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
@@ -82,7 +83,7 @@ def monitor(sess):
         if card[0] == charset.STAR:
             break
         if card[0] == charset.LETTER_C:
-            reader.hand_back(card, 0, 80, writer.put_words)
+            reader.hand_back(card, 0, 80, writer.put_text)
             writer.flush()
         else:
             # not a control card: it goes unechoed, read as far as its first word
@@ -90,24 +91,27 @@ def monitor(sess):
     i, start = 1, 0  # the * is read, not yet echoed
     while True:
         if i == 80:
-            card = reader.next_card(card, start, writer.put_words)
+            card = reader.next_card(card, start, writer.put_text)
             i = start = 0
         w = card[i]
         i += 1
         if w == BLANK:
+            # every word on a card is a glyph, so the card's text has a
+            # blank where the card has one: skip the run in one search
+            i = 80 - len(reader.text(card)[i:].lstrip(" "))
             continue
         if w == LPAREN:
             break
         if w not in _COMMANDS:
             continue
         if i == 80:
-            card = reader.next_card(card, start, writer.put_words)
+            card = reader.next_card(card, start, writer.put_text)
             i = start = 0
         arg = card[i]
         i += 1
         if arg == LPAREN:
             break
-        reader.hand_back(card, start, i, writer.put_words)
+        reader.hand_back(card, start, i, writer.put_text)
         start = i
         code = charset.class_code(arg)
         if w == _INPUT:
@@ -133,7 +137,7 @@ def monitor(sess):
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
                 if i == 80:
-                    card = reader.next_card(card, start, writer.put_words)
+                    card = reader.next_card(card, start, writer.put_text)
                     i = start = 0
                 code = tables.quote_extend(charset.class_code(card[i]))
                 i += 1
@@ -142,7 +146,7 @@ def monitor(sess):
         elif w == _SUPPRESS:
             writer.echo = False
     # the left parenthesis at level zero: open the program frame
-    reader.hand_back(card, start, i, writer.put_words)
+    reader.hand_back(card, start, i, writer.put_text)
     writer.flush()
     st.ilc0 = st.ilc
     st.emit(0)
@@ -192,7 +196,7 @@ def _compile(sess):
     fill_chain = st.fill_chain
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
-    echo = sess.writer.put_words
+    echo = sess.writer.put_text
     frames = sess.frames
     card, i = reader.resume()
     tape, start = card, i

@@ -6,14 +6,18 @@ scanner (the monitor, the compiler, the number parser) may instead take
 the current card itself, walk it with an index of its own, and then hand
 its place back through hand_back, the one place that does so: echo what
 it read, latch the last word it took in iac and move the reader's cursor
-past it.  next_card is the one card turn: it hands back the rest of the
+past it.  The echo is the card's text as the input unit reads it: the
+reader decodes a card the first time any part of it is echoed and keeps
+the text, so a card costs one decode however many segments of it are
+echoed.  next_card is the one card turn: it hands back the rest of the
 card and reads the next one in.  resume gives a scanner the card and
 cursor to walk on from, the used-up card at cursor 80, without reading a
 card in, so that the scanner's own turn reads it.  The reader holds
 the current input unit and latches the last character read in iac.
-Output is accumulated into a single line buffer, a character or a run at
-a time, and released either explicitly or when the buffer reaches the
-width of the current output unit, which the writer holds.
+Output is text: the writer holds its pending line as one string, takes
+runs of characters onto it and releases it either explicitly or when it
+reaches the width of the current output unit, which the writer holds.
+Storage words are decoded on the way in, by put and put_words.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -95,7 +99,8 @@ class CardReader:
     single-record design.  Each card is held twice: as encoded, and with
     the keypunch substitutions made for reads from the card unit (the
     same list when the card has no keypunch glyph).  Every read latches
-    the last word it took in iac.
+    the last word it took in iac.  The text of the last card decoded, to
+    echo it or to search it, is kept against that card's list.
 
     Every read starts by refilling when the card is used up, so a read
     never comes up empty at the end of a card.
@@ -110,6 +115,8 @@ class CardReader:
         self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
         self.iac = 0      # the last word read
+        self.decoded = None  # the last card decoded, and its text
+        self.decoded_text = ""
 
     def _refill(self):
         source = self.sources.get(self.unit)
@@ -145,14 +152,22 @@ class CardReader:
             self._refill()
         return self.translated if self.unit == 2 else self.record
 
+    def text(self, card):
+        """card, a card as the reader dealt it, as text: decoded the first
+        time it is asked for, then kept until another card is."""
+        if card is not self.decoded:
+            self.decoded = card
+            self.decoded_text = charset.decode_words(card)
+        return self.decoded_text
+
     def hand_back(self, card, start, stop, echo=None):
         """A scanner that walked card, the current card, from index start
-        hands its place back: card[start:stop] goes to echo if given, its
-        last word is latched in iac, and the cursor moves to stop.  When
-        stop is start, card is not looked at."""
+        hands its place back: the text of card[start:stop] goes to echo if
+        given, its last word is latched in iac, and the cursor moves to
+        stop.  When stop is start, card is not looked at."""
         if stop > start:
             if echo:
-                echo(card[start:stop])
+                echo(self.text(card)[start:stop])
             self.iac = card[stop - 1]
         self.cursor = stop
 
@@ -187,7 +202,7 @@ class CardReader:
 
 
 class LineWriter:
-    """Character-at-a-time line buffer for the current output unit.
+    """Line buffer for the current output unit, held as one string.
 
     Each completed line is appended to punch when the unit is the card
     punch, to output otherwise, and then passed to on_line(unit, text) if
@@ -204,7 +219,7 @@ class LineWriter:
         self.printer_width = width
         self.unit = 3
         self.width = width
-        self.buffer = []
+        self.buffer = ""
         self.echo = True
 
     def select(self, unit):
@@ -212,29 +227,28 @@ class LineWriter:
         self.unit = unit
         self.width = self.printer_width if unit == 3 else 80
 
-    def put(self, word):
-        """Append one character; auto-flush at the unit width."""
+    def put_text(self, text):
+        """Append characters, releasing the line exactly where appending
+        them one at a time would: whenever it reaches the unit width."""
         if not self.echo:
             return
-        self.buffer.append(word)
-        if len(self.buffer) >= self.width:
-            self._emit()
+        line = self.buffer + text
+        if len(line) >= self.width:
+            # an overfull line (the unit narrowed) takes one more character
+            stop = max(self.width, len(self.buffer) + 1)
+            while len(line) >= stop:
+                self.buffer, line = line[:stop], line[stop:]
+                self._emit()
+                stop = self.width
+        self.buffer = line
+
+    def put(self, word):
+        """Append the character of one storage word."""
+        self.put_text(charset.char_of(word))
 
     def put_words(self, words):
-        """Append several characters, flushing exactly where repeated put
-        would: whenever the buffer reaches the unit width."""
-        if not self.echo:
-            return
-        buffer = self.buffer
-        width = self.width
-        start = 0
-        while start < len(words):
-            # an overfull buffer (the unit narrowed) takes one more word
-            stop = start + max(width - len(buffer), 1)
-            buffer.extend(words[start:stop])
-            start = stop
-            if len(buffer) >= width:
-                self._emit()
+        """Append the characters of a run of storage words."""
+        self.put_text(charset.decode_words(words))
 
     def flush(self):
         """Release the buffered line if nonempty; always leaves it empty."""
@@ -252,5 +266,5 @@ class LineWriter:
         self.emit_text(MESSAGES[-code - 1])
 
     def _emit(self):
-        self.emit_text(charset.decode_words(self.buffer))
-        self.buffer.clear()
+        self.emit_text(self.buffer)
+        self.buffer = ""

@@ -12,16 +12,17 @@ reader's iac.  A token, or the blanks before it, may run past column 80:
 parse_number then turns the card through the reader's next_card and scans
 again over the cards read so far, laid end to end.  The formatter builds
 the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
-storage words, in straight code with one round a digit, and puts them on
-a line writer in one call.
+text, in straight code with one round a digit, and puts it on a line
+writer in one call.
 
 Where the float32 round is normal or exact, Dekker's split makes it:
 c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties to even.  So every
-round of the formatter is split, and each digit step of the parser below
-1e30.  Where the round may be subnormal or inf (f32, which a digit step
-from 1e30 calls, and the parser's scale and product) C's double-to-float
-cast makes it, always through a one-cell array("f") made fresh so that
-callers share no state.
+round of the formatter is split, and each digit step of the parser from
+2**24 to 1e30; below 2**24 a digit step gives a whole number, which is a
+float32 already, so it needs no round.  Where the round may be subnormal
+or inf (f32, which a digit step from 1e30 calls, and the parser's scale
+and product) C's double-to-float cast makes it, always through a one-cell
+array("f") made fresh so that callers share no state.
 """
 
 from array import array
@@ -44,7 +45,6 @@ def f32(x):
 
 ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
 FIELD_WIDTH = 13
-_DIGITS = tuple(n * 256 - 4032 for n in range(10))  # the word of each digit glyph
 
 
 def parse_number(reader, integer=False):
@@ -105,9 +105,12 @@ def scan_number(card, i, integer):
     while True:
         if -4032 <= w <= -1728:
             x = value * 10.0 + (w + 4032) // 256
-            c = x * _SPLIT
-            # the split does not saturate to inf; past 1e30 the cast must
-            value = c - (c - x) if x < 1e30 else f32(x)
+            if x < 16777216.0:  # 2**24: a whole number, so a float32
+                value = x
+            else:
+                c = x * _SPLIT
+                # the split does not saturate to inf; past 1e30 the cast must
+                value = c - (c - x) if x < 1e30 else f32(x)
         elif w == DOT and point is None:
             point = i
         else:
@@ -138,8 +141,8 @@ def scan_number(card, i, integer):
     return f[0], i
 
 
-def scientific_words(value):
-    """The 13 storage words of float32 value as [blank][sign]d.dddddE[sign]dd.
+def scientific_text(value):
+    """The 13-character field of float32 value, [blank][sign]d.dddddE[sign]dd.
 
     The mantissa is normalized by repeated float32 multiplies into [1, 10)
     (overshoot then divide back, so the rounding trail matches the
@@ -149,7 +152,6 @@ def scientific_words(value):
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
     k = 0
-    sign = MINUS if value < 0 else BLANK
     v = value if value >= 0 else -value
     if v > 0:
         # ten times a subnormal is a whole multiple of 2**-149, so it is
@@ -195,23 +197,24 @@ def scientific_words(value):
     c = x * _SPLIT
     d5 = int(c - (c - x))
     e1, e0 = divmod(-k if k < 0 else k, 10)  # two digits for a float32's exponent
-    return [BLANK, sign, _DIGITS[d0], DOT, _DIGITS[d1], _DIGITS[d2], _DIGITS[d3],
-            _DIGITS[d4], _DIGITS[d5], LETTER_E, MINUS if k < 0 else BLANK,
-            _DIGITS[e1], _DIGITS[e0]]
+    digits = "0123456789"
+    return (f" {'-' if value < 0 else ' '}{digits[d0]}.{digits[d1]}{digits[d2]}"
+            f"{digits[d3]}{digits[d4]}{digits[d5]}E{'-' if k < 0 else ' '}"
+            f"{digits[e1]}{digits[e0]}")
 
 
 def format_scientific(writer, value):
     """Append value's 13-character field to the writer's line, first
     releasing the line if the field would not fit in the unit's width."""
-    words = scientific_words(value)
+    text = scientific_text(value)
     if len(writer.buffer) > writer.width - FIELD_WIDTH:
         writer.flush()
-    writer.put_words(words)
+    writer.put_text(text)
 
 
 def format_number(value):
     """Standalone formatting helper: the 13-character field as a string."""
-    return charset.decode_words(scientific_words(f32(value)))
+    return scientific_text(f32(value))
 
 
 def parse_text(text, integer=False):

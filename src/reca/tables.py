@@ -14,7 +14,6 @@ command restores the defaults.
 """
 
 import re
-from dataclasses import dataclass
 
 from .charset import code_of, quote_extend
 
@@ -73,11 +72,20 @@ UNDEFINED = 0
 DECLARED_RECURSIVE = "DECLARED_RECURSIVE"
 
 
-@dataclass(frozen=True)
 class Subroutine:
     """Exec binding of a defined program: entry cell and linkage kind."""
-    entry: int
-    recursive: bool
+    __slots__ = ("entry", "recursive")
+
+    def __init__(self, entry, recursive):
+        self.entry = entry
+        self.recursive = recursive
+
+    def __eq__(self, other):
+        return (type(other) is Subroutine and self.entry == other.entry
+                and self.recursive == other.recursive)
+
+    def __repr__(self):
+        return f"Subroutine(entry={self.entry!r}, recursive={self.recursive!r})"
 
 
 def _codes(chars):

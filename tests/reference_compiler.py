@@ -11,7 +11,10 @@ replaced their last caller: the card reader's through_quote, force_refill,
 rest and its nonblank that echoes the blanks it skips, the line writer's
 clear and the session's read_echo.  So is numio's parse_number with its
 echo argument, which only the compiler copied here passed.  Only the
-imports changed, and these methods take the reader, the writer or the
+imports changed, and two things that follow the writer's line becoming
+a string: the echo that the reader's hand-backs in parse_number take is
+the writer's put_text, for the reader echoes a card's text, and clear
+empties the string.  These methods take the reader, the writer or the
 session as their first argument instead of being methods; scan_number,
 the tables and the store come from reca.
 """
@@ -234,7 +237,7 @@ def _compile_counter(sess, code):
     """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
     st = sess.store
     st.emit(-code)
-    n = parse_number(sess.reader, integer=True, echo=sess.writer.put_words)
+    n = parse_number(sess.reader, integer=True, echo=sess.writer.put_text)
     if n <= 0:
         raise Diagnostic(BAD_COUNTER)
     st.emit(-n)
@@ -247,7 +250,7 @@ def _compile_constant(sess, code):
     """'/number' becomes [op, pool slot]; the value goes to the pool."""
     st = sess.store
     st.emit(-code)
-    value = parse_number(sess.reader, echo=sess.writer.put_words)
+    value = parse_number(sess.reader, echo=sess.writer.put_text)
     reader = sess.reader
     if reader.iac == charset.BLANK:
         sess.writer.put(nonblank(reader, sess.writer.put_words))
@@ -347,7 +350,7 @@ def rest(reader):
 
 def clear(writer):
     """Drop buffered characters without writing them."""
-    writer.buffer.clear()
+    writer.buffer = ""
 
 
 def parse_number(reader, integer=False, echo=None):

@@ -34,7 +34,11 @@ def test_factorial_compiles_to_known_cells():
 def test_nonrecursive_definition_has_zero_entry():
     sess = compile_only(["*(A,)Y"])
     assert sess.store.cells[1] == 0
-    assert sess.exec_code[41] == Subroutine(entry=1, recursive=False)
+    binding = sess.exec_code[41]
+    assert binding == Subroutine(entry=1, recursive=False)
+    assert binding != Subroutine(entry=1, recursive=True)
+    assert binding != Subroutine(entry=2, recursive=False) and binding != [1, False]
+    assert repr(binding) == "Subroutine(entry=1, recursive=False)"
     assert sess.compile_code[41] == tables.PREDICATE
 
 

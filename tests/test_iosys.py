@@ -73,8 +73,8 @@ def test_next_card_hands_back_the_rest_and_reads_the_next():
     r = reader_for(["AB" + "C" * 77 + "D", "%E"])
     card = r.card()
     echoed = []
-    nxt = r.next_card(card, 2, echoed.extend)
-    assert "".join(map(charset.char_of, echoed)) == "C" * 77 + "D"
+    nxt = r.next_card(card, 2, echoed.append)
+    assert echoed == ["C" * 77 + "D"]
     assert charset.char_of(r.iac) == "D"
     assert nxt is r.card() and r.cursor == 0
     assert charset.char_of(nxt[0]) == "("  # read in as the card unit reads it
@@ -83,7 +83,7 @@ def test_next_card_hands_back_the_rest_and_reads_the_next():
 def test_next_card_of_a_fresh_card_echoes_nothing():
     r = reader_for(["A", "B"])
     echoed = []
-    card = r.next_card(None, 80, echoed.extend)
+    card = r.next_card(None, 80, echoed.append)
     assert charset.char_of(card[0]) == "A"
     assert (echoed, r.iac, r.cursor) == ([], 0, 0)
 
@@ -93,10 +93,43 @@ def test_next_card_hands_back_before_the_cards_run_out():
     card = r.card()
     echoed = []
     with pytest.raises(EndOfInput):
-        r.next_card(card, 78, echoed.extend)
-    assert "".join(map(charset.char_of, echoed)) == "AB"
+        r.next_card(card, 78, echoed.append)
+    assert echoed == ["AB"]
     assert charset.char_of(r.iac) == "B"
     assert r.cursor == 80
+
+
+@pytest.mark.parametrize("unit, text", [(2, "A(B)'=C"), (6, "A%B<@#C")])
+def test_the_echo_is_the_card_as_the_input_unit_reads_it(unit, text):
+    r = reader_for(["A%B<@#C"], unit=unit)
+    card = r.card()
+    echoed = []
+    r.hand_back(card, 0, 2, echoed.append)
+    r.hand_back(card, 2, 7, echoed.append)
+    assert echoed == [text[:2], text[2:]]
+    assert charset.char_of(r.iac) == "C" and r.cursor == 7
+
+
+def test_a_card_is_decoded_once_however_often_it_is_echoed(monkeypatch):
+    decoded = []
+
+    def decode_words(words):
+        decoded.append(len(words))
+        return "".join(map(charset.char_of, words))
+
+    monkeypatch.setattr(charset, "decode_words", decode_words)
+    r = reader_for(["AB" + " " * 77 + "C", "D"])
+    card = r.card()
+    echoed = []
+    for start in range(0, 80, 8):
+        r.hand_back(card, start, start + 8, echoed.append)
+    assert "".join(echoed) == "AB" + " " * 77 + "C"
+    assert decoded == [80]
+    card = r.next_card(card, 80, echoed.append)
+    r.hand_back(card, 0, 1)  # a hand-back with no echo decodes nothing
+    assert decoded == [80]
+    r.hand_back(card, 1, 2, echoed.append)
+    assert decoded == [80, 80]
 
 
 def test_resume_gives_the_card_to_walk_on_from():
@@ -168,14 +201,21 @@ def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, w
     for w in words_from(start, n_before):
         one.put(w)
         many.put(w)
-    one.echo = many.echo = echo
+    # and put_text, given the same characters as text
+    texts, texts_lines = collect_writer(width)
+    texts.select(before_unit)
+    texts.put_text("".join(map(charset.char_of, words_from(start, n_before))))
+    one.echo = many.echo = texts.echo = echo
     one.select(unit)
     many.select(unit)
+    texts.select(unit)
     words = words_from(start + n_before, n)
     for w in words:
         one.put(w)
     many.put_words(words)
+    texts.put_text("".join(map(charset.char_of, words)))
     assert (many_lines, many.buffer) == (one_lines, one.buffer)
+    assert (texts_lines, texts.buffer) == (one_lines, one.buffer)
 
 
 # card runs: one slice each, the same as reading the characters one by one;
@@ -203,7 +243,7 @@ def read_run(sess, op, limit):
     card = reader.card()
     start = reader.cursor
     stop = 80 if op.startswith("to_end") else min(start + limit, 80)
-    echo = None if op.endswith("unechoed") else writer.put_words
+    echo = None if op.endswith("unechoed") else writer.put_text
     reader.hand_back(card, start, stop, echo)
     return card[start:stop]
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import reference_compiler
 from reca import charset, numio
 from reca.iosys import CardReader, EndOfInput, LineWriter
-from reca.numio import f32, format_number, parse_text, scientific_words
+from reca.numio import f32, format_number, parse_text, scientific_text
 from reca.session import Session
 
 from conftest import digit_value, digit_word, is_digit_word, run, table_rows
@@ -163,11 +163,11 @@ def reference_words(value):
 @example(f32(-0.99999994))
 @example(f32(1.4000049829483032))  # the digits depend on the round after the first
 @example(f32(1.0803149938583374))  # and on the round after the second
-def test_scientific_words_match_reference(v):
-    assert scientific_words(v) == reference_words(v)
+def test_scientific_text_matches_reference(v):
+    assert scientific_text(v) == charset.decode_words(reference_words(v))
 
 
-def test_scientific_words_match_reference_in_every_binade():
+def test_scientific_text_matches_reference_in_every_binade():
     # every exponent field but the all-ones one (inf and nan), 0 being the
     # subnormals and zero; in each, the first, the last and 100 seeded
     # mantissas, with either sign
@@ -178,7 +178,8 @@ def test_scientific_words_match_reference_in_every_binade():
             for sign in (0, 1 << 31):
                 bits = sign | exponent << 23 | mantissa
                 v = struct.unpack("<f", struct.pack("<I", bits))[0]
-                assert scientific_words(v) == reference_words(v), hex(bits)
+                assert scientific_text(v) == charset.decode_words(reference_words(v)), \
+                    hex(bits)
 
 
 FLT_MAX = f32(3.4028235e38)
@@ -368,8 +369,9 @@ def parse_outcome(cards, column, unit, integer, parser):
     echoed = []
     if parser == "reference":
         def read():
-            echoed.append(reader.read())
-            return echoed[-1]
+            w = reader.read()
+            echoed.append(charset.char_of(w))
+            return w
 
         parse = reference_parse_int if integer else reference_parse_float
         args = (read,)
@@ -424,6 +426,14 @@ NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
          filler="9", more=[], unit=2, integer=False)  # past 1e30 after the point, across column 80
 @example(column=0, blanks=0, text="9" * 140 + "'", filler="", more=[],
          unit=2, integer=False)  # 140 digits over two cards
+@example(column=0, blanks=0, text="16777216'", filler="", more=[], unit=2,
+         integer=False)  # the first digit step to reach 2**24
+@example(column=0, blanks=0, text="16777217'", filler="", more=[], unit=2,
+         integer=False)  # past 2**24, where a step rounds
+@example(column=0, blanks=0, text="99999999'", filler="", more=[], unit=2,
+         integer=False)  # eight nines: the last step is split
+@example(column=0, blanks=0, text="123456789E-2'", filler="", more=[], unit=2,
+         integer=False)  # nine digits, then scaled
 def test_parse_number_matches_the_reference_parsers(
         column, blanks, text, filler, more, unit, integer):
     # the token begins at column, after filler on the columns before it

@@ -55,7 +55,10 @@ def test_execute_names_the_operations_in_table_order():
         and getattr(node.value.func, "id", None) == "range"
     ]
     assert len(unpacks) == 1
-    assert [name.id for name in unpacks[0].elts] == [row[0] for row in tables.OPERATIONS]
+    # the library functions that interpreter.FUNCTIONS alone serves are _
+    served = {"COS", "TANH", "SQRT", "ATAN", "LOG", "SIN"}
+    assert [name.id for name in unpacks[0].elts] == [
+        "_" if row[0] in served else row[0] for row in tables.OPERATIONS]
 
 
 def test_execute_tests_no_operation_by_its_number():
