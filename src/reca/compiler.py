@@ -51,9 +51,9 @@ from .iosys import (
 )
 from .store import RECURSIVE_MARK
 from .tables import (
-    CHAR_PRED, CLOSE, COMMENT, CONSTANT, COUNTER, DECLARED_RECURSIVE, IGNORE,
-    OPEN, OPERATOR, OPERATOR_NUM, PREDICATE, QUOTE_PREFIX, REPEAT, SEQUENT,
-    STRING, Subroutine,
+    CHAR_PRED, CLOSE, COMMENT, CONSTANT, COUNTER, DECLARED_RECURSIVE, OPEN,
+    OPERATOR, OPERATOR_NUM, PREDICATE, QUOTE_PREFIX, REPEAT, SEQUENT, STRING,
+    Subroutine,
 )
 
 
@@ -129,11 +129,7 @@ def monitor(sess):
         elif w == _TERMINATE:
             raise Terminated
         elif w == _ERASE:
-            st.ilc = 1
-            sess.compile_code = tables.compile_table()
-            sess.exec_code = tables.exec_table()
-            sess.constants_used = 0
-            sess.constants_committed = 0
+            sess.erase()
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
                 if i == 80:
@@ -185,7 +181,10 @@ def _compile(sess):
     out leave ilc where the token had got to.  Taking a token again is
     taking it once because every branch reads all its words before it
     changes anything but ilc and the store cells from its own first cell
-    on; the level-zero ) does not, and turns the card itself for its name.
+    on: the operation branch writes its operator cell and its class's
+    inline cells as it reads, and takes a constant's pool slot and joins a
+    test's false link to the frame only after its last word.  The
+    level-zero ) does not, and turns the card itself for its name.
     The tape may be the reader's card, so the walk never writes to it.
     Only the tape can run out: a branch indexes besides it only the store,
     which has 8 cells of headroom past the ilc > 495 check, frames, which
@@ -217,15 +216,102 @@ def _compile(sess):
                     i += 1
                     code = (((w - 64) >> 8) & 63) + 65
                     cls = table[code]
-                if cls == IGNORE:
-                    continue
-                if cls == OPERATOR:
-                    cells[ilc] = -code
-                    ilc += 1
-                elif cls == SEQUENT:
+                # the classes are told apart by range, as tables orders them:
+                # the operations (OPERATOR to CONSTANT, and STRING) first, for
+                # they are the commonest, then the separators, ) and (; the
+                # blank, IGNORE, falls through them all
+                if cls > REPEAT:
+                    if cls < COMMENT or cls == STRING:
+                        # an operation: its operator cell, then the cells its
+                        # compile class lays out after it
+                        cells[ilc] = -code
+                        ilc += 1
+                        if cls == OPERATOR:
+                            continue  # the commonest class lays out no cells
+                        if cls != PREDICATE:  # whose only cell is its false link
+                            if cls == OPERATOR_NUM:
+                                # the variable's slot; the glyph 0 selects ten
+                                c = (((tape[i] - 64) >> 8) & 63) + 1
+                                i += 1
+                                if not 49 <= c <= 58:
+                                    raise Diagnostic(BAD_ARGUMENT)
+                                cells[ilc] = c - 49 if c > 49 else 10
+                                ilc += 1
+                            elif cls == CONSTANT:
+                                # '/number: its slot in the pool, which takes
+                                # the value
+                                value, i = numio.scan_number(tape, i, False)
+                                w = tape[i]
+                                i += 1
+                                while w == BLANK:
+                                    w = tape[i]
+                                    i += 1
+                                if w != QUOTE:
+                                    raise Diagnostic(BAD_NUMBER)
+                                sess.constants_used += 1
+                                cells[ilc] = sess.constants_used
+                                ilc += 1
+                                if sess.constants_used > len(sess.constants) - 1:
+                                    raise Diagnostic(CONSTANT_EXCESS)
+                                sess.constants[sess.constants_used] = value
+                            elif cls == COUNTER:
+                                # $n$: the count to reload, then the live
+                                # count, both -n
+                                n, i = numio.scan_number(tape, i, True)
+                                i += 1
+                                if n <= 0:
+                                    raise Diagnostic(BAD_COUNTER)
+                                cells[ilc] = cells[ilc + 1] = -n
+                                ilc += 2
+                            elif cls == CHAR_PRED:
+                                cells[ilc] = tape[i]  # the raw character
+                                i += 1
+                                ilc += 1
+                            else:
+                                # STRING: the length of "text', then its
+                                # characters verbatim; the store overflows once
+                                # the text reaches cell 497, or at once when
+                                # the text starts there
+                                count_cell = ilc
+                                ilc += 1
+                                limit = i + max(497 - ilc, 1)
+                                try:
+                                    stop = tape.index(QUOTE, i, limit)
+                                except ValueError:
+                                    stop = min(limit, len(tape))
+                                cells[ilc:ilc + stop - i] = tape[i:stop]
+                                ilc += stop - i
+                                i = stop
+                                if stop == limit:
+                                    raise Diagnostic(STORE_OVERFLOW)
+                                if stop == len(tape):
+                                    raise IndexError  # no closing quote yet
+                                i += 1
+                                cells[count_cell] = ilc - count_cell - 1
+                        if cls >= PREDICATE and cls <= COUNTER:
+                            # a test: its layout ends in a false link, which
+                            # joins the frame's false chain
+                            frame = frames[-1]
+                            cells[ilc] = frame[1]
+                            frame[1] = ilc
+                            ilc += 1
+                    elif cls == COMMENT:
+                        try:
+                            i = tape.index(QUOTE, i) + 1
+                        except ValueError:
+                            raise IndexError from None  # no closing quote yet
+                    else:  # RESERVED
+                        raise Diagnostic(RESERVED_OP)
+                elif cls >= SEQUENT:
+                    # , or . ends an alternative, and the frame's false chain
+                    # lands after its cell
                     frame = frames[-1]
-                    cells[ilc] = frame[2]
-                    frame[2] = ilc
+                    if cls == SEQUENT:
+                        # thread a jump into the frame's true chain
+                        cells[ilc] = frame[2]
+                        frame[2] = ilc
+                    else:
+                        cells[ilc] = frame[0]  # jump back to the frame's start
                     ilc += 1
                     fill_chain(frame[1], ilc)
                     frame[1] = 0
@@ -287,99 +373,10 @@ def _compile(sess):
                     if w != LPAREN:
                         raise Diagnostic(BAD_LEVEL_ZERO)
                     sess.writer.put(w)
-                elif cls == PREDICATE:
-                    cells[ilc] = -code
-                    frame = frames[-1]
-                    cells[ilc + 1] = frame[1]
-                    frame[1] = ilc + 1
-                    ilc += 2
                 elif cls == OPEN:
                     if len(frames) >= 10:
                         raise Diagnostic(EXCESS_NESTING)
                     frames.append([ilc, 0, 0])
-                elif cls == OPERATOR_NUM:
-                    cells[ilc] = -code
-                    ilc += 1
-                    c = (((tape[i] - 64) >> 8) & 63) + 1
-                    i += 1
-                    if not 49 <= c <= 58:
-                        raise Diagnostic(BAD_ARGUMENT)
-                    cells[ilc] = c - 49 if c > 49 else 10  # the glyph 0 selects slot ten
-                    ilc += 1
-                elif cls == CONSTANT:
-                    # '/number' becomes [op, pool slot]; the value goes to the pool
-                    cells[ilc] = -code
-                    ilc += 1
-                    value, i = numio.scan_number(tape, i, False)
-                    w = tape[i]
-                    i += 1
-                    while w == BLANK:
-                        w = tape[i]
-                        i += 1
-                    if w != QUOTE:
-                        raise Diagnostic(BAD_NUMBER)
-                    sess.constants_used += 1
-                    cells[ilc] = sess.constants_used
-                    ilc += 1
-                    if sess.constants_used > len(sess.constants) - 1:
-                        raise Diagnostic(CONSTANT_EXCESS)
-                    sess.constants[sess.constants_used] = value
-                elif cls == REPEAT:
-                    frame = frames[-1]
-                    cells[ilc] = frame[0]
-                    ilc += 1
-                    fill_chain(frame[1], ilc)
-                    frame[1] = 0
-                elif cls == COUNTER:
-                    # $n$ becomes [op, -n, -n, link]; the middle cell is the live count
-                    cells[ilc] = -code
-                    ilc += 1
-                    n, i = numio.scan_number(tape, i, True)
-                    i += 1
-                    if n <= 0:
-                        raise Diagnostic(BAD_COUNTER)
-                    cells[ilc] = cells[ilc + 1] = -n
-                    frame = frames[-1]
-                    cells[ilc + 2] = frame[1]
-                    frame[1] = ilc + 2
-                    ilc += 3
-                elif cls == CHAR_PRED:
-                    cells[ilc] = -code
-                    ilc += 1
-                    cells[ilc] = tape[i]
-                    i += 1
-                    frame = frames[-1]
-                    cells[ilc + 1] = frame[1]
-                    frame[1] = ilc + 1
-                    ilc += 2
-                elif cls == STRING:
-                    # "text' becomes [op, length, the characters verbatim]
-                    cells[ilc] = -code
-                    count_cell = ilc + 1
-                    ilc += 2
-                    # the store overflows once the text reaches cell 497, or
-                    # at once when the text starts there
-                    limit = i + max(497 - ilc, 1)
-                    try:
-                        stop = tape.index(QUOTE, i, limit)
-                    except ValueError:
-                        stop = min(limit, len(tape))
-                    cells[ilc:ilc + stop - i] = tape[i:stop]
-                    ilc += stop - i
-                    i = stop
-                    if stop == limit:
-                        raise Diagnostic(STORE_OVERFLOW)
-                    if stop == len(tape):
-                        raise IndexError  # no closing quote yet
-                    i += 1
-                    cells[count_cell] = ilc - count_cell - 1
-                elif cls == COMMENT:
-                    try:
-                        i = tape.index(QUOTE, i) + 1
-                    except ValueError:
-                        raise IndexError from None  # no closing quote yet
-                else:  # RESERVED
-                    raise Diagnostic(RESERVED_OP)
             except IndexError:
                 # the tape ran out: read the next card in, keep the token's
                 # words, and take it again

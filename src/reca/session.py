@@ -23,7 +23,7 @@ reader; the output unit and its width on the line writer.  The monitor,
 the compiler and the interpreter use the two directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import compiler, interpreter, tables
 from .iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter
@@ -58,14 +58,11 @@ class Session:
         self.writer = LineWriter(self.output, self.punch, width=cfg.width,
                                  on_line=on_line)
         self.store = ProgramStore()
-        self.compile_code = tables.compile_table()
-        self.exec_code = tables.exec_table()
+        self.erase()
         self.frames = []          # open parenthesis levels during compile
         self.stack = [0.0] * (interpreter.STACK_LIMIT + 2)
         self.variables = [0.0] * 11   # slots 1..10
         self.constants = [0.0] * 31   # slots 1..30
-        self.constants_used = 0
-        self.constants_committed = 0
         self.errors_emitted = False
         self.cancelled = False
 
@@ -79,6 +76,15 @@ class Session:
             return next(it, None)
 
         return pull
+
+    def erase(self):
+        """Forget every program and definition: the state a new session
+        starts in, and the one the monitor's erase command restores."""
+        self.store.ilc = 1
+        self.compile_code = tables.compile_table()
+        self.exec_code = tables.exec_table()
+        self.constants_used = 0
+        self.constants_committed = 0
 
     def diagnose(self, code):
         self.errors_emitted = True

@@ -10,7 +10,9 @@ the machine it models.  Cell meanings:
                   operator
 
 An operator cell's inline layout, the cells that follow it, is given by
-the compile class of its operation in tables.OPERATIONS.
+the compile class of its operation in tables.OPERATIONS; the compiler
+writes every operation, operator cell and inline cells, in one branch,
+and the layout of a test ends in its false link.
 
 Forward references are kept as chains: each pending jump cell holds the
 address of the previous pending cell (0 ends the chain) until the target

@@ -42,6 +42,10 @@ EDGE_OPERANDS = [
     # float32 steps put 88.73 one unit below the nearest float32
     ("88.72", struct.unpack("f", struct.pack("f", 88.72))[0]),
     ("88.73", 88.72999572753906),
+    # the tolerance of 0 and J, either sign, and the float32 just above it
+    ("5E-6", struct.unpack("f", struct.pack("f", 5e-6))[0]),
+    ("-5E-6", struct.unpack("f", struct.pack("f", -5e-6))[0]),
+    ("5.0000003E-6", 5.000000328436727e-06),
 ]
 UNARY = ["A", "C", "E", "H", "M", "Q", "'A", "'L", "'S"]
 BINARY = ["&", "+", "-", "*", "/", "B"]
