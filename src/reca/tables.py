@@ -19,10 +19,10 @@ from .charset import code_of, quote_extend
 
 # compile classes; an operation's class is also the layout of the cells that
 # follow its operator cell.  The compiler tells the classes apart by range, so
-# their order holds: the blank and the structure (IGNORE to REPEAT, the
-# separators last) come before the operations (OPERATOR to CONSTANT, and
-# STRING), and the tests, PREDICATE to COUNTER, the classes whose layout ends
-# in a false link, must stay contiguous, as execute's groups must.
+# their order must hold: the blank and the structure (IGNORE to REPEAT, the
+# separators last), then the operations OPERATOR to CONSTANT, then the rest,
+# STRING among them; and the tests, PREDICATE to COUNTER, the classes whose
+# layout ends in a false link, must stay contiguous, as execute's groups must.
 IGNORE = 0
 OPEN = 1          # (
 CLOSE = 2         # ) and its keypunch twin
