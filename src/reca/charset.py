@@ -15,6 +15,7 @@ A quote prefix shifts a class code into the upper half (65..128) so quoted
 letters get their own table rows.
 """
 
+import re
 import struct
 
 # code points for the 63 assigned card glyphs (one slot of the 64 is unused)
@@ -120,6 +121,11 @@ _DEFAULT_WORD = {
 }
 
 
+# a source line whose every character is a glyph as it stands, within 80
+# columns: its card decodes to the line itself, blank-padded
+is_plain = re.compile(f"[{re.escape(''.join(WORD_BY_CHAR))}]{{0,80}}").fullmatch
+
+
 def encode_card(text, strict=False, diagnostics=None):
     """Turn one source line into exactly 80 storage words.
 
@@ -131,20 +137,21 @@ def encode_card(text, strict=False, diagnostics=None):
     """
     dropped = len(text[80:].rstrip(" "))
     text = text[:80]
-    words = list(map(_DEFAULT_WORD.get, text))
-    if None in words:
+    try:
+        words = list(map(_DEFAULT_WORD.__getitem__, text))
+    except KeyError:
+        words = []
         for col, ch in enumerate(text, start=1):
-            if words[col - 1] is not None:
-                continue
-            # other characters whose uppercase is a glyph, such as dotless i
-            w = WORD_BY_CHAR.get(ch.upper())
+            # else another character whose uppercase is a glyph, such as
+            # dotless i
+            w = _DEFAULT_WORD.get(ch) or WORD_BY_CHAR.get(ch.upper())
             if w is None:
                 if strict:
                     raise CharsetError(f"column {col}: character {ch!r} not in character set")
                 if diagnostics is not None:
                     diagnostics.append(f"column {col}: character {ch!r} replaced by blank")
                 w = BLANK
-            words[col - 1] = w
+            words.append(w)
     if dropped and diagnostics is not None:
         plural = "s" if dropped > 1 else ""
         diagnostics.append(

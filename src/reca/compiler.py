@@ -14,10 +14,10 @@ the third position prints the object-code listing.
 
 The monitor and the compiler each walk the card with an index of their
 own, echo what they have read in one call a card segment, as the card's
-text, which the reader decodes once a card, and hand their place back to
-the reader: through its next_card at the end of each card, which reads
-the next one in, and through its hand_back before anything else reads,
-writes or looks.  The monitor hands back before each command takes
+text, which the reader takes from the source line or decodes once a
+card, and hand their place back to the reader: through its next_card at
+the end of each card, which reads the next one in, and through its
+hand_back before anything else reads, writes or looks.  The monitor hands back before each command takes
 effect and with the ( that starts compilation; the compiler before
 the flush, listing and binding that follow a program's name, and when a
 diagnostic it raises abandons the program.  The compiler keeps the
@@ -25,6 +25,7 @@ store's next free cell in a local as well, and stores it back however
 the walk ends.  The monitor drops a card that is not a control card
 unechoed, skips a run of blanks with one search of the card's text, and
 after I it takes the card up again as the new input unit reads it.
+With the listing off, neither passes an echo to the reader.
 
 The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
@@ -34,8 +35,11 @@ comments and " strings, and the numbers of constants and counters, which
 numio.scan_number scans, are all read off the tape.  A token that runs
 off the end of the tape is taken again, from its first word, once the
 next card is in: the one card turn of the compiler, besides the name
-read after the level-zero ).  The blanks and the left parenthesis after
-a bound program's name, once a program, are read through the reader.
+read after the level-zero ) and the blanks after a bound program's
+name.  Those blanks are skipped on the compiler's own tape, unechoed,
+and the left parenthesis of the next program is taken off it and
+echoed with the segment it starts; anything else there is COMP 04, and
+the cards running out there end the session cleanly.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -78,12 +82,13 @@ def monitor(sess):
     reader = sess.reader
     writer = sess.writer
     st = sess.store
+    echo = writer.put_text if writer.echo else None  # None: the listing is off
     while True:
         card = reader.next_card(None, 80)  # a control card starts a fresh card
         if card[0] == charset.STAR:
             break
         if card[0] == charset.LETTER_C:
-            reader.hand_back(card, 0, 80, writer.put_text)
+            reader.hand_back(card, 0, 80, echo)
             writer.flush()
         else:
             # not a control card: it goes unechoed, read as far as its first word
@@ -91,7 +96,7 @@ def monitor(sess):
     i, start = 1, 0  # the * is read, not yet echoed
     while True:
         if i == 80:
-            card = reader.next_card(card, start, writer.put_text)
+            card = reader.next_card(card, start, echo)
             i = start = 0
         w = card[i]
         i += 1
@@ -105,13 +110,13 @@ def monitor(sess):
         if w not in _COMMANDS:
             continue
         if i == 80:
-            card = reader.next_card(card, start, writer.put_text)
+            card = reader.next_card(card, start, echo)
             i = start = 0
         arg = card[i]
         i += 1
         if arg == LPAREN:
             break
-        reader.hand_back(card, start, i, writer.put_text)
+        reader.hand_back(card, start, i, echo)
         start = i
         code = charset.class_code(arg)
         if w == _INPUT:
@@ -133,16 +138,16 @@ def monitor(sess):
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
                 if i == 80:
-                    card = reader.next_card(card, start, writer.put_text)
+                    card = reader.next_card(card, start, echo)
                     i = start = 0
                 code = tables.quote_extend(charset.class_code(card[i]))
                 i += 1
             sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
-            writer.echo = False
+            writer.echo = echo = False
     # the left parenthesis at level zero: open the program frame
-    reader.hand_back(card, start, i, writer.put_text)
+    reader.hand_back(card, start, i, echo)
     writer.flush()
     st.ilc0 = st.ilc
     st.emit(0)
@@ -184,7 +189,8 @@ def _compile(sess):
     on: the operation branch writes its operator cell and its class's
     inline cells as it reads, and takes a constant's pool slot and joins a
     test's false link to the frame only after its last word.  The
-    level-zero ) does not, and turns the card itself for its name.
+    level-zero ) does not, and turns the card itself for its name and
+    for the blanks after a bound program's name.
     The tape may be the reader's card, so the walk never writes to it.
     Only the tape can run out: a branch indexes besides it only the store,
     which has 8 cells of headroom past the ilc > 495 check, frames, which
@@ -195,7 +201,7 @@ def _compile(sess):
     fill_chain = st.fill_chain
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
-    echo = sess.writer.put_text
+    echo = sess.writer.put_text if sess.writer.echo else None
     frames = sess.frames
     card, i = reader.resume()
     tape, start = card, i
@@ -313,8 +319,9 @@ def _compile(sess):
                     else:
                         cells[ilc] = frame[0]  # jump back to the frame's start
                     ilc += 1
-                    fill_chain(frame[1], ilc)
-                    frame[1] = 0
+                    if frame[1]:
+                        fill_chain(frame[1], ilc)
+                        frame[1] = 0
                 elif cls == CLOSE:
                     frame = frames.pop()
                     if frames:
@@ -325,8 +332,10 @@ def _compile(sess):
                     else:
                         cells[ilc] = 0  # the program's false exit
                     ilc += 1
-                    fill_chain(frame[1], ilc)
-                    fill_chain(frame[2], ilc)
+                    if frame[1]:
+                        fill_chain(frame[1], ilc)
+                    if frame[2]:
+                        fill_chain(frame[2], ilc)
                     if frames:
                         continue
                     # level zero: seal the program and read the three name
@@ -362,17 +371,25 @@ def _compile(sess):
                     cells[ilc] = 0
                     ilc += 1
                     frames = sess.frames = [[ilc, 0, 0]]
-                    # a further program must follow on this or a later card;
-                    # the blanks before it are not echoed
+                    # a further program must follow on this or a later card,
+                    # after blanks that are not echoed.  A card of them is
+                    # handed back from its last column, which latches what
+                    # reading it would: a blank, or the name's last character
+                    i = reader.cursor
                     try:
-                        w = reader.nonblank()
+                        while i == 80 or card[i] == BLANK:
+                            i += 1
+                            if i >= 80:
+                                card = reader.next_card(card, 79)
+                                i = 0
                     except EndOfInput:
                         raise Terminated from None
-                    card, i = reader.resume()
+                    # the ( is echoed with the segment it starts
                     tape, start = card, i
-                    if w != LPAREN:
+                    i += 1
+                    if card[start] != LPAREN:
+                        echo = None  # read, not echoed, as the walk is left
                         raise Diagnostic(BAD_LEVEL_ZERO)
-                    sess.writer.put(w)
                 elif cls == OPEN:
                     if len(frames) >= 10:
                         raise Diagnostic(EXCESS_NESTING)

@@ -6,11 +6,14 @@ scanner (the monitor, the compiler, the number parser) may instead take
 the current card itself, walk it with an index of its own, and then hand
 its place back through hand_back, the one place that does so: echo what
 it read, latch the last word it took in iac and move the reader's cursor
-past it.  The echo is the card's text as the input unit reads it: the
-reader decodes a card the first time any part of it is echoed and keeps
-the text, so a card costs one decode however many segments of it are
-echoed.  next_card is the one card turn: it hands back the rest of the
-card and reads the next one in.  resume gives a scanner the card and
+past it.  With the listing off a scanner passes no echo, and nothing is
+sliced.  The echo is the card's text as the input unit reads it, taken
+the first time any part of the card is echoed and kept for the rest of
+it.  A card read from a plain source line, every character a glyph as it
+stands and no more than 80 of them, with no keypunch substitution made,
+takes its text from the line itself, blank-padded; any other card is
+decoded once.  next_card is the one card turn: it hands back the rest of
+the card and reads the next one in.  resume gives a scanner the card and
 cursor to walk on from, the used-up card at cursor 80, without reading a
 card in, so that the scanner's own turn reads it.  The reader holds
 the current input unit and latches the last character read in iac.
@@ -98,9 +101,10 @@ class CardReader:
     buffer is used regardless of unit, matching the original
     single-record design.  Each card is held twice: as encoded, and with
     the keypunch substitutions made for reads from the card unit (the
-    same list when the card has no keypunch glyph).  Every read latches
-    the last word it took in iac.  The text of the last card decoded, to
-    echo it or to search it, is kept against that card's list.
+    same list when the card has no keypunch glyph), and its source line
+    is kept.  Every read latches the last word it took in iac.  The text
+    of the last card asked for, to echo it or to search it, is kept
+    against that card's list.
 
     Every read starts by refilling when the card is used up, so a read
     never comes up empty at the end of a card.
@@ -111,6 +115,7 @@ class CardReader:
         self.unit = unit
         self.strict = strict
         self.diagnostics = []
+        self.line = ""   # the source line of the current card
         self.record = [BLANK] * 80
         self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
@@ -134,6 +139,7 @@ class CardReader:
             line, strict=self.strict, diagnostics=self.diagnostics
         )
         self.translated = charset.translate_card(self.record, line)
+        self.line = line
         self.cursor = 0
 
     def read(self):
@@ -153,11 +159,14 @@ class CardReader:
         return self.translated if self.unit == 2 else self.record
 
     def text(self, card):
-        """card, a card as the reader dealt it, as text: decoded the first
-        time it is asked for, then kept until another card is."""
+        """card, a card as the reader dealt it, as text, kept until another
+        card is asked for: its source line, blank-padded, when card is the
+        record and the line is plain (charset.is_plain), else decoded."""
         if card is not self.decoded:
             self.decoded = card
-            self.decoded_text = charset.decode_words(card)
+            plain = card is self.record and charset.is_plain(self.line)
+            self.decoded_text = (
+                self.line.ljust(80) if plain else charset.decode_words(card))
         return self.decoded_text
 
     def hand_back(self, card, start, stop, echo=None):

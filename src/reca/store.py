@@ -39,7 +39,8 @@ class ProgramStore:
         return addr
 
     def fill_chain(self, head, target):
-        """Resolve a forward-reference chain to point at target."""
+        """Resolve a forward-reference chain to point at target.  The
+        compiler skips the call for an empty chain, whose head is 0."""
         cells = self.cells
         while head != 0:
             following = cells[head]

@@ -110,26 +110,60 @@ def test_the_echo_is_the_card_as_the_input_unit_reads_it(unit, text):
     assert charset.char_of(r.iac) == "C" and r.cursor == 7
 
 
-def test_a_card_is_decoded_once_however_often_it_is_echoed(monkeypatch):
+def counting_decode(monkeypatch):
+    """The words of each charset.decode_words call from now on."""
     decoded = []
+    decode_words = charset.decode_words
 
-    def decode_words(words):
-        decoded.append(len(words))
-        return "".join(map(charset.char_of, words))
+    def counting(words):
+        decoded.append(words)
+        return decode_words(words)
 
-    monkeypatch.setattr(charset, "decode_words", decode_words)
-    r = reader_for(["AB" + " " * 77 + "C", "D"])
+    monkeypatch.setattr(charset, "decode_words", counting)
+    return decoded
+
+
+@pytest.mark.parametrize("line, unit, decodes", [
+    ("AB" + " " * 77 + "C", 2, 0),  # plain: the echo is the line itself
+    ("A%B<@#C", 6, 0),              # keypunch glyphs read as themselves
+    ("ab" + " " * 77 + "c", 2, 1),  # lowercase
+    ("A~B", 2, 1),                  # the alias of the not-sign
+    ("A\u00e9B", 2, 1),             # a stray character, read as a blank
+    ("A" * 80 + "B", 2, 1),         # a line over 80 columns
+    ("A%B<@#C", 2, 1),              # keypunch glyphs read on the card unit
+])
+def test_a_card_is_decoded_at_most_once_however_often_it_is_echoed(
+        monkeypatch, line, unit, decodes):
+    r = reader_for([line, "d"], unit=unit)
     card = r.card()
+    text = charset.decode_words(card)
+    decoded = counting_decode(monkeypatch)
     echoed = []
     for start in range(0, 80, 8):
         r.hand_back(card, start, start + 8, echoed.append)
-    assert "".join(echoed) == "AB" + " " * 77 + "C"
-    assert decoded == [80]
+    assert "".join(echoed) == text
+    assert len(decoded) == decodes
     card = r.next_card(card, 80, echoed.append)
     r.hand_back(card, 0, 1)  # a hand-back with no echo decodes nothing
-    assert decoded == [80]
-    r.hand_back(card, 1, 2, echoed.append)
-    assert decoded == [80, 80]
+    assert len(decoded) == decodes
+    r.hand_back(card, 1, 2, echoed.append)  # "d" is lowercase
+    assert len(decoded) == decodes + 1
+
+
+LINE_CHARS = st.sampled_from(
+    [*charset.WORD_BY_CHAR, *"abcxyz~", "\u00e9", "\t", "\u0131", "\u00a0"])
+
+
+@given(st.lists(st.text(LINE_CHARS, max_size=100), max_size=4), st.sampled_from([2, 6]))
+@example(["A" * 80 + " "], 2)  # nothing but a blank past column 80
+@example(["%(<)"], 2)           # a keypunch glyph and what it stands for
+def test_the_text_of_every_card_dealt_is_its_words_decoded(lines, unit):
+    r = reader_for(lines, unit=unit)
+    card = r.resume()[0]  # the blank card before the first
+    assert r.text(card) == charset.decode_words(card)
+    for _ in lines:
+        card = r.next_card(card, 80)
+        assert r.text(card) == charset.decode_words(card)
 
 
 def test_resume_gives_the_card_to_walk_on_from():

@@ -75,6 +75,13 @@ def assert_front_end_matches_the_reference(deck, width):
 @example(["*(A," + " " * 75 + ")", "Y  ('/1'Y OX,)"], 80)  # ) in column 80, name after
 @example(["*(A,)Y", "", " " * 80, "(B,)Z", "", "('/1'Y Z OX,)"], 120)  # blank cards between
 @example(["*(A,)Y L"], 80)  # the cards end in the blanks after a name
+@example(["*(A,)Y" + " " * 74, "('/1'Y OX,)"], 120)  # blanks to column 80, ( on the next card
+@example(["*(A,)Y", " " * 80, ""], 80)  # blanks to the end of the deck
+@example(["*(A,)Y   B('/1'OX,)"], 120)  # not a ( after the blanks
+@example(["*(A,)Y", "  B('/1'OX,)"], 80)  # not a ( after the blanks, on the next card
+@example(["*(A,)Y  %'/1'Y OX,)"], 120)  # % read as ( on the card unit
+@example(["*I6(A,)Y  %'/1'Y OX,)"], 80)  # % read as itself on the keyboard unit
+@example(["*I6(A,)Y  ('/1'Y OX,)"], 120)  # ( on the keyboard unit
 @example(["*E" + " " * 78, "C A COMMENT", "X NOT A CONTROL CARD", "*O1('/1'OX,)"], 120)
 @example(["* N'", "Q('/1'OX,)"], 80)  # the quoted name of N on the next card
 @example(["*('/", "", " " * 80, "  7.25'OX,)"], 120)  # a constant's blanks over two blank cards

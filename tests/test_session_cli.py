@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from reca import decks
+from reca import charset, decks
 from reca.cli import main
-from reca.iosys import PAGE_EJECT
+from reca.iosys import PAGE_EJECT, LineWriter
 from reca.session import Session, SessionConfig, run_deck
 
 from conftest import run
@@ -104,6 +104,38 @@ def test_no_echo_config_applies_every_cycle():
     )
     assert "  1.00000E 00" in sess.output
     assert all("OX" not in line for line in sess.output)
+
+
+# lowercase, so that each program card is decoded if it is echoed
+LOWERCASE_PROGRAMS = ["('/1'p,)y   ('/2'l,)z", "(y z,)"]
+
+
+@pytest.mark.parametrize("way, decodes", [
+    ("listing on", 2), ("SessionConfig", 0), ("--no-echo", 0), ("monitor S", 0)])
+def test_no_card_is_decoded_or_echoed_while_the_listing_is_off(
+        way, decodes, tmp_path, monkeypatch, capsys):
+    decoded, unlisted = [], []
+    decode_words, put_text = charset.decode_words, LineWriter.put_text
+
+    def counting_decode(words):
+        decoded.append(words)
+        return decode_words(words)
+
+    def counting_put(writer, text):
+        if not writer.echo:
+            unlisted.append(text)
+        put_text(writer, text)
+
+    monkeypatch.setattr(charset, "decode_words", counting_decode)
+    monkeypatch.setattr(LineWriter, "put_text", counting_put)
+    deck = ["*S" if way == "monitor S" else "*", *LOWERCASE_PROGRAMS]
+    if way == "--no-echo":
+        assert main([write_deck(tmp_path, deck), "--no-echo"]) == 0
+    else:
+        config = SessionConfig(echo=way != "SessionConfig")
+        assert run_deck(deck, config=config)[1] == 0
+    assert len(decoded) == decodes
+    assert unlisted == []
 
 
 def test_listing_always_config():
