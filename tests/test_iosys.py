@@ -124,13 +124,13 @@ def counting_decode(monkeypatch):
 
 
 @pytest.mark.parametrize("line, unit, decodes", [
-    ("AB" + " " * 77 + "C", 2, 0),  # plain: the echo is the line itself
-    ("A%B<@#C", 6, 0),              # keypunch glyphs read as themselves
-    ("ab" + " " * 77 + "c", 2, 1),  # lowercase
-    ("A~B", 2, 1),                  # the alias of the not-sign
-    ("A\u00e9B", 2, 1),             # a stray character, read as a blank
-    ("A" * 80 + "B", 2, 1),         # a line over 80 columns
-    ("A%B<@#C", 2, 1),              # keypunch glyphs read on the card unit
+    pytest.param("AB" + " " * 77 + "C", 2, 0, id="plain"),
+    pytest.param("A%B<@#C", 6, 0, id="keypunch-glyphs-as-themselves"),
+    pytest.param("ab" + " " * 77 + "c", 2, 1, id="lowercase"),
+    pytest.param("A~B", 2, 1, id="not-sign-alias"),
+    pytest.param("A\u00e9B", 2, 1, id="stray-character"),
+    pytest.param("A" * 80 + "B", 2, 1, id="past-column-80"),
+    pytest.param("A%B<@#C", 2, 1, id="keypunch-glyphs-on-the-card-unit"),
 ])
 def test_a_card_is_decoded_at_most_once_however_often_it_is_echoed(
         monkeypatch, line, unit, decodes):
@@ -150,8 +150,11 @@ def test_a_card_is_decoded_at_most_once_however_often_it_is_echoed(
     assert len(decoded) == decodes + 1
 
 
-LINE_CHARS = st.sampled_from(
-    [*charset.WORD_BY_CHAR, *"abcxyz~", "\u00e9", "\t", "\u0131", "\u00a0"])
+# the glyphs, keypunch glyphs among them, lowercase, the not-sign's alias,
+# and strays: e acute, a tab, dotless i (whose uppercase is I), a no-break space
+LINE_CHARS = st.sampled_from([
+    *charset.WORD_BY_CHAR, *"abcdefghijklmnopqrstuvwxyz~",
+    "\u00e9", "\t", "\u0131", "\u00a0"])
 
 
 @given(st.lists(st.text(LINE_CHARS, max_size=100), max_size=4), st.sampled_from([2, 6]))
