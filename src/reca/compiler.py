@@ -2,8 +2,8 @@
 
 The monitor scans cards for a control line: a leading C echoes the card
 as commentary, a leading * introduces command letters (I O T E N S), and
-any card is abandoned the moment a left parenthesis appears, which starts
-compilation.
+any card is abandoned the moment a left parenthesis appears.  The
+monitor stops at that (, and the compiler opens the program it starts.
 
 The compiler translates the parenthesized expression directly into
 threaded code in the program store, resolving forward branches through
@@ -12,20 +12,22 @@ followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
-The monitor and the compiler each walk the card with an index of their
-own, echo what they have read in one call a card segment, as the card's
-text, which the reader takes from the source line or decodes once a
-card, and hand their place back to the reader: through its next_card at
-the end of each card, which reads the next one in, and through its
-hand_back before anything else reads, writes or looks.  The monitor hands back before each command takes
-effect and with the ( that starts compilation; the compiler before
-the flush, listing and binding that follow a program's name, and when a
+The monitor and the compiler each walk the reader's view of the card
+with an index of their own, echo what they have read in one call a card
+segment, as the view's text, which the reader takes from the source line
+or decodes once a card, and hand their place back to the reader by
+position: through its next_card at the end of each card, which reads the
+next one in, and through its hand_back before anything else reads,
+writes or looks.  The monitor hands back before each command takes
+effect and with the ( that starts compilation; the compiler before the
+flush, listing and binding that follow a program's name, and when a
 diagnostic it raises abandons the program.  The compiler keeps the
 store's next free cell in a local as well, and stores it back however
 the walk ends.  The monitor drops a card that is not a control card
 unechoed, skips a run of blanks with one search of the card's text, and
-after I it takes the card up again as the new input unit reads it.
-With the listing off, neither passes an echo to the reader.
+after I it selects the new input unit and takes up the card again as
+that unit reads it.  With the listing off, neither passes an echo to the
+reader.
 
 The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
@@ -77,52 +79,52 @@ class UnfinishedProgram(Exception):
 
 
 def monitor(sess):
-    """Scan cards until compilation starts; returns when ( is consumed.
-    card[start:i] is read but not yet echoed, as in _compile."""
+    """Scan cards until compilation starts; returns when ( is consumed and
+    handed back.  card[start:i] is read but not yet echoed, as in
+    _compile."""
     reader = sess.reader
     writer = sess.writer
-    st = sess.store
     echo = writer.put_text if writer.echo else None  # None: the listing is off
     while True:
-        card = reader.next_card(None, 80)  # a control card starts a fresh card
+        card = reader.next_card(80)  # a control card starts a fresh card
         if card[0] == charset.STAR:
             break
         if card[0] == charset.LETTER_C:
-            reader.hand_back(card, 0, 80, echo)
+            reader.hand_back(0, 80, echo)
             writer.flush()
         else:
             # not a control card: it goes unechoed, read as far as its first word
-            reader.hand_back(card, 0, 1)
+            reader.hand_back(0, 1)
     i, start = 1, 0  # the * is read, not yet echoed
     while True:
         if i == 80:
-            card = reader.next_card(card, start, echo)
+            card = reader.next_card(start, echo)
             i = start = 0
         w = card[i]
         i += 1
         if w == BLANK:
             # every word on a card is a glyph, so the card's text has a
             # blank where the card has one: skip the run in one search
-            i = 80 - len(reader.text(card)[i:].lstrip(" "))
+            i = 80 - len(reader.text()[i:].lstrip(" "))
             continue
         if w == LPAREN:
             break
         if w not in _COMMANDS:
             continue
         if i == 80:
-            card = reader.next_card(card, start, echo)
+            card = reader.next_card(start, echo)
             i = start = 0
         arg = card[i]
         i += 1
         if arg == LPAREN:
             break
-        reader.hand_back(card, start, i, echo)
+        reader.hand_back(start, i, echo)
         start = i
         code = charset.class_code(arg)
         if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
-                reader.unit = code - 49
                 # the unit decides whether the keypunch glyphs are translated
+                reader.select(code - 49)
                 card, i = reader.resume()
             else:
                 sess.diagnose(BAD_UNIT)
@@ -138,7 +140,7 @@ def monitor(sess):
         elif w == _RECURSIVE:
             if sess.compile_code[code] == QUOTE_PREFIX:
                 if i == 80:
-                    card = reader.next_card(card, start, echo)
+                    card = reader.next_card(start, echo)
                     i = start = 0
                 code = tables.quote_extend(charset.class_code(card[i]))
                 i += 1
@@ -146,12 +148,9 @@ def monitor(sess):
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
             writer.echo = echo = False
-    # the left parenthesis at level zero: open the program frame
-    reader.hand_back(card, start, i, echo)
+    # the left parenthesis at level zero
+    reader.hand_back(start, i, echo)
     writer.flush()
-    st.ilc0 = st.ilc
-    st.emit(0)
-    sess.frames = [[st.ilc, 0, 0]]  # [loop target, false chain, true chain]
 
 
 def compile_program(sess):
@@ -168,15 +167,19 @@ def compile_program(sess):
 
 
 def _compile(sess):
-    """Walk a tape of cards from the reader's cursor.  The tape is the
-    current card, preceded only by the words of the current token that lie
-    on earlier cards.  The walk's place is kept in locals: the tape, the
-    index i of its next word, the card, start (card[start:] is not yet
-    echoed) and ilc, the store's next free cell; tape[i] is the card's
-    word i - len(tape) + 80.  The walk hands its place back to the reader
-    before anything else reads, writes or looks, and when a diagnostic
-    raised here leaves it; ilc goes back to the store however the walk
-    ends.
+    """Open a program at the store's next free cell and walk a tape of
+    cards from the reader's cursor, just past the program's (.  Each
+    program, the first and each one after a bound name, is opened the
+    same way: its entry cell, ilc0, and its level-zero frame.  The tape is
+    the current card, the reader's view, preceded only by the words of the
+    current token that lie on earlier cards.  The walk's place is kept in
+    locals: the tape, the index i of its next word, the card, start
+    (card[start:] is not yet echoed), ilc, the store's next free cell,
+    and frames, the open parenthesis levels; tape[i] is the card's word
+    i - len(tape) + 80.  The walk hands its place back to the reader by
+    position before anything else reads, writes or looks, and when a
+    diagnostic raised here leaves it; ilc goes back to the store however
+    the walk ends.
 
     A token that reads past the end of the tape, or a string or comment
     whose closing quote the tape does not hold, raises IndexError.  The
@@ -202,10 +205,14 @@ def _compile(sess):
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
     echo = sess.writer.put_text if sess.writer.echo else None
-    frames = sess.frames
     card, i = reader.resume()
     tape, start = card, i
-    ilc = st.ilc
+    # open the program: its entry cell, and the level-zero frame of
+    # [loop target, false chain, true chain]
+    ilc = st.ilc0 = st.ilc
+    cells[ilc] = 0
+    ilc += 1
+    frames = [[ilc, 0, 0]]
     try:
         while True:
             if ilc > 495:
@@ -344,11 +351,11 @@ def _compile(sess):
                     name = []
                     for _ in range(3):
                         if i == len(tape):
-                            card = tape = reader.next_card(card, start, echo)
+                            card = tape = reader.next_card(start, echo)
                             i = start = 0
                         name.append(tape[i])
                         i += 1
-                    reader.hand_back(card, start, i - len(tape) + 80, echo)
+                    reader.hand_back(start, i - len(tape) + 80, echo)
                     sess.writer.flush()
                     if name[2] == LETTER_L or sess.config.listing_always:
                         for line in st.dump_listing(st.ilc0, ilc):
@@ -370,7 +377,7 @@ def _compile(sess):
                     st.ilc0 = ilc
                     cells[ilc] = 0
                     ilc += 1
-                    frames = sess.frames = [[ilc, 0, 0]]
+                    frames = [[ilc, 0, 0]]
                     # a further program must follow on this or a later card,
                     # after blanks that are not echoed.  A card of them is
                     # handed back from its last column, which latches what
@@ -380,7 +387,7 @@ def _compile(sess):
                         while i == 80 or card[i] == BLANK:
                             i += 1
                             if i >= 80:
-                                card = reader.next_card(card, 79)
+                                card = reader.next_card(79)
                                 i = 0
                     except EndOfInput:
                         raise Terminated from None
@@ -397,11 +404,11 @@ def _compile(sess):
             except IndexError:
                 # the tape ran out: read the next card in, keep the token's
                 # words, and take it again
-                card = reader.next_card(card, start, echo)
+                card = reader.next_card(start, echo)
                 tape = tape[token:] + card if token < len(tape) else card
                 i, ilc, start = 0, token_ilc, 0
     except Diagnostic:
-        reader.hand_back(card, start, i - len(tape) + 80, echo)
+        reader.hand_back(start, i - len(tape) + 80, echo)
         raise
     finally:
         st.ilc = ilc

@@ -1,22 +1,24 @@
 """Card input and line output.
 
-Input arrives as 80-column card images.  The reader deals them out a
-character at a time; its skip past blanks reads runs across cards.  A
-scanner (the monitor, the compiler, the number parser) may instead take
-the current card itself, walk it with an index of its own, and then hand
-its place back through hand_back, the one place that does so: echo what
-it read, latch the last word it took in iac and move the reader's cursor
+Input arrives as 80-column card images.  The reader holds one current
+card and deals it out a character at a time; its skip past blanks reads
+runs across cards.  select sets the input unit and, in the same place,
+the view: the current card as that unit reads it.  A scanner (the
+monitor, the compiler, the number parser) may instead take the view
+itself, walk it with an index of its own, and then hand its place back
+by position through hand_back, the one place that does so: echo what it
+read, latch the last word it took in iac and move the reader's cursor
 past it.  With the listing off a scanner passes no echo, and nothing is
-sliced.  The echo is the card's text as the input unit reads it, taken
-the first time any part of the card is echoed and kept for the rest of
-it.  A card read from a plain source line, every character a glyph as it
-stands and no more than 80 of them, with no keypunch substitution made,
-takes its text from the line itself, blank-padded; any other card is
-decoded once.  next_card is the one card turn: it hands back the rest of
-the card and reads the next one in.  resume gives a scanner the card and
-cursor to walk on from, the used-up card at cursor 80, without reading a
-card in, so that the scanner's own turn reads it.  The reader holds
-the current input unit and latches the last character read in iac.
+sliced.  The echo is the view's text, taken the first time any part of
+it is echoed and kept until select runs again.  A card read from a
+plain source line, every character a glyph as it stands and no more
+than 80 of them, with no keypunch substitution made, takes its text
+from the line itself, blank-padded; any other view is decoded once.
+next_card is the one card turn: it hands back the rest of the card,
+reads the next one in and returns its view.  resume gives a scanner the
+view and cursor to walk on from, the used-up card at cursor 80, without
+reading a card in, so that the scanner's own turn reads it.  Every read
+latches the last character read in iac.
 Output is text: the writer holds its pending line as one string, takes
 runs of characters onto it and releases it either explicitly or when it
 reaches the width of the current output unit, which the writer holds.
@@ -93,105 +95,93 @@ ARITHMETIC_FAULT = "EXEC 06 ARITHMETIC FAULT"
 
 
 class CardReader:
-    """Deals characters, or whole cards to walk, off 80-column card images.
+    """Deals characters, or the current card to walk, off 80-column card
+    images.
 
-    sources maps a unit number to a callable returning the next source
-    line as a string, or None at end of input; unit is the input unit
-    reads come from, which the monitor's I command sets.  One shared card
-    buffer is used regardless of unit, matching the original
-    single-record design.  Each card is held twice: as encoded, and with
-    the keypunch substitutions made for reads from the card unit (the
-    same list when the card has no keypunch glyph), and its source line
-    is kept.  Every read latches the last word it took in iac.  The text
-    of the last card asked for, to echo it or to search it, is kept
-    against that card's list.
+    source is a callable returning the next source line as a string, or
+    None at end of input.  The reader holds one current card, whatever the
+    unit, matching the original single-record design: the card as encoded
+    (record), its source line, and view, the card as the input unit reads
+    it, which select chooses.  Every read latches the last word it took in
+    iac.  The text of the view, to echo it or to search it, is kept until
+    select runs again.
 
     Every read starts by refilling when the card is used up, so a read
     never comes up empty at the end of a card.
     """
 
-    def __init__(self, sources, unit=2, strict=False):
-        self.sources = sources
-        self.unit = unit
+    def __init__(self, source, unit=2, strict=False):
+        self.source = source
         self.strict = strict
         self.diagnostics = []
         self.line = ""   # the source line of the current card
         self.record = [BLANK] * 80
-        self.translated = self.record
         self.cursor = 80  # characters already consumed from the record
         self.iac = 0      # the last word read
-        self.decoded = None  # the last card decoded, and its text
-        self.decoded_text = ""
+        self.select(unit)
+
+    def select(self, unit):
+        """Read from unit from now on: view is the current card as unit
+        reads it, the keypunch substitutions made on the card unit (the
+        record itself when the card has no keypunch glyph)."""
+        self.unit = unit
+        self.view = (charset.translate_card(self.record, self.line)
+                     if unit == 2 else self.record)
+        self._text = None
 
     def _refill(self):
-        source = self.sources.get(self.unit)
-        if source is None:
-            # unit selected but nothing attached there; fall back to any source
-            for fallback in self.sources.values():
-                source = fallback
-                break
-        if source is None:
-            raise EndOfInput
-        line = source()
+        line = self.source()
         if line is None:
             raise EndOfInput
         self.record = charset.encode_card(
             line, strict=self.strict, diagnostics=self.diagnostics
         )
-        self.translated = charset.translate_card(self.record, line)
         self.line = line
         self.cursor = 0
+        self.select(self.unit)
 
     def read(self):
         """Next character word from the input unit, refilling as needed."""
         if self.cursor >= 80:
             self._refill()
-        w = self.iac = (
-            self.translated if self.unit == 2 else self.record)[self.cursor]
+        w = self.iac = self.view[self.cursor]
         self.cursor += 1
         return w
 
-    def card(self):
-        """The current card as the input unit reads it, refilled first if
-        it is used up; cursor indexes the next word to read from it."""
-        if self.cursor >= 80:
-            self._refill()
-        return self.translated if self.unit == 2 else self.record
+    def text(self):
+        """The view as text: the source line, blank-padded, when the view
+        is the record and the line is plain (charset.is_plain), else the
+        view decoded."""
+        if self._text is None:
+            plain = self.view is self.record and charset.is_plain(self.line)
+            self._text = (self.line.ljust(80) if plain
+                              else charset.decode_words(self.view))
+        return self._text
 
-    def text(self, card):
-        """card, a card as the reader dealt it, as text, kept until another
-        card is asked for: its source line, blank-padded, when card is the
-        record and the line is plain (charset.is_plain), else decoded."""
-        if card is not self.decoded:
-            self.decoded = card
-            plain = card is self.record and charset.is_plain(self.line)
-            self.decoded_text = (
-                self.line.ljust(80) if plain else charset.decode_words(card))
-        return self.decoded_text
-
-    def hand_back(self, card, start, stop, echo=None):
-        """A scanner that walked card, the current card, from index start
-        hands its place back: the text of card[start:stop] goes to echo if
-        given, its last word is latched in iac, and the cursor moves to
-        stop.  When stop is start, card is not looked at."""
+    def hand_back(self, start, stop, echo=None):
+        """A scanner that walked the view from index start hands its place
+        back: the text of view[start:stop] goes to echo if given, its last
+        word is latched in iac, and the cursor moves to stop.  When stop
+        is start, the view is not looked at."""
         if stop > start:
             if echo:
-                echo(self.text(card)[start:stop])
-            self.iac = card[stop - 1]
+                echo(self.text()[start:stop])
+            self.iac = self.view[stop - 1]
         self.cursor = stop
 
-    def next_card(self, card, start, echo=None):
-        """Hand back card[start:80], as hand_back does, and return the
-        next card; the cards running out raise EndOfInput only after the
-        hand-back."""
-        self.hand_back(card, start, 80, echo)
-        return self.card()
+    def next_card(self, start, echo=None):
+        """Hand back view[start:80], as hand_back does, and return the
+        next card's view; the cards running out raise EndOfInput only
+        after the hand-back."""
+        self.hand_back(start, 80, echo)
+        self._refill()
+        return self.view
 
     def resume(self):
-        """(card, cursor) for a scanner to walk on from, the card as the
-        input unit reads it; at cursor 80 it is the used-up card, for no
-        card is read in until next_card."""
-        return (self.translated if self.unit == 2 else self.record), self.cursor
+        """(view, cursor) for a scanner to walk on from; at cursor 80 the
+        view is of the used-up card, for no card is read in until
+        next_card."""
+        return self.view, self.cursor
 
     def nonblank(self):
         """Read past blanks, across cards; returns the first other
@@ -199,9 +189,9 @@ class CardReader:
         while True:
             if self.cursor >= 80:
                 self._refill()
-            record = self.record  # blanks read the same on every unit
+            view = self.view
             start = stop = self.cursor
-            while stop < 80 and record[stop] == BLANK:
+            while stop < 80 and view[stop] == BLANK:
                 stop += 1
             if stop > start:
                 self.cursor = stop

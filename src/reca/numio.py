@@ -6,11 +6,13 @@ scanner, scan_number, reads a number off any sequence of words from a
 given index and stops at the first word that does not fit the token; a
 read past the end of the words raises IndexError.  The compiler runs it
 on the tape of cards it walks, and takes the token again when the tape
-runs out.  parse_number, which reads the data of I, runs it on the card
-a card reader holds: the terminator is read too and stays latched in the
-reader's iac.  A token, or the blanks before it, may run past column 80:
-parse_number then turns the card through the reader's next_card and scans
-again over the cards read so far, laid end to end.  The formatter builds
+runs out.  parse_number, which reads the data of I, runs it on the view
+of the card a card reader holds, from the reader's resume: the
+terminator is read too and stays latched in the reader's iac.  A token,
+or the blanks before it, may run past column 80, and a read may start
+on a used-up card: parse_number then turns the card through the
+reader's next_card, as the compiler's turn does, and scans again over
+the token's words so far and the next card.  The formatter builds
 the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
 text, in straight code with one round a digit, and puts it on a line
 writer in one call.
@@ -59,23 +61,22 @@ def parse_number(reader, integer=False):
     most one point, optional exponent E[sign]digits.  Anything else ends
     the token; an empty token is zero.
     """
-    # tape is the cards read so far laid end to end, the token starts at
-    # tape[begin], and card[start:] is what the last card has not handed back
-    tape = card = reader.card()
-    begin = start = reader.cursor
+    # tape ends with the view, preceded, once the card has turned, by the
+    # token's words on earlier cards; the token starts at tape[begin], and
+    # view[begin:] is not handed back yet
+    tape, begin = reader.resume()
     while True:
         try:
             value, stop = scan_number(tape, begin, integer)
             break
         except IndexError:
-            # the token or the blanks before it run off the end of tape:
-            # turn the card and scan again
-            card = reader.next_card(card, start)
-            start = 0
-            tape = tape + card
-    # hand back through the terminator, tape[stop], which is on card at
-    # stop - len(tape) + 80
-    reader.hand_back(card, start, stop - len(tape) + 81)
+            # the token or the blanks before it run off the end of the
+            # tape, or the card is used up: turn the card and scan again
+            tape = tape[begin:] + reader.next_card(begin)
+            begin = 0
+    # hand back through the terminator, tape[stop], which is on the view
+    # at stop - len(tape) + 80
+    reader.hand_back(begin, stop - len(tape) + 81)
     return value
 
 
@@ -224,6 +225,6 @@ def parse_text(text, integer=False):
     substitutions apply; reading past its 80 columns raises EndOfInput.
     """
     cards = iter([text])
-    reader = CardReader({2: lambda: next(cards, None)})
+    reader = CardReader(lambda: next(cards, None))
     value = parse_number(reader, integer)
     return value, charset.char_of(reader.iac)

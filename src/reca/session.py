@@ -41,17 +41,16 @@ class SessionConfig:
 
 class Session:
     def __init__(self, cards=None, keyboard=None, config=None, on_line=None):
-        """cards/keyboard are callables or iterables yielding source lines
-        for the card and keyboard units; on_line, if given, sees each
-        completed output line as (unit, text)."""
+        """cards or keyboard, not both, is a callable or an iterable
+        yielding source lines, read from the card or the keyboard unit;
+        on_line, if given, sees each completed output line as (unit, text)."""
+        if cards is not None and keyboard is not None:
+            raise TypeError("a session reads cards or a keyboard, not both")
         cfg = config or SessionConfig()
         self.config = cfg
-        sources = {}
-        if cards is not None:
-            sources[2] = self._as_source(cards)
-        if keyboard is not None:
-            sources[6] = self._as_source(keyboard)
-        self.reader = CardReader(sources, unit=2 if cards is not None else 6,
+        lines = keyboard if cards is None else cards
+        self.reader = CardReader(self._as_source(() if lines is None else lines),
+                                 unit=6 if cards is None else 2,
                                  strict=cfg.strict_charset)
         self.output = []          # lines written to printer units
         self.punch = []           # lines written to the card punch
@@ -59,7 +58,6 @@ class Session:
                                  on_line=on_line)
         self.store = ProgramStore()
         self.erase()
-        self.frames = []          # open parenthesis levels during compile
         self.stack = [0.0] * (interpreter.STACK_LIMIT + 2)
         self.variables = [0.0] * 11   # slots 1..10
         self.constants = [0.0] * 31   # slots 1..30

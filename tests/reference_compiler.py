@@ -10,11 +10,15 @@ the reader, writer and session methods that went when a card walk
 replaced their last caller: the card reader's through_quote, force_refill,
 rest and its nonblank that echoes the blanks it skips, the line writer's
 clear and the session's read_echo.  So is numio's parse_number with its
-echo argument, which only the compiler copied here passed.  Only the
-imports changed, and two things that follow the writer's line becoming
-a string: the echo that the reader's hand-backs in parse_number take is
-the writer's put_text, for the reader echoes a card's text, and clear
-empties the string.  These methods take the reader, the writer or the
+echo argument, which only the compiler copied here passed, and the card
+reader's card, which went when the reader came to hold one current card.
+Only the imports changed, and what follows the writer's line becoming a
+string and the reader holding one current card: the echo that the
+reader's hand-backs in parse_number take is the writer's put_text, for
+the reader echoes a card's text; clear empties the string; the I command
+sets the input unit through the reader's select; card returns the
+reader's view; and parse_number hands back positions on the view, not
+the card itself.  These methods take the reader, the writer or the
 session as their first argument instead of being methods; scan_number,
 the tables and the store come from reca.
 """
@@ -70,7 +74,7 @@ def monitor(sess):
         code = charset.class_code(arg)
         if w == _INPUT:
             if code in (51, 55):  # glyphs 2 and 6
-                reader.unit = code - 49
+                reader.select(code - 49)
             else:
                 sess.diagnose(BAD_UNIT)
         elif w == _OUTPUT:
@@ -297,7 +301,7 @@ def _read_to_quote(sess, limit=80):
 def through_quote(reader, limit=80):
     """The words up to and including the next quote, or up to the end
     of the card if no quote follows; at most limit words."""
-    record = reader.card()
+    record = card(reader)
     start = reader.cursor
     stop = min(start + limit, 80)
     try:
@@ -342,10 +346,18 @@ def force_refill(reader):
 
 def rest(reader):
     """The rest of the current card."""
-    run = reader.card()[reader.cursor:]
+    run = card(reader)[reader.cursor:]
     reader.cursor = 80
     reader.iac = run[-1]
     return run
+
+
+def card(reader):
+    """The current card as the input unit reads it, refilled first if
+    it is used up; cursor indexes the next word to read from it."""
+    if reader.cursor >= 80:
+        reader._refill()
+    return reader.view
 
 
 def clear(writer):
@@ -368,8 +380,8 @@ def parse_number(reader, integer=False, echo=None):
     the token; an empty token is zero.
     """
     # tape is the cards read so far laid end to end, the token starts at
-    # tape[begin], and card[start:] is what the last card has not echoed
-    tape = card = reader.card()
+    # tape[begin], and the last card's [start:] is what it has not echoed
+    tape = card(reader)
     begin = start = reader.cursor
     while True:
         try:
@@ -378,10 +390,9 @@ def parse_number(reader, integer=False, echo=None):
         except IndexError:
             # the token or the blanks before it run off the end of tape:
             # turn the card and scan again
-            card = reader.next_card(card, start, echo)
+            tape = tape + reader.next_card(start, echo)
             start = 0
-            tape = tape + card
-    # hand back through the terminator, tape[stop], which is on card at
-    # stop - len(tape) + 80
-    reader.hand_back(card, start, stop - len(tape) + 81, echo)
+    # hand back through the terminator, tape[stop], which is on the last
+    # card at stop - len(tape) + 80
+    reader.hand_back(start, stop - len(tape) + 81, echo)
     return value

@@ -147,9 +147,9 @@ def datum_outcome(read_datum, cards, column, unit):
     """Frame one datum from column (0-based; 80 starts on the first card's
     refill) of cards read on unit; everything the framing leaves behind."""
     source = iter(cards)
-    reader = CardReader({unit: lambda: next(source, None)}, unit=unit)
+    reader = CardReader(lambda: next(source, None), unit=unit)
     if column < 80:
-        reader.card()
+        reader.next_card(80)
         reader.cursor = column
     try:
         value = struct.pack("f", read_datum(reader))  # nan and -0.0 by their bits

@@ -8,12 +8,12 @@ from reca import charset
 from reca.iosys import MESSAGES, CardReader, EndOfInput, LineWriter
 from reca.session import Session, SessionConfig
 
-from reference_compiler import through_quote
+from reference_compiler import card, through_quote
 
 
 def reader_for(lines, unit=2):
     it = iter(lines)
-    return CardReader({unit: lambda: next(it, None)}, unit=unit)
+    return CardReader(lambda: next(it, None), unit=unit)
 
 
 def drain(reader, n):
@@ -34,9 +34,9 @@ def test_reader_card_boundaries():
     assert drain(r, 79) == " " * 79
     with pytest.raises(EndOfInput):
         r.read()
-    # a reader with no source on any unit has no card to read
+    # a reader whose source is dry from the start has no card to read
     with pytest.raises(EndOfInput):
-        CardReader({}).read()
+        CardReader(lambda: None).read()
 
 
 def test_keypunch_translation_only_on_card_unit():
@@ -46,11 +46,21 @@ def test_keypunch_translation_only_on_card_unit():
     assert drain(r, 4) == "%<@#"
 
 
-def test_reader_unit_fallback():
-    # a unit with nothing attached falls back to whatever source exists
-    r = reader_for(["A"], unit=2)
-    r.unit = 6
-    assert charset.char_of(r.read()) == "A"
+def test_select_re_views_the_current_card():
+    # a switch of unit mid-card: the rest of the card reads, and echoes,
+    # as the new unit reads it
+    r = reader_for(["%<@#" * 3], unit=6)
+    r.next_card(80)
+    echoed = []
+    for unit, text in [(6, "%<@#"), (2, "()'="), (6, "%<@#")]:
+        r.select(unit)
+        view, i = r.resume()
+        assert r.unit == unit and view is r.view
+        assert charset.decode_words(view[i:i + 4]) == text
+        assert drain(r, 4) == text
+        r.hand_back(i, i + 4, echoed.append)
+    assert echoed == ["%<@#", "()'=", "%<@#"]
+    assert r.cursor == 12 and charset.char_of(r.iac) == "#"
 
 
 def test_reader_latches_every_read_in_iac():
@@ -60,7 +70,7 @@ def test_reader_latches_every_read_in_iac():
     assert charset.char_of(r.iac) == "A"
     assert charset.char_of(r.read()) == charset.char_of(r.iac) == "B"
     assert charset.char_of(r.read()) == charset.char_of(r.iac) == "'"
-    r.hand_back(r.card(), r.cursor, 80)
+    r.hand_back(r.cursor, 80)
     assert charset.char_of(r.iac) == " "
     assert charset.char_of(r.nonblank()) == charset.char_of(r.iac) == "D"
     assert r.cursor == 3
@@ -71,29 +81,29 @@ def test_reader_latches_every_read_in_iac():
 
 def test_next_card_hands_back_the_rest_and_reads_the_next():
     r = reader_for(["AB" + "C" * 77 + "D", "%E"])
-    card = r.card()
+    r.next_card(80)
     echoed = []
-    nxt = r.next_card(card, 2, echoed.append)
+    nxt = r.next_card(2, echoed.append)
     assert echoed == ["C" * 77 + "D"]
     assert charset.char_of(r.iac) == "D"
-    assert nxt is r.card() and r.cursor == 0
+    assert nxt is r.view and r.cursor == 0
     assert charset.char_of(nxt[0]) == "("  # read in as the card unit reads it
 
 
 def test_next_card_of_a_fresh_card_echoes_nothing():
     r = reader_for(["A", "B"])
     echoed = []
-    card = r.next_card(None, 80, echoed.append)
+    card = r.next_card(80, echoed.append)
     assert charset.char_of(card[0]) == "A"
     assert (echoed, r.iac, r.cursor) == ([], 0, 0)
 
 
 def test_next_card_hands_back_before_the_cards_run_out():
     r = reader_for(["A" * 79 + "B"])
-    card = r.card()
+    r.next_card(80)
     echoed = []
     with pytest.raises(EndOfInput):
-        r.next_card(card, 78, echoed.append)
+        r.next_card(78, echoed.append)
     assert echoed == ["AB"]
     assert charset.char_of(r.iac) == "B"
     assert r.cursor == 80
@@ -102,10 +112,10 @@ def test_next_card_hands_back_before_the_cards_run_out():
 @pytest.mark.parametrize("unit, text", [(2, "A(B)'=C"), (6, "A%B<@#C")])
 def test_the_echo_is_the_card_as_the_input_unit_reads_it(unit, text):
     r = reader_for(["A%B<@#C"], unit=unit)
-    card = r.card()
+    r.next_card(80)
     echoed = []
-    r.hand_back(card, 0, 2, echoed.append)
-    r.hand_back(card, 2, 7, echoed.append)
+    r.hand_back(0, 2, echoed.append)
+    r.hand_back(2, 7, echoed.append)
     assert echoed == [text[:2], text[2:]]
     assert charset.char_of(r.iac) == "C" and r.cursor == 7
 
@@ -135,18 +145,17 @@ def counting_decode(monkeypatch):
 def test_a_card_is_decoded_at_most_once_however_often_it_is_echoed(
         monkeypatch, line, unit, decodes):
     r = reader_for([line, "d"], unit=unit)
-    card = r.card()
-    text = charset.decode_words(card)
+    text = charset.decode_words(r.next_card(80))
     decoded = counting_decode(monkeypatch)
     echoed = []
     for start in range(0, 80, 8):
-        r.hand_back(card, start, start + 8, echoed.append)
+        r.hand_back(start, start + 8, echoed.append)
     assert "".join(echoed) == text
     assert len(decoded) == decodes
-    card = r.next_card(card, 80, echoed.append)
-    r.hand_back(card, 0, 1)  # a hand-back with no echo decodes nothing
+    r.next_card(80, echoed.append)
+    r.hand_back(0, 1)  # a hand-back with no echo decodes nothing
     assert len(decoded) == decodes
-    r.hand_back(card, 1, 2, echoed.append)  # "d" is lowercase
+    r.hand_back(1, 2, echoed.append)  # "d" is lowercase
     assert len(decoded) == decodes + 1
 
 
@@ -162,18 +171,18 @@ LINE_CHARS = st.sampled_from([
 @example(["%(<)"], 2)           # a keypunch glyph and what it stands for
 def test_the_text_of_every_card_dealt_is_its_words_decoded(lines, unit):
     r = reader_for(lines, unit=unit)
-    card = r.resume()[0]  # the blank card before the first
-    assert r.text(card) == charset.decode_words(card)
+    view = r.resume()[0]  # the blank card before the first
+    assert r.text() == charset.decode_words(view)
     for _ in lines:
-        card = r.next_card(card, 80)
-        assert r.text(card) == charset.decode_words(card)
+        view = r.next_card(80)
+        assert r.text() == charset.decode_words(view)
 
 
 def test_resume_gives_the_card_to_walk_on_from():
     r = reader_for(["A%"])
     r.read()
     card, i = r.resume()
-    assert card is r.card() and i == 1
+    assert card is r.view and i == 1
     assert charset.char_of(card[i]) == "("
 
 
@@ -185,10 +194,10 @@ def test_resume_at_column_80_reads_no_card_in():
         pulled.append(next(cards, None))
         return pulled[-1]
 
-    r = CardReader({2: source})
+    r = CardReader(source)
     drain(r, 80)
     card, i = r.resume()
-    assert card is r.record and i == 80  # the used-up card
+    assert card is r.view and i == 80  # the used-up card
     assert pulled == ["A" * 80]
     assert r.cursor == 80 and charset.char_of(r.iac) == "A"
 
@@ -277,12 +286,12 @@ def read_run(sess, op, limit):
         run = through_quote(reader, limit)
         writer.put_words(run)
         return run
-    card = reader.card()
+    view = card(reader)
     start = reader.cursor
     stop = 80 if op.startswith("to_end") else min(start + limit, 80)
     echo = None if op.endswith("unechoed") else writer.put_text
-    reader.hand_back(card, start, stop, echo)
-    return card[start:stop]
+    reader.hand_back(start, stop, echo)
+    return view[start:stop]
 
 
 def read_each(sess, op, limit):
@@ -315,7 +324,7 @@ def run_state(read, cards, config, skip, fill, op, limit):
     one read of op; result is "EOF" when the cards ran out."""
     width, echo, input_unit, output_unit = config
     sess = Session(cards=cards, config=SessionConfig(width=width))
-    sess.reader.unit = input_unit
+    sess.reader.select(input_unit)
     sess.writer.select(output_unit)
     try:
         for _ in range(skip):

@@ -280,11 +280,11 @@ def test_format_scientific_needs_only_a_writer():
 
 def test_parse_number_needs_only_a_card_reader():
     cards = iter([" -12.5E1'"])
-    reader = CardReader({2: lambda: next(cards, None)})
+    reader = CardReader(lambda: next(cards, None))
     assert numio.parse_number(reader) == -125.0
     assert charset.char_of(reader.read()) == " "  # the quote ended the token
     cards = iter(["42;"])
-    reader = CardReader({2: lambda: next(cards, None)})
+    reader = CardReader(lambda: next(cards, None))
     assert numio.parse_number(reader, integer=True) == 42
 
 
@@ -362,9 +362,9 @@ def parse_outcome(cards, column, unit, integer, parser):
     "copy", the parse_number with an echo argument that
     tests/reference_compiler.py keeps; or "reca", numio.parse_number."""
     source = iter(cards)
-    reader = CardReader({unit: lambda: next(source, None)}, unit=unit)
+    reader = CardReader(lambda: next(source, None), unit=unit)
     if column < 80:
-        reader.card()
+        reader.next_card(80)
         reader.cursor = column
     echoed = []
     if parser == "reference":
@@ -453,7 +453,7 @@ def test_number_decks_print_what_the_reference_parser_and_formatter_give():
         expected = []
         for text in data:
             cards = iter([text + "'"])
-            reader = CardReader({2: lambda: next(cards, None)})
+            reader = CardReader(lambda: next(cards, None))
             value = reference_parse_float(reader.read)
             if value - value != 0:
                 break

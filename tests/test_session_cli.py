@@ -90,6 +90,12 @@ def test_keyboard_source_drives_session():
     assert "  1.20000E 01" in sess.output
 
 
+def test_a_session_reads_cards_or_a_keyboard_not_both():
+    # the reader holds one source, and neither may be dropped silently
+    with pytest.raises(TypeError):
+        Session(cards=["*('/1'OX,)"], keyboard=["*('/2'OX,)"])
+
+
 def test_echo_default_restored_each_cycle():
     # suppression requested by a deck lasts for one program only
     sess, status = run_deck(["*S ('/1'L,)", "*('/2'L,)"])
