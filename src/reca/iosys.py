@@ -116,7 +116,7 @@ class CardReader:
         self.diagnostics = []
         self.line = ""   # the source line of the current card
         self.record = [BLANK] * 80
-        self.cursor = 80  # characters already consumed from the record
+        self.cursor = 80  # characters already consumed from the card
         self.iac = 0      # the last word read
         self.select(unit)
 
@@ -155,7 +155,7 @@ class CardReader:
         if self._text is None:
             plain = self.view is self.record and charset.is_plain(self.line)
             self._text = (self.line.ljust(80) if plain
-                              else charset.decode_words(self.view))
+                          else charset.decode_words(self.view))
         return self._text
 
     def hand_back(self, start, stop, echo=None):
