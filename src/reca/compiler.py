@@ -168,14 +168,18 @@ def compile_program(sess):
 
 def _compile(sess):
     """Open a program at the store's next free cell and walk a tape of
-    cards from the reader's cursor, just past the program's (.  Each
-    program, the first and each one after a bound name, is opened the
-    same way: its entry cell, ilc0, and its level-zero frame.  The tape is
-    the current card, the reader's view, preceded only by the words of the
-    current token that lie on earlier cards.  The walk's place is kept in
-    locals: the tape, the index i of its next word, the card, start
-    (card[start:] is not yet echoed), ilc, the store's next free cell,
-    and frames, the open parenthesis levels; tape[i] is the card's word
+    cards from the reader's cursor, just past the program's (.  A program
+    is opened by its entry cell, ilc0, and its level-zero frame: here for
+    the first, and after a bound name for each one that follows, before
+    the blanks up to its ( are skipped.  A missing ( then abandons only the
+    new program, for the next cycle starts the store again at ilc0.  The
+    opening is written out at both places: one loop over programs would
+    need a flag that only the second place sets, and be longer.  The tape
+    is the current card, the reader's view, preceded only by the words of
+    the current token that lie on earlier cards.  The walk's place is kept
+    in locals: the tape, the index i of its next word, the card, start
+    (card[start:] is not yet echoed), ilc, the store's next free cell, and
+    frames, the open parenthesis levels; tape[i] is the card's word
     i - len(tape) + 80.  The walk hands its place back to the reader by
     position before anything else reads, writes or looks, and when a
     diagnostic raised here leaves it; ilc goes back to the store however

@@ -31,13 +31,6 @@ class ProgramStore:
         self.ilc = 1    # next free cell
         self.ilc0 = 1   # entry cell of the program being compiled
 
-    def emit(self, value):
-        """Store value at the next free cell and return its address."""
-        addr = self.ilc
-        self.cells[addr] = value
-        self.ilc += 1
-        return addr
-
     def fill_chain(self, head, target):
         """Resolve a forward-reference chain to point at target.  The
         compiler skips the call for an empty chain, whose head is 0."""

@@ -10,17 +10,18 @@ the reader, writer and session methods that went when a card walk
 replaced their last caller: the card reader's through_quote, force_refill,
 rest and its nonblank that echoes the blanks it skips, the line writer's
 clear and the session's read_echo.  So is numio's parse_number with its
-echo argument, which only the compiler copied here passed, and the card
-reader's card, which went when the reader came to hold one current card.
-Only the imports changed, and what follows the writer's line becoming a
-string and the reader holding one current card: the echo that the
-reader's hand-backs in parse_number take is the writer's put_text, for
-the reader echoes a card's text; clear empties the string; the I command
-sets the input unit through the reader's select; card returns the
-reader's view; and parse_number hands back positions on the view, not
-the card itself.  These methods take the reader, the writer or the
-session as their first argument instead of being methods; scan_number,
-the tables and the store come from reca.
+echo argument, which only the compiler copied here passed, the card
+reader's card, which went when the reader came to hold one current card,
+and the program store's emit, which went when the monitor stopped
+opening programs.  Only the imports changed, and what follows the
+writer's line becoming a string and the reader holding one current card:
+the echo that the reader's hand-backs in parse_number take is the
+writer's put_text, for the reader echoes a card's text; clear empties the
+string; the I command sets the input unit through the reader's select;
+card returns the reader's view; and parse_number hands back positions on
+the view, not the card itself.  These functions take the reader, the
+writer, the session or the store as their first argument instead of
+being methods; scan_number, the tables and the store come from reca.
 """
 
 from reca import charset, tables
@@ -105,7 +106,7 @@ def _begin_program(sess):
     sess.writer.flush()
     st = sess.store
     st.ilc0 = st.ilc
-    st.emit(0)
+    emit(st, 0)
     sess.frames = [[st.ilc, 0, 0]]  # [loop target, false chain, true chain]
 
 
@@ -138,16 +139,16 @@ def _compile(sess):
                 return
         elif cls == SEQUENT:
             frame = sess.frames[-1]
-            frame[2] = st.emit(frame[2])
+            frame[2] = emit(st, frame[2])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
         elif cls == REPEAT:
             frame = sess.frames[-1]
-            st.emit(frame[0])
+            emit(st, frame[0])
             st.fill_chain(frame[1], st.ilc)
             frame[1] = 0
         elif cls == OPERATOR:
-            st.emit(-code)
+            emit(st, -code)
         elif cls == PREDICATE:
             _emit_atom(sess, code, n_args=0, numeric=False, link=True)
         elif cls == OPERATOR_NUM:
@@ -174,9 +175,9 @@ def _close_paren(sess):
     frame = frames.pop()
     if frames:
         # thread this exit into the enclosing frame's false chain
-        frames[-1][1] = st.emit(frames[-1][1])
+        frames[-1][1] = emit(st, frames[-1][1])
     else:
-        st.emit(0)  # the program's false exit
+        emit(st, 0)  # the program's false exit
     st.fill_chain(frame[1], st.ilc)
     st.fill_chain(frame[2], st.ilc)
     if frames:
@@ -204,7 +205,7 @@ def _close_paren(sess):
         st.cells[st.ilc0] = RECURSIVE_MARK
     sess.constants_committed = sess.constants_used
     st.ilc0 = st.ilc
-    st.emit(0)
+    emit(st, 0)
     sess.frames = [[st.ilc, 0, 0]]
     # a further program must follow on this or a later card
     try:
@@ -220,7 +221,7 @@ def _close_paren(sess):
 def _emit_atom(sess, code, n_args, numeric, link):
     """Emit an operator cell, its argument cells, and an optional link."""
     st = sess.store
-    st.emit(-code)
+    emit(st, -code)
     for _ in range(n_args):
         w = read_echo(sess)
         if numeric:
@@ -229,31 +230,31 @@ def _emit_atom(sess, code, n_args, numeric, link):
                 raise Diagnostic(BAD_ARGUMENT)
             if c == 49:
                 c += 10  # the glyph 0 selects slot ten
-            st.emit(c - 49)
+            emit(st, c - 49)
         else:
-            st.emit(w)
+            emit(st, w)
     if link:
         frame = sess.frames[-1]
-        frame[1] = st.emit(frame[1])
+        frame[1] = emit(st, frame[1])
 
 
 def _compile_counter(sess, code):
     """$n$ becomes [op, -n, -n, link]; the middle cell is the live count."""
     st = sess.store
-    st.emit(-code)
+    emit(st, -code)
     n = parse_number(sess.reader, integer=True, echo=sess.writer.put_text)
     if n <= 0:
         raise Diagnostic(BAD_COUNTER)
-    st.emit(-n)
-    st.emit(-n)
+    emit(st, -n)
+    emit(st, -n)
     frame = sess.frames[-1]
-    frame[1] = st.emit(frame[1])
+    frame[1] = emit(st, frame[1])
 
 
 def _compile_constant(sess, code):
     """'/number' becomes [op, pool slot]; the value goes to the pool."""
     st = sess.store
-    st.emit(-code)
+    emit(st, -code)
     value = parse_number(sess.reader, echo=sess.writer.put_text)
     reader = sess.reader
     if reader.iac == charset.BLANK:
@@ -261,7 +262,7 @@ def _compile_constant(sess, code):
     if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_NUMBER)
     sess.constants_used += 1
-    st.emit(sess.constants_used)
+    emit(st, sess.constants_used)
     if sess.constants_used > len(sess.constants) - 1:
         raise Diagnostic(CONSTANT_EXCESS)
     sess.constants[sess.constants_used] = value
@@ -270,7 +271,7 @@ def _compile_constant(sess, code):
 def _compile_string(sess, code):
     """"text' becomes [op, length, the characters verbatim]."""
     st = sess.store
-    st.emit(-code)
+    emit(st, -code)
     count_cell = st.ilc
     st.ilc += 1
     # the store overflows once the text reaches cell 497, or at once
@@ -358,6 +359,14 @@ def card(reader):
     if reader.cursor >= 80:
         reader._refill()
     return reader.view
+
+
+def emit(st, value):
+    """Store value at the next free cell and return its address."""
+    addr = st.ilc
+    st.cells[addr] = value
+    st.ilc += 1
+    return addr
 
 
 def clear(writer):

@@ -197,7 +197,8 @@ def test_resume_at_column_80_reads_no_card_in():
     r = CardReader(source)
     drain(r, 80)
     card, i = r.resume()
-    assert card is r.view and i == 80  # the used-up card
+    assert card is r.view is r.record and i == 80  # the used-up card
+    assert charset.decode_words(card) == "A" * 80
     assert pulled == ["A" * 80]
     assert r.cursor == 80 and charset.char_of(r.iac) == "A"
 

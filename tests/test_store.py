@@ -1,16 +1,26 @@
-"""Program store: emission, chain filling, listings, integrity."""
+"""Program store: emission by the reference compiler's emit, chain
+filling, listings, integrity."""
 
 import pytest
 
 from reca.store import ProgramStore
 
 from conftest import check_integrity
+from reference_compiler import emit
+
+
+def store_with(values):
+    """A store whose cells 1.. hold values, with ilc just past them."""
+    st = ProgramStore()
+    st.cells[1:len(values) + 1] = values
+    st.ilc = len(values) + 1
+    return st
 
 
 def test_emit_advances_cursor():
     st = ProgramStore()
-    assert st.emit(0) == 1
-    assert st.emit(-22) == 2
+    assert emit(st, 0) == 1
+    assert emit(st, -22) == 2
     assert st.ilc == 3
     assert st.cells[1:3] == [0, -22]
 
@@ -34,11 +44,8 @@ def test_fill_chain_empty_head_is_noop():
 
 
 def test_dump_listing_eleven_wide_columns():
-    st = ProgramStore()
-    values = [0, -22, 5, 20, -49, 11, -20, -98, 1, 20, -24,
-              -98, 2, -33, -90, 19, -29, 20, 0, 1]
-    for v in values:
-        st.emit(v)
+    st = store_with([0, -22, 5, 20, -49, 11, -20, -98, 1, 20, -24,
+                     -98, 2, -33, -90, 19, -29, 20, 0, 1])
     lines = st.dump_listing(1, 20)
     assert lines == [
         "      0    -22      5     20    -49     11    -20    -98      1     20    -24",
@@ -47,29 +54,22 @@ def test_dump_listing_eleven_wide_columns():
 
 
 def test_dump_listing_single_cell():
-    st = ProgramStore()
-    st.emit(12345)
+    st = store_with([12345])
     assert st.dump_listing(1, 1) == ["  12345"]
 
 
 def test_integrity_accepts_well_formed_region():
-    st = ProgramStore()
-    for v in [0, -22, 5, 6, 2, 0, 1]:
-        st.emit(v)
+    st = store_with([0, -22, 5, 6, 2, 0, 1])
     check_integrity(st, 1, 7)
 
 
 def test_integrity_rejects_unfilled_link():
-    st = ProgramStore()
-    for v in [0, -22, 0, 6, 2, 0, 1]:
-        st.emit(v)
+    st = store_with([0, -22, 0, 6, 2, 0, 1])
     with pytest.raises(AssertionError):
         check_integrity(st, 1, 7)
 
 
 def test_integrity_rejects_out_of_range_jump():
-    st = ProgramStore()
-    for v in [0, -22, 5, 499, 2, 0, 1]:
-        st.emit(v)
+    st = store_with([0, -22, 5, 499, 2, 0, 1])
     with pytest.raises(AssertionError):
         check_integrity(st, 1, 7)
