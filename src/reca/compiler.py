@@ -33,15 +33,17 @@ The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
 earlier cards.  Blanks, operators, predicates, parentheses and
 separators, the argument character of F, S and =, the bodies of '*
-comments and " strings, and the numbers of constants and counters, which
-numio.scan_number scans, are all read off the tape.  A token that runs
-off the end of the tape is taken again, from its first word, once the
-next card is in: the one card turn of the compiler, besides the name
-read after the level-zero ) and the blanks after a bound program's
-name.  Those blanks are skipped on the compiler's own tape, unechoed,
-and the left parenthesis of the next program is taken off it and
-echoed with the segment it starts; anything else there is COMP 04, and
-the cards running out there end the session cleanly.
+comments and " strings, the numbers of counters, which numio.scan_number
+scans, and the number, blanks and closing quote of a '/number' constant,
+which numio.scan_constant reads as it does for the data of I, are all
+read off the tape.  A token that runs off the end of the tape is taken
+again, from its first word, once the next card is in: the one card turn
+of the compiler, besides the name read after the level-zero ) and the
+blanks after a bound program's name.  Those blanks are skipped on the
+compiler's own tape, unechoed, and the left parenthesis of the next
+program is taken off it and echoed with the segment it starts; anything
+else there is COMP 04, and the cards running out there end the session
+cleanly.
 
 A catalog diagnostic raises iosys.Diagnostic, which abandons the program
 being compiled; the session reports it.  An illegal unit number is the
@@ -257,13 +259,8 @@ def _compile(sess):
                             elif cls == CONSTANT:
                                 # '/number: its slot in the pool, which takes
                                 # the value
-                                value, i = numio.scan_number(tape, i, False)
-                                w = tape[i]
-                                i += 1
-                                while w == BLANK:
-                                    w = tape[i]
-                                    i += 1
-                                if w != QUOTE:
+                                value, i = numio.scan_constant(tape, i)
+                                if value is None:
                                     raise Diagnostic(BAD_NUMBER)
                                 sess.constants_used += 1
                                 cells[ilc] = sess.constants_used

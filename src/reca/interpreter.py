@@ -20,20 +20,22 @@ ATAN, LOG, SIN and TANH) share one branch, which looks the function up
 in FUNCTIONS by operation number.
 
 A catalog diagnostic raises iosys.Diagnostic; running out of data cards
-in I or R raises it as CONV 01.  A stray character on a card that I or
-R reads in raises charset.CharsetError when the reader is strict.  An
-arithmetic fault or an interrupt prints its notice and ends the program.
-The step budget counts every operation, every backward jump and every
-false return from a subroutine and is checked at each, so --max-steps
-stops at the same cell whatever the program.  The cancel flag (Ctrl-C)
-is checked where a program could run on without end: when execute
-starts, at every backward jump, at every subroutine call and at every
-false return from one (a subroutine that has called itself returns false
-into its own body).  Between two of those points execution makes at
-most one forward pass through the store.  It is checked as well after each
-read by I and R, which can wait on the keyboard for as long as the user
-takes, so an interrupt typed during a read stops the program that was
-reading.
+in I or R raises it as CONV 01.  I reads its datum, blanks and then
+'/number', with numio.parse_number, in one scan of the reader's card
+that raises CONV 01 on a bad frame too.  A stray character on a card
+that I or R reads in raises charset.CharsetError when the reader is
+strict.  An arithmetic fault or an interrupt prints its notice and ends
+the program.  The step budget counts every operation, every backward
+jump and every false return from a subroutine and is checked at each, so
+--max-steps stops at the same cell whatever the program.  The cancel
+flag (Ctrl-C) is checked where a program could run on without end: when
+execute starts, at every backward jump, at every subroutine call and at
+every false return from one (a subroutine that has called itself returns
+false into its own body).  Between two of those points execution makes
+at most one forward pass through the store.  It is checked as well after
+each read by I and R, which can wait on the keyboard for as long as the
+user takes, so an interrupt typed during a read stops the program that
+was reading.
 """
 
 import math
@@ -61,20 +63,6 @@ FUNCTIONS = [None] + [getattr(math, name.lower()) if name in _LIBRARY else None
 
 class _Interrupted(Exception):
     """The step budget ran out or the session was cancelled."""
-
-
-def _read_datum(reader):
-    """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
-    on a bad shape."""
-    w = reader.nonblank()
-    if w != charset.QUOTE or reader.read() != charset.SLASH:
-        raise Diagnostic(BAD_DATUM)
-    value = numio.parse_number(reader)
-    if reader.iac == charset.BLANK:
-        reader.nonblank()
-    if reader.iac != charset.QUOTE:
-        raise Diagnostic(BAD_DATUM)
-    return value
 
 
 def _past_budget(sess):
@@ -169,7 +157,7 @@ def execute(sess):
                                 pdl[sp] = save[prog[ixl]]
                                 ixl += 1
                             else:  # INPUT
-                                pdl[sp] = _read_datum(reader)
+                                pdl[sp] = numio.parse_number(reader)
                                 if sess.cancelled:  # Ctrl-C during the read
                                     raise _Interrupted
                         elif b == COUNTER:

@@ -1,14 +1,13 @@
 """Card input and line output.
 
 Input arrives as 80-column card images.  The reader holds one current
-card and deals it out a character at a time; its skip past blanks reads
-runs across cards.  select sets the input unit and, in the same place,
-the view: the current card as that unit reads it.  A scanner (the
-monitor, the compiler, the number parser) may instead take the view
-itself, walk it with an index of its own, and then hand its place back
-by position through hand_back, the one place that does so: echo what it
-read, latch the last word it took in iac and move the reader's cursor
-past it.  With the listing off a scanner passes no echo, and nothing is
+card and deals it out a character at a time.  select sets the input unit
+and, in the same place, the view: the current card as that unit reads
+it.  A scanner (the monitor, the compiler, the parser of I's data) may
+instead take the view itself, walk it with an index of its own, and then
+hand its place back by position through hand_back, the one place that
+does so: echo what it read, latch the last word it took in iac and move
+the reader's cursor past it.  With the listing off a scanner passes no echo, and nothing is
 sliced.  The echo is the view's text, taken the first time any part of
 it is echoed and kept until select runs again.  A card read from a
 plain source line, every character a glyph as it stands and no more
@@ -182,22 +181,6 @@ class CardReader:
         view is of the used-up card, for no card is read in until
         next_card."""
         return self.view, self.cursor
-
-    def nonblank(self):
-        """Read past blanks, across cards; returns the first other
-        character, read."""
-        while True:
-            if self.cursor >= 80:
-                self._refill()
-            view = self.view
-            start = stop = self.cursor
-            while stop < 80 and view[stop] == BLANK:
-                stop += 1
-            if stop > start:
-                self.cursor = stop
-                self.iac = BLANK
-            if stop < 80:
-                return self.read()
 
 
 class LineWriter:

@@ -4,15 +4,18 @@ All runtime arithmetic is IEEE single precision: every intermediate value
 is rounded through float32 so results are reproducible bit for bit.  The
 scanner, scan_number, reads a number off any sequence of words from a
 given index and stops at the first word that does not fit the token; a
-read past the end of the words raises IndexError.  The compiler runs it
-on the tape of cards it walks, and takes the token again when the tape
-runs out.  parse_number, which reads the data of I, runs it on the view
-of the card a card reader holds, from the reader's resume: the
-terminator is read too and stays latched in the reader's iac.  A token,
-or the blanks before it, may run past column 80, and a read may start
-on a used-up card: parse_number then turns the card through the
-reader's next_card, as the compiler's turn does, and scans again over
-the token's words so far and the next card.  The formatter builds
+read past the end of the words raises IndexError.  A number is written
+'/number' both as a constant in a program and as a datum on a data card,
+and scan_constant reads the tail of that form, the number, blanks and
+the closing quote, once for both.  The compiler runs it on the tape of
+cards it walks, and takes the token again when the tape runs out.
+parse_number, which reads the data of I, reads the whole datum, the
+blanks and '/ before the tail too, on the view of the card a card reader
+holds, from the reader's resume, and hands back through its last word,
+latched in the reader's iac.  A datum may run past column 80, and a read
+may start on a used-up card: parse_number then turns the card through
+the reader's next_card, as the compiler's turn does, and scans again over
+the datum's words so far and the next card.  The formatter builds
 the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
 text, in straight code with one round a digit, and puts it on a line
 writer in one call.
@@ -30,8 +33,8 @@ array("f") made fresh so that callers share no state.
 from array import array
 
 from . import charset
-from .charset import AMPERSAND, BLANK, DOT, LETTER_E, MINUS, PLUS
-from .iosys import CardReader
+from .charset import AMPERSAND, BLANK, DOT, LETTER_E, MINUS, PLUS, QUOTE, SLASH
+from .iosys import BAD_DATUM, Diagnostic, EndOfInput
 
 _new_cell = array("f", (0.0,)).__copy__
 _SPLIT = 2.0 ** 29 + 1  # splits a double's 53 bits as 24 + 29
@@ -49,41 +52,63 @@ ROUND_HALF_DIGIT = f32(5.0e-6)  # rounding bias added before digit extraction
 FIELD_WIDTH = 13
 
 
-def parse_number(reader, integer=False):
-    """Read one number off reader's cards; return its value.
+def parse_number(reader):
+    """Read one datum of I off reader's cards, blanks and then '/number',
+    and return its value; a bad frame raises Diagnostic(BAD_DATUM).
 
-    integer parses an integer, otherwise a float.  The first character
-    after the token is read too; it ends the token, is not part of it,
-    and is latched in reader.iac.  The reader is left where reading the
-    token a character at a time would leave it.
-
-    Accepted float shape: blanks, optional sign (- + &), digits with at
-    most one point, optional exponent E[sign]digits.  Anything else ends
-    the token; an empty token is zero.
+    The datum is read through its closing quote, or through the word that
+    breaks its frame; that word is latched in reader.iac.  A word is
+    looked at only once every word before it has passed, so the reader is
+    left, and the cards read in, where reading the datum a character at a
+    time would leave them.
     """
     # tape ends with the view, preceded, once the card has turned, by the
-    # token's words on earlier cards; the token starts at tape[begin], and
+    # datum's words on earlier cards; the datum starts at tape[begin], and
     # view[begin:] is not handed back yet
     tape, begin = reader.resume()
     while True:
         try:
-            value, stop = scan_number(tape, begin, integer)
+            i = begin
+            while tape[i] == BLANK:
+                i += 1
+            value = None
+            if tape[i] == QUOTE and tape[i + 1] == SLASH:
+                value, i = scan_constant(tape, i + 2)
+            else:  # through the word that breaks the frame
+                i += 2 if tape[i] == QUOTE else 1
             break
         except IndexError:
-            # the token or the blanks before it run off the end of the
+            # the datum or the blanks before it run off the end of the
             # tape, or the card is used up: turn the card and scan again
             tape = tape[begin:] + reader.next_card(begin)
             begin = 0
-    # hand back through the terminator, tape[stop], which is on the view
-    # at stop - len(tape) + 80
-    reader.hand_back(begin, stop - len(tape) + 81)
+    # hand back through tape[i - 1], which is on the view at i - len(tape) + 79
+    reader.hand_back(begin, i - len(tape) + 80)
+    if value is None:
+        raise Diagnostic(BAD_DATUM)
     return value
+
+
+def scan_constant(tape, i):
+    """(value, index past the closing quote) of the tail of '/number'
+    that starts at tape[i]: the number, blanks and the quote.  When a word
+    breaks the tail, (None, index past that word).  Indexing past the end
+    of tape raises IndexError."""
+    value, i = scan_number(tape, i, False)
+    while tape[i] == BLANK:
+        i += 1
+    return (value if tape[i] == QUOTE else None), i + 1
 
 
 def scan_number(card, i, integer):
     """(value, index of the terminator) of the number that starts at
-    card[i], card being a sequence of words; integer as for parse_number.
-    Indexing past the end of card raises IndexError."""
+    card[i], card being a sequence of words; integer reads an integer,
+    otherwise a float.  Indexing past the end of card raises IndexError.
+
+    Accepted float shape: blanks, optional sign (- + &), digits with at
+    most one point, optional exponent E[sign]digits.  Anything else ends
+    the token and is its terminator; an empty token is zero.
+    """
     w = card[i]
     while w == BLANK:
         i += 1
@@ -137,7 +162,10 @@ def scan_number(card, i, integer):
     try:
         f[0] = 10.0 ** (exponent - places)
     except OverflowError:
-        f[0] = float("inf")  # out of range; arithmetic on it faults later
+        # out of range: the value is an infinity, or nan for a zero number.
+        # O and the binary operators fault on it, and E on +inf; the other
+        # unary operators and the tests run on it (ROADMAP item 4)
+        f[0] = float("inf")
     f[0] = (-1.0 if negative else 1.0) * value * f[0]
     return f[0], i
 
@@ -219,12 +247,15 @@ def format_number(value):
 
 
 def parse_text(text, integer=False):
-    """Standalone parsing helper: (value, terminator character).
+    """Standalone parsing helper: (value, terminator character) of the
+    number at the start of text, as scan_number reads it.
 
     text is read as one card on the card unit, so the keypunch
     substitutions apply; reading past its 80 columns raises EndOfInput.
     """
-    cards = iter([text])
-    reader = CardReader(lambda: next(cards, None))
-    value = parse_number(reader, integer)
-    return value, charset.char_of(reader.iac)
+    card = charset.translate_card(charset.encode_card(text), text)
+    try:
+        value, stop = scan_number(card, 0, integer)
+    except IndexError:
+        raise EndOfInput from None
+    return value, charset.char_of(card[stop])

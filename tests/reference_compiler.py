@@ -8,12 +8,14 @@ counter, constant and string.  The monitor and its _begin_program are
 copied too: a read and a put for each character that steers it.  So are
 the reader, writer and session methods that went when a card walk
 replaced their last caller: the card reader's through_quote, force_refill,
-rest and its nonblank that echoes the blanks it skips, the line writer's
-clear and the session's read_echo.  So is numio's parse_number with its
-echo argument, which only the compiler copied here passed, the card
-reader's card, which went when the reader came to hold one current card,
-and the program store's emit, which went when the monitor stopped
-opening programs.  Only the imports changed, and what follows the
+rest and nonblank, here with an echo argument for the blanks it skips,
+the line writer's clear and the session's read_echo.  So is numio's
+parse_number as it read a bare number, with an echo argument that only
+the compiler copied here passed, the card reader's card, which went when
+the reader came to hold one current card, and the program store's emit,
+which went when the monitor stopped opening programs.  The nonblank and
+parse_number here also frame the I datum of the frozen
+tests/reference_interpreter.py.  Only the imports changed, and what follows the
 writer's line becoming a string and the reader holding one current card:
 the echo that the reader's hand-backs in parse_number take is the
 writer's put_text, for the reader echoes a card's text; clear empties the
@@ -209,7 +211,7 @@ def _close_paren(sess):
     sess.frames = [[st.ilc, 0, 0]]
     # a further program must follow on this or a later card
     try:
-        w = sess.reader.nonblank()
+        w = nonblank(sess.reader)
     except EndOfInput:
         raise Terminated from None
     if w != charset.LPAREN:

@@ -9,10 +9,13 @@ live loop, for without one a subroutine that has called itself can
 return false into its own body without end; the limits and constants
 come from reca.interpreter, so that only the loop body is frozen.
 
-_read_datum, the framing of an I datum, is frozen too: the reader's blank
-skip, a read for the quote and one for the slash.  The live one reads the
-same; the copy is here so that a change to it shows, in the loop property
-and in the framing property of tests/test_interpreter.py.
+_read_datum, the framing of an I datum, is frozen too: a blank skip, a
+read for the quote and one for the slash around the number parser, and
+a blank skip before the closing quote.  It runs on the frozen nonblank
+and parse_number that tests/reference_compiler.py keeps, not on the live
+reader or numio, so that it stays what it was when numio.parse_number
+came to read the whole datum in one scan; the framing property of
+tests/test_interpreter.py runs that scan against it.
 """
 
 import math
@@ -28,6 +31,7 @@ from reca.iosys import (
 )
 from reca.store import RECURSIVE_MARK
 from reca.tables import DECLARED_RECURSIVE
+from reference_compiler import nonblank, parse_number
 
 _pack = struct.pack
 _unpack = struct.unpack
@@ -36,12 +40,12 @@ _unpack = struct.unpack
 def _read_datum(reader):
     """Runtime numeric input: blanks, then '/number' ; raises Diagnostic
     on a bad shape."""
-    w = reader.nonblank()
+    w = nonblank(reader)
     if w != charset.QUOTE or reader.read() != charset.SLASH:
         raise Diagnostic(BAD_DATUM)
-    value = numio.parse_number(reader)
+    value = parse_number(reader)
     if reader.iac == charset.BLANK:
-        reader.nonblank()
+        nonblank(reader)
     if reader.iac != charset.QUOTE:
         raise Diagnostic(BAD_DATUM)
     return value

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_interpreter
-from reca import interpreter
+from reca import interpreter, numio
 from reca.charset import CharsetError
 from reca.decks import FACTORIAL
 from reca.iosys import INTERRUPT_NOTICE, PAGE_EJECT, CardReader, Diagnostic, EndOfInput
@@ -193,15 +193,22 @@ DATUM_NUMBERS = st.one_of(
          more=[], unit=2)  # no closing quote
 @example(column=0, at=0, opening="'/", number="12", blanks=0, closing="X",
          more=[], unit=2)  # a non-blank terminator that is not a quote
+@example(column=0, at=80, opening="", number="", blanks=0, closing="",
+         more=["", "@/1.5@"], unit=2)  # an all-blank card, an empty card, then the datum
+@example(column=2, at=80, opening="", number="", blanks=0, closing="",
+         more=["(A"], unit=2)  # blanks to the card's end, then no quote
+@example(column=1, at=1, opening="", number="", blanks=0, closing="",
+         more=[], unit=2)  # blanks to the end of input
 def test_read_datum_matches_the_reference_framing(
         column, at, opening, number, blanks, closing, more, unit):
     # the frame starts at column at of the text laid across the cards, or
-    # where the reader starts if that is later
+    # where the reader starts if that is later; numio.parse_number reads
+    # the whole datum in one scan, the frozen framing a character at a time
     start = column % 80
     line = "X" * start + " " * max(at - start, 0) + opening + number + " " * blanks + closing
     cards = [line[i:i + 80] for i in range(0, len(line), 80)] + more
     expected = datum_outcome(reference_interpreter._read_datum, cards, column, unit)
-    assert datum_outcome(interpreter._read_datum, cards, column, unit) == expected
+    assert datum_outcome(numio.parse_number, cards, column, unit) == expected
 
 
 def test_character_read_past_last_card_is_reported():
@@ -561,10 +568,31 @@ def check_edge(op, texts, want):
     return None if ok else f"{op} {texts}: want {want}, got {status} {lines} {got}"
 
 
+def read_as_constant_and_datum(text):
+    """What '/text' prints, and the status, as a constant in a program and
+    as a datum read by I, with the listing off."""
+    return (run([f"*('/{text}'OX,)"], echo=False),
+            run(["*(IOX,)", f"'/{text}'"], echo=False))
+
+
 def test_edge_operands_parse_to_their_float32_values():
     for text, value in EDGE_OPERANDS:
         sess, status = run_deck([f"*('/{text}'S1L,)"])
         assert status == 0 and same(sess.variables[1], value), text
+        constant, datum = read_as_constant_and_datum(text)
+        assert constant == datum, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789.E-+& X", max_size=16))
+@example("12X")  # a word breaks the tail: CONV 01 both
+@example("1 2")  # so does a second number after blanks
+@example("  -2.5E1   ")  # blanks on both sides of the number
+def test_a_constant_and_a_datum_read_alike(text):
+    # numio.scan_constant reads the tail of '/number' for the compiler
+    # and for I alike
+    constant, datum = read_as_constant_and_datum(text)
+    assert constant == datum
 
 
 @pytest.mark.parametrize("op", UNARY)

@@ -72,11 +72,6 @@ def test_reader_latches_every_read_in_iac():
     assert charset.char_of(r.read()) == charset.char_of(r.iac) == "'"
     r.hand_back(r.cursor, 80)
     assert charset.char_of(r.iac) == " "
-    assert charset.char_of(r.nonblank()) == charset.char_of(r.iac) == "D"
-    assert r.cursor == 3
-    with pytest.raises(EndOfInput):
-        r.nonblank()
-    assert r.iac == charset.BLANK  # the blanks were read before the cards ran out
 
 
 def test_next_card_hands_back_the_rest_and_reads_the_next():
@@ -281,8 +276,6 @@ RUN_CARDS = st.lists(
 
 def read_run(sess, op, limit):
     reader, writer = sess.reader, sess.writer
-    if op == "nonblank":
-        return reader.nonblank()
     if op == "to_quote":
         run = through_quote(reader, limit)
         writer.put_words(run)
@@ -306,18 +299,13 @@ def read_each(sess, op, limit):
             if not op.endswith("unechoed"):
                 writer.put(run[-1])
         return run
-    if op == "to_quote":
-        run = []
-        for _ in range(limit):
-            run.append(reader.read())
-            writer.put(run[-1])
-            if run[-1] == charset.QUOTE or reader.cursor == 80:
-                break
-        return run
-    while True:
-        w = reader.read()
-        if w != charset.BLANK:
-            return w
+    run = []  # to_quote
+    for _ in range(limit):
+        run.append(reader.read())
+        writer.put(run[-1])
+        if run[-1] == charset.QUOTE or reader.cursor == 80:
+            break
+    return run
 
 
 def run_state(read, cards, config, skip, fill, op, limit):
@@ -344,18 +332,15 @@ def run_state(read, cards, config, skip, fill, op, limit):
                  st.sampled_from([2, 6]), st.sampled_from([1, 3])),
        st.integers(0, 170), st.integers(0, 130),
        st.sampled_from(["to_end", "to_end_unechoed", "to_stop", "to_stop_unechoed",
-                        "to_quote", "nonblank"]),
+                        "to_quote"]),
        st.integers(1, 90))
 @example(["A" * 79 + "'"], (120, True, 2, 3), 1, 0, "to_quote", 80)  # quote in column 80
-@example(["AB" + " " * 78, "(A"], (80, True, 2, 3), 2, 0, "nonblank", 1)
-@example([" " * 80, "", "@"], (120, True, 2, 3), 0, 0, "nonblank", 1)  # all-blank cards
 @example(["A" * 80], (80, False, 6, 1), 1, 79, "to_end", 1)  # echo off
 @example(["A@B'" * 20], (80, True, 2, 3), 3, 78, "to_stop", 5)  # the line fills on the way
 @example(["A@B'" * 20], (80, True, 2, 3), 79, 0, "to_stop_unechoed", 5)  # iac latched, no echo
 @example(["A"], (120, True, 2, 3), 80, 0, "to_end_unechoed", 1)  # the cards have run out
 @example(["A@B'"], (120, True, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
 @example(["'(@)"], (120, True, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
-@example(["A"], (120, True, 2, 3), 1, 0, "nonblank", 1)  # blanks to the end of input
 def test_runs_match_reading_each_character(cards, config, skip, fill, op, limit):
     args = cards, config, skip, fill, op, limit
     assert run_state(read_run, *args) == run_state(read_each, *args)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_compiler
 from reca import charset, numio
-from reca.iosys import CardReader, EndOfInput, LineWriter
+from reca.iosys import BAD_DATUM, CardReader, Diagnostic, EndOfInput, LineWriter
 from reca.numio import f32, format_number, parse_text, scientific_text
 from reca.session import Session
 
@@ -47,6 +47,15 @@ def test_parse_terminator_latched_not_consumed():
     assert parse_text("50$", integer=True) == (50, "$")
     assert parse_text("  -7;", integer=True) == (-7, ";")
     assert parse_text("X", integer=True) == (0, "X")
+
+
+def test_parse_text_reads_one_card():
+    # a token, or blanks, up to column 80 leave no terminator on the card
+    assert parse_text("9" * 79) == (f32(float("9" * 79)), " ")
+    with pytest.raises(EndOfInput):
+        parse_text("9" * 80)
+    with pytest.raises(EndOfInput):
+        parse_text("")
 
 
 def test_parse_second_point_terminates():
@@ -279,13 +288,16 @@ def test_format_scientific_needs_only_a_writer():
 
 
 def test_parse_number_needs_only_a_card_reader():
-    cards = iter([" -12.5E1'"])
+    # a datum read through its closing quote, then one whose number a
+    # word other than blank or quote ends
+    cards = iter([" '/-12.5E1 '", "'/42;"])
     reader = CardReader(lambda: next(cards, None))
     assert numio.parse_number(reader) == -125.0
-    assert charset.char_of(reader.read()) == " "  # the quote ended the token
-    cards = iter(["42;"])
-    reader = CardReader(lambda: next(cards, None))
-    assert numio.parse_number(reader, integer=True) == 42
+    assert reader.cursor == 12 and charset.char_of(reader.iac) == "'"
+    with pytest.raises(Diagnostic) as caught:
+        numio.parse_number(reader)
+    assert caught.value.code == BAD_DATUM
+    assert reader.cursor == 5 and charset.char_of(reader.iac) == ";"
 
 
 def reference_parse_float(read):
@@ -358,9 +370,9 @@ def reference_parse_int(read):
 def parse_outcome(cards, column, unit, integer, parser):
     """Parse from column (0-based; 80 starts on the first card's refill)
     of cards read on unit; everything the parse leaves behind.  parser is
-    "reference", the frozen parsers, which read a character at a time;
+    "reference", the frozen parsers, which read a character at a time, or
     "copy", the parse_number with an echo argument that
-    tests/reference_compiler.py keeps; or "reca", numio.parse_number."""
+    tests/reference_compiler.py keeps."""
     source = iter(cards)
     reader = CardReader(lambda: next(source, None), unit=unit)
     if column < 80:
@@ -375,12 +387,9 @@ def parse_outcome(cards, column, unit, integer, parser):
 
         parse = reference_parse_int if integer else reference_parse_float
         args = (read,)
-    elif parser == "copy":
+    else:
         parse = reference_compiler.parse_number
         args = (reader, integer, echoed.extend)
-    else:
-        parse = numio.parse_number
-        args = (reader, integer)
     try:
         value = parse(*args)
     except EndOfInput:
@@ -388,6 +397,23 @@ def parse_outcome(cards, column, unit, integer, parser):
     if isinstance(value, float):
         value = struct.pack("f", value)  # nan and -0.0 compare by their bits
     return value, reader.cursor, reader.iac, echoed
+
+
+def scan_outcome(cards, column, unit, integer):
+    """numio.scan_number over the views of cards on unit laid end to end,
+    from column as parse_outcome reads it: the value, the terminator's
+    column plus one, as a reader's cursor would be, and the terminator."""
+    tape = []
+    for line in cards:
+        words = charset.encode_card(line)
+        tape += charset.translate_card(words, line) if unit == 2 else words
+    try:
+        value, stop = numio.scan_number(tape, column % 80, integer)
+    except IndexError:
+        return "end of input"
+    if isinstance(value, float):
+        value = struct.pack("f", value)
+    return value, stop % 80 + 1, tape[stop]
 
 
 NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
@@ -441,8 +467,9 @@ def test_parse_number_matches_the_reference_parsers(
     cards = [line[i:i + 80] for i in range(0, len(line) or 1, 80)] + more
     expected = parse_outcome(cards, column, unit, integer, "reference")
     assert parse_outcome(cards, column, unit, integer, "copy") == expected
-    # numio's parse_number echoes nothing, and leaves the rest as the copy does
-    assert parse_outcome(cards, column, unit, integer, "reca") == expected[:3] + ([],)
+    # the live scanner reads the same value and stops at the same terminator
+    live = scan_outcome(cards, column, unit, integer)
+    assert live == (expected[0] if expected[0] == "end of input" else expected[:3])
 
 
 def test_number_decks_print_what_the_reference_parser_and_formatter_give():
