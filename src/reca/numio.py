@@ -63,25 +63,27 @@ def parse_number(reader):
     time would leave them.
     """
     # tape ends with the view, preceded, once the card has turned, by the
-    # datum's words on earlier cards; the datum starts at tape[begin], and
-    # view[begin:] is not handed back yet
+    # datum's words on earlier cards; view[begin:] is not handed back yet,
+    # and the blanks before tape[first] are read
     tape, begin = reader.resume()
+    first = begin
     while True:
         try:
-            i = begin
-            while tape[i] == BLANK:
-                i += 1
+            while tape[first] == BLANK:
+                first += 1
             value = None
-            if tape[i] == QUOTE and tape[i + 1] == SLASH:
-                value, i = scan_constant(tape, i + 2)
+            if tape[first] == QUOTE and tape[first + 1] == SLASH:
+                value, i = scan_constant(tape, first + 2)
             else:  # through the word that breaks the frame
-                i += 2 if tape[i] == QUOTE else 1
+                i = first + (2 if tape[first] == QUOTE else 1)
             break
         except IndexError:
             # the datum or the blanks before it run off the end of the
-            # tape, or the card is used up: turn the card and scan again
-            tape = tape[begin:] + reader.next_card(begin)
-            begin = 0
+            # tape, or the card is used up: turn the card and scan again,
+            # past the blanks read
+            card = reader.next_card(begin)
+            tape = tape[first:] + card if first < len(tape) else card
+            first = begin = 0
     # hand back through tape[i - 1], which is on the view at i - len(tape) + 79
     reader.hand_back(begin, i - len(tape) + 80)
     if value is None:
