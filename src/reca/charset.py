@@ -66,6 +66,8 @@ DOT = WORD_BY_CHAR["."]
 LETTER_C = WORD_BY_CHAR["C"]        # -15552
 LETTER_E = WORD_BY_CHAR["E"]        # -15040
 LETTER_L = WORD_BY_CHAR["L"]        # -11456
+# the digit each digit glyph stands for
+DIGIT_BY_WORD = {WORD_BY_CHAR[c]: int(c) for c in "0123456789"}
 
 # card-code translation applied on the punched-card unit only: the four
 # multipunch glyphs stand for the characters a printing keyboard types

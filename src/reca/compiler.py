@@ -12,22 +12,26 @@ followed by three name characters: a blank first character executes the
 program immediately, otherwise the name is bound as a subroutine; an L in
 the third position prints the object-code listing.
 
-The monitor and the compiler each walk the reader's view of the card
-with an index of their own, echo what they have read in one call a card
-segment, as the view's text, which the reader takes from the source line
-or decodes once a card, and hand their place back to the reader by
-position: through its next_card at the end of each card, which reads the
-next one in, and through its hand_back before anything else reads,
-writes or looks.  The monitor hands back before each command takes
-effect and with the ( that starts compilation; the compiler before the
-flush, listing and binding that follow a program's name, and when a
-diagnostic it raises abandons the program.  The compiler keeps the
-store's next free cell in a local as well, and stores it back however
-the walk ends.  The monitor drops a card that is not a control card
-unechoed, skips a run of blanks with one search of the card's text, and
-after I it selects the new input unit and takes up the card again as
-that unit reads it.  With the listing off, neither passes an echo to the
-reader.
+The monitor and the compiler each walk a tape of cards with an index of
+their own: the reader's view of the current card, preceded by the words
+of the current command or token that lie on earlier cards.  Each echoes
+what it has read in one call a card segment, as the view's text, which
+the reader takes from the source line or decodes once a card, and hands
+its place back to the reader by position: through its next_card at the
+end of each card, which reads the next one in, and through its hand_back
+before anything else reads, writes or looks.  The monitor hands back
+once a command's last word is read, before the command takes effect, and
+with the ( that starts compilation; the compiler before the flush,
+listing and binding that follow a program's name, and when a diagnostic
+it raises abandons the program.  The compiler keeps the store's next
+free cell in a local as well, and stores it back however the walk ends.
+The monitor drops a card that is not a control card unechoed and skips a
+run of blanks with one search of the card's text.  A command that runs
+off the end of its tape is taken again, from its letter, once the next
+card is in: the monitor's one card turn.  After each command the monitor
+walks on from the reader's view and cursor, so after I it walks the card
+as the new input unit reads it.  With the listing off, neither passes an
+echo to the reader.
 
 The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
@@ -51,7 +55,7 @@ one diagnostic that does not abort: the monitor prints it and reads on.
 """
 
 from . import charset, numio, tables
-from .charset import BLANK, LETTER_L, LPAREN, QUOTE
+from .charset import BLANK, DIGIT_BY_WORD, LETTER_L, LPAREN, QUOTE
 from .iosys import (
     BAD_ARGUMENT, BAD_COUNTER, BAD_LEVEL_ZERO, BAD_NUMBER, BAD_UNIT,
     CONSTANT_EXCESS, EXCESS_NESTING, RESERVED_OP, STORE_OVERFLOW, Diagnostic,
@@ -82,8 +86,18 @@ class UnfinishedProgram(Exception):
 
 def monitor(sess):
     """Scan cards until compilation starts; returns when ( is consumed and
-    handed back.  card[start:i] is read but not yet echoed, as in
-    _compile."""
+    handed back.  The walk keeps its place in locals, as _compile's does:
+    the tape, the index i of its next word, and start (card[start:] is
+    not yet echoed); tape[i] is the card's word i - len(tape) + 80.  The
+    tape is the current card, the reader's view, preceded only by the
+    words of a command that lie on earlier cards.  A command reads all its
+    words, the letter, the argument and N's quoted character, before it
+    is handed back and takes effect, so one that runs off the end of the
+    tape is taken again, from its letter, once the next card is in.  A
+    blank, a ( or a letter that is no command is one word, so the tape is
+    the bare card wherever a run of blanks is skipped.  After a command
+    the walk goes on from the reader's view and cursor: after I, the card
+    as the new unit reads it."""
     reader = sess.reader
     writer = sess.writer
     echo = writer.put_text if writer.echo else None  # None: the listing is off
@@ -97,61 +111,59 @@ def monitor(sess):
         else:
             # not a control card: it goes unechoed, read as far as its first word
             reader.hand_back(0, 1)
-    i, start = 1, 0  # the * is read, not yet echoed
+    tape, i, start = card, 1, 0  # the * is read, not yet echoed
     while True:
-        if i == 80:
+        token = i
+        try:
+            w = tape[i]
+            i += 1
+            if w == BLANK:
+                # every word on a card is a glyph, so the card's text has a
+                # blank where the card has one: skip the run in one search
+                i = 80 - len(reader.text()[i:].lstrip(" "))
+                continue
+            if w == LPAREN:
+                break
+            if w not in _COMMANDS:
+                continue
+            arg = tape[i]
+            i += 1
+            if arg == LPAREN:
+                break
+            if w == _RECURSIVE:
+                code = charset.class_code(arg)
+                if sess.compile_code[code] == QUOTE_PREFIX:
+                    code = tables.quote_extend(charset.class_code(tape[i]))
+                    i += 1
+        except IndexError:
+            # the tape ran out: read the next card in, keep the command's
+            # words, and take it again
             card = reader.next_card(start, echo)
+            tape = tape[token:] + card if token < len(tape) else card
             i = start = 0
-        w = card[i]
-        i += 1
-        if w == BLANK:
-            # every word on a card is a glyph, so the card's text has a
-            # blank where the card has one: skip the run in one search
-            i = 80 - len(reader.text()[i:].lstrip(" "))
             continue
-        if w == LPAREN:
-            break
-        if w not in _COMMANDS:
-            continue
-        if i == 80:
-            card = reader.next_card(start, echo)
-            i = start = 0
-        arg = card[i]
-        i += 1
-        if arg == LPAREN:
-            break
-        reader.hand_back(start, i, echo)
-        start = i
-        code = charset.class_code(arg)
-        if w == _INPUT:
-            if code in (51, 55):  # glyphs 2 and 6
-                # the unit decides whether the keypunch glyphs are translated
-                reader.select(code - 49)
-                card, i = reader.resume()
-            else:
-                sess.diagnose(BAD_UNIT)
-        elif w == _OUTPUT:
-            if 50 <= code <= 52:  # glyphs 1..3
-                writer.select(code - 49)
-            else:
-                sess.diagnose(BAD_UNIT)
+        reader.hand_back(start, i - len(tape) + 80, echo)
+        unit = DIGIT_BY_WORD.get(arg)  # of I and O, if arg is a digit
+        if w == _INPUT and unit in (2, 6):
+            # the unit decides whether the keypunch glyphs are translated
+            reader.select(unit)
+        elif w == _OUTPUT and unit in (1, 2, 3):
+            writer.select(unit)
+        elif w == _INPUT or w == _OUTPUT:
+            sess.diagnose(BAD_UNIT)
         elif w == _TERMINATE:
             raise Terminated
         elif w == _ERASE:
             sess.erase()
         elif w == _RECURSIVE:
-            if sess.compile_code[code] == QUOTE_PREFIX:
-                if i == 80:
-                    card = reader.next_card(start, echo)
-                    i = start = 0
-                code = tables.quote_extend(charset.class_code(card[i]))
-                i += 1
             sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
             writer.echo = echo = False
+        tape = reader.view
+        i = start = reader.cursor
     # the left parenthesis at level zero
-    reader.hand_back(start, i, echo)
+    reader.hand_back(start, i - len(tape) + 80, echo)
     writer.flush()
 
 
@@ -211,8 +223,8 @@ def _compile(sess):
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
     echo = sess.writer.put_text if sess.writer.echo else None
-    card, i = reader.resume()
-    tape, start = card, i
+    card = tape = reader.view
+    i = start = reader.cursor
     # open the program: its entry cell, and the level-zero frame of
     # [loop target, false chain, true chain]
     ilc = st.ilc0 = st.ilc
@@ -250,11 +262,11 @@ def _compile(sess):
                         if cls != PREDICATE:  # whose only cell is its false link
                             if cls == OPERATOR_NUM:
                                 # the variable's slot; the glyph 0 selects ten
-                                c = (((tape[i] - 64) >> 8) & 63) + 1
+                                digit = DIGIT_BY_WORD.get(tape[i])
                                 i += 1
-                                if not 49 <= c <= 58:
+                                if digit is None:
                                     raise Diagnostic(BAD_ARGUMENT)
-                                cells[ilc] = c - 49 if c > 49 else 10
+                                cells[ilc] = digit or 10
                                 ilc += 1
                             elif cls == CONSTANT:
                                 # '/number: its slot in the pool, which takes
@@ -362,11 +374,11 @@ def _compile(sess):
                         for line in st.dump_listing(st.ilc0, ilc):
                             sess.writer.emit_text(line)
                     ilc += 1
-                    name1 = (((name[0] - 64) >> 8) & 63) + 1
-                    if name1 == 1:  # blank name: run it now
+                    if name[0] == BLANK:  # run it now
                         sess.constants_used = sess.constants_committed
                         sess.writer.echo = True
                         return
+                    name1 = (((name[0] - 64) >> 8) & 63) + 1
                     if table[name1] == QUOTE_PREFIX:
                         name1 = (((name[1] - 64) >> 8) & 63) + 65
                     table[name1] = PREDICATE

@@ -31,11 +31,14 @@ jump and every false return from a subroutine and is checked at each, so
 flag (Ctrl-C) is checked where a program could run on without end: when
 execute starts, at every backward jump, at every subroutine call and at
 every false return from one (a subroutine that has called itself returns
-false into its own body).  Between two of those points execution makes
-at most one forward pass through the store.  It is checked as well after
-each read by I and R, which can wait on the keyboard for as long as the
-user takes, so an interrupt typed during a read stops the program that
-was reading.
+false into its own body); a backward jump and a false return test the
+budget and the flag in one condition.  Between two of those points
+execution makes at most one forward pass through the store.  It is
+checked as well after each read by I and R, which can wait on the
+keyboard for as long as the user takes, so an interrupt typed during a
+read stops the program that was reading, and where an unbounded run
+passes its ceiling, so a run that does so at an operation with Ctrl-C
+pending stops at that operation.
 """
 
 import math
@@ -66,8 +69,9 @@ class _Interrupted(Exception):
 
 
 def _past_budget(sess):
-    """Stop a bounded run; lift an unbounded run's ceiling to inf."""
-    if sess.config.max_steps is not None:
+    """Stop a bounded run or a cancelled one; lift an unbounded run's
+    ceiling to inf."""
+    if sess.config.max_steps is not None or sess.cancelled:
         raise _Interrupted
     return _INF
 
@@ -239,10 +243,8 @@ def execute(sess):
                 ixl = cell
             elif cell:  # backward jump: it may close a loop, so it is a step
                 steps += 1
-                if steps > budget:
+                if steps > budget or sess.cancelled:
                     budget = _past_budget(sess)
-                if sess.cancelled:
-                    raise _Interrupted
                 ixl = cell
                 if ixl == ilc0:
                     break
@@ -256,10 +258,8 @@ def execute(sess):
                 # a subroutine's false return: a step, as the backward jump
                 # of a true return is, for it may close a loop too
                 steps += 1
-                if steps > budget:
+                if steps > budget or sess.cancelled:
                     budget = _past_budget(sess)
-                if sess.cancelled:
-                    raise _Interrupted
                 if prog[ixl] >= mark:
                     irec -= 1
                     ixl = iret[irec] - 1

@@ -14,10 +14,10 @@ plain source line, every character a glyph as it stands and no more
 than 80 of them, with no keypunch substitution made, takes its text
 from the line itself, blank-padded; any other view is decoded once.
 next_card is the one card turn: it hands back the rest of the card,
-reads the next one in and returns its view.  resume gives a scanner the
-view and cursor to walk on from, the used-up card at cursor 80, without
-reading a card in, so that the scanner's own turn reads it.  Every read
-latches the last character read in iac.
+reads the next one in and returns its view.  A scanner takes up the walk
+from view and cursor, the used-up card at cursor 80, for no card is read
+in before the scanner's own turn.  Every read latches the last character
+read in iac.
 Output is text: the writer holds its pending line as one string, takes
 runs of characters onto it and releases it either explicitly or when it
 reaches the width of the current output unit, which the writer holds.
@@ -176,12 +176,6 @@ class CardReader:
         self._refill()
         return self.view
 
-    def resume(self):
-        """(view, cursor) for a scanner to walk on from; at cursor 80 the
-        view is of the used-up card, for no card is read in until
-        next_card."""
-        return self.view, self.cursor
-
 
 class LineWriter:
     """Line buffer for the current output unit, held as one string.
@@ -242,10 +236,6 @@ class LineWriter:
         (self.punch if self.unit == 2 else self.output).append(text)
         if self.on_line:
             self.on_line(self.unit, text)
-
-    def emit_message(self, code):
-        """Write diagnostic abs(code) of the catalog, bypassing the buffer."""
-        self.emit_text(MESSAGES[-code - 1])
 
     def _emit(self):
         self.emit_text(self.buffer)

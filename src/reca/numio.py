@@ -11,7 +11,7 @@ the closing quote, once for both.  The compiler runs it on the tape of
 cards it walks, and takes the token again when the tape runs out.
 parse_number, which reads the data of I, reads the whole datum, the
 blanks and '/ before the tail too, on the view of the card a card reader
-holds, from the reader's resume, and hands back through its last word,
+holds, from the reader's cursor, and hands back through its last word,
 latched in the reader's iac.  A datum may run past column 80, and a read
 may start on a used-up card: parse_number then turns the card through
 the reader's next_card, as the compiler's turn does, and scans again over
@@ -65,8 +65,8 @@ def parse_number(reader):
     # tape ends with the view, preceded, once the card has turned, by the
     # datum's words on earlier cards; view[begin:] is not handed back yet,
     # and the blanks before tape[first] are read
-    tape, begin = reader.resume()
-    first = begin
+    tape = reader.view
+    first = begin = reader.cursor
     while True:
         try:
             while tape[first] == BLANK:

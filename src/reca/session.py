@@ -24,9 +24,12 @@ the compiler and the interpreter use the two directly.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import compiler, interpreter, tables
-from .iosys import PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter
+from .iosys import (
+    MESSAGES, PAGE_EJECT, CardReader, Diagnostic, EndOfInput, LineWriter,
+)
 from .store import ProgramStore
 
 
@@ -49,8 +52,8 @@ class Session:
         cfg = config or SessionConfig()
         self.config = cfg
         lines = keyboard if cards is None else cards
-        self.reader = CardReader(self._as_source(() if lines is None else lines),
-                                 unit=6 if cards is None else 2,
+        source = lines if callable(lines) else partial(next, iter(lines or ()), None)
+        self.reader = CardReader(source, unit=6 if cards is None else 2,
                                  strict=cfg.strict_charset)
         self.output = []          # lines written to printer units
         self.punch = []           # lines written to the card punch
@@ -64,17 +67,6 @@ class Session:
         self.errors_emitted = False
         self.cancelled = False
 
-    @staticmethod
-    def _as_source(lines):
-        if callable(lines):
-            return lines
-        it = iter(lines)
-
-        def pull():
-            return next(it, None)
-
-        return pull
-
     def erase(self):
         """Forget every program and definition: the state a new session
         starts in, and the one the monitor's erase command restores."""
@@ -86,7 +78,7 @@ class Session:
 
     def diagnose(self, code):
         self.errors_emitted = True
-        self.writer.emit_message(code)
+        self.writer.emit_text(MESSAGES[-code - 1])
 
     # the top-level cycle
 

@@ -20,6 +20,8 @@ command, the keypunch glyphs % < @ #, and programs that fill the store;
 datum_decks() decks whose I data are framed well and badly, after blanks
 across cards and across column 80, on the card unit and the keyboard;
 number_decks() decks that read and print numbers at float32's edges.
+cut_short(deck) gives deck cut short after each card and at each column
+of its last card.
 
 snapshot(sess, status) records everything a run leaves behind, both
 dispatch tables included, so that two runs of one deck can be compared
@@ -177,6 +179,13 @@ def straddling_decks(program, token, rest):
         cards = [text[i:i + 80] for i in range(0, len(text), 80)]
         decks.append([program, *cards] if data else cards)
     return decks
+
+
+def cut_short(deck):
+    """deck cut short after each of its cards, itself included, and at
+    every column of its last card."""
+    return ([deck[:k] for k in range(1, len(deck) + 1)]
+            + [deck[:-1] + [deck[-1][:column]] for column in range(len(deck[-1]))])
 
 
 def column_80_decks():

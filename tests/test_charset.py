@@ -41,6 +41,7 @@ def test_digit_words_span_negative_range():
         assert digit_value(w) == v
     assert not is_digit_word(charset.BLANK)
     assert not is_digit_word(charset.WORD_BY_CHAR["A"])
+    assert charset.DIGIT_BY_WORD == {digit_word(v): v for v in range(10)}
 
 
 def test_class_codes():
@@ -66,6 +67,9 @@ def test_sixty_three_glyphs_and_code_43_unassigned():
     assert len(ALL_CHARS) == 63
     codes = {charset.code_of(c) for c in ALL_CHARS}
     assert codes == set(range(1, 65)) - {43}
+    # the digits alone have class codes 49..58, so on a glyph's word
+    # DIGIT_BY_WORD and a test of the class code agree
+    assert {c for c in ALL_CHARS if 49 <= charset.code_of(c) <= 58} == set("0123456789")
 
 
 def test_quote_extension():

@@ -374,6 +374,22 @@ def test_an_unbounded_run_counts_on_past_its_ceiling(monkeypatch, ceiling):
     assert set_high == live
 
 
+def test_a_cancel_stops_an_unbounded_run_where_it_passes_its_ceiling(monkeypatch):
+    # X's line raises the flag; the next operation, '/2, is step 4 and
+    # passes the ceiling, and no backward jump or call follows to see it
+    monkeypatch.setattr(interpreter, "_CEILING", 3)
+
+    def cancel_on_value(unit, text):
+        if text == "  1.00000E 00":
+            sess.cancelled = True
+
+    sess = Session(cards=["*('/1'OX'/2'OX,)"], config=SessionConfig(echo=False),
+                   on_line=cancel_on_value)
+    assert sess.run() == 0
+    assert sess.output == ["  1.00000E 00", "MANUAL INTERRUPT FROM SWITCH  5", PAGE_EJECT]
+    assert not sess.cancelled
+
+
 def test_stack_pointer_resets_between_programs():
     # leftovers from one program do not leak into the next
     lines, status = run(["*('/1''/2''/3'L,)", "*(*,)"])

@@ -54,8 +54,8 @@ def test_select_re_views_the_current_card():
     echoed = []
     for unit, text in [(6, "%<@#"), (2, "()'="), (6, "%<@#")]:
         r.select(unit)
-        view, i = r.resume()
-        assert r.unit == unit and view is r.view
+        view, i = r.view, r.cursor
+        assert r.unit == unit
         assert charset.decode_words(view[i:i + 4]) == text
         assert drain(r, 4) == text
         r.hand_back(i, i + 4, echoed.append)
@@ -166,22 +166,22 @@ LINE_CHARS = st.sampled_from([
 @example(["%(<)"], 2)           # a keypunch glyph and what it stands for
 def test_the_text_of_every_card_dealt_is_its_words_decoded(lines, unit):
     r = reader_for(lines, unit=unit)
-    view = r.resume()[0]  # the blank card before the first
+    view = r.view  # the blank card before the first
     assert r.text() == charset.decode_words(view)
     for _ in lines:
         view = r.next_card(80)
         assert r.text() == charset.decode_words(view)
 
 
-def test_resume_gives_the_card_to_walk_on_from():
+def test_view_and_cursor_give_the_card_to_walk_on_from():
     r = reader_for(["A%"])
     r.read()
-    card, i = r.resume()
-    assert card is r.view and i == 1
+    card, i = r.view, r.cursor
+    assert i == 1
     assert charset.char_of(card[i]) == "("
 
 
-def test_resume_at_column_80_reads_no_card_in():
+def test_a_used_up_card_stays_the_view_until_next_card():
     pulled = []
     cards = iter(["A" * 80, "B"])
 
@@ -191,8 +191,8 @@ def test_resume_at_column_80_reads_no_card_in():
 
     r = CardReader(source)
     drain(r, 80)
-    card, i = r.resume()
-    assert card is r.view is r.record and i == 80  # the used-up card
+    card, i = r.view, r.cursor
+    assert card is r.record and i == 80  # the used-up card
     assert charset.decode_words(card) == "A" * 80
     assert pulled == ["A" * 80]
     assert r.cursor == 80 and charset.char_of(r.iac) == "A"
@@ -203,6 +203,11 @@ def collect_writer(width=120):
     writer = LineWriter([], [], width=width,
                         on_line=lambda unit, text: lines.append((unit, text)))
     return writer, lines
+
+
+def collect_session():
+    lines = []
+    return Session(on_line=lambda unit, text: lines.append((unit, text))), lines
 
 
 def put_text(w, text, unit):
@@ -217,7 +222,7 @@ def test_writer_sorts_lines_into_output_and_punch():
     put_text(w, "PRINTED", 3)
     w.flush()
     put_text(w, "PUNCHED", 2)
-    w.emit_message(-9)
+    w.emit_text(MESSAGES[8])
     w.flush()
     assert output == ["PRINTED"]
     assert punch == ["SUP 01 ILLEGAL I/O UNIT NUMBER", "PUNCHED"]
@@ -403,14 +408,15 @@ def test_message_catalog():
     }
     for code, text in expected.items():
         assert MESSAGES[-code - 1] == text
-    w, lines = collect_writer()
-    w.emit_message(-9)
+    sess, lines = collect_session()
+    sess.diagnose(-9)
     assert lines == [(3, "SUP 01 ILLEGAL I/O UNIT NUMBER")]
+    assert sess.errors_emitted
 
 
 def test_message_bypasses_buffer():
-    w, lines = collect_writer()
-    put_text(w, "PENDING", 3)
-    w.emit_message(-1)
-    w.flush()
+    sess, lines = collect_session()
+    put_text(sess.writer, "PENDING", 3)
+    sess.diagnose(-1)
+    sess.writer.flush()
     assert lines == [(3, "COMP 01 EXCESS NESTING"), (3, "PENDING")]

@@ -9,8 +9,9 @@ reference_interpreter.py leaves, on every deck and at every step budget,
 and the monitor and the compiler what the per-character ones in
 reference_compiler.py leave, on decks whose programs are laid across
 their cards at a random card width, on the monitor and keypunch decks of
-generators.py, and on its decks whose tokens run across column 80, cut
-short anywhere.
+generators.py, and on its decks whose tokens or monitor commands run
+across column 80, cut short anywhere: the cards may end inside a command
+or a token, or between the cards it is split over.
 """
 
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 import reference_compiler
 import reference_interpreter
 from generators import (
-    column_80_decks, compile_80_decks, deck, keypunch_decks, monitor_decks, snapshot,
+    column_80_decks, compile_80_decks, cut_short, deck, keypunch_decks, monitor_decks,
+    snapshot,
 )
 from reca import compiler, interpreter
 from reca.session import SessionConfig, run_deck
@@ -96,15 +98,8 @@ def test_monitor_and_keypunch_decks_match_the_reference(width):
         assert_front_end_matches_the_reference(deck, width)
 
 
-def cut_short(deck):
-    """deck cut short after each of its cards, itself included, and at
-    every column of its last card."""
-    return ([deck[:k] for k in range(1, len(deck) + 1)]
-            + [deck[:-1] + [deck[-1][:column]] for column in range(len(deck[-1]))])
-
-
 @pytest.mark.parametrize("width", [80, 120])
-@pytest.mark.parametrize("decks", [compile_80_decks, column_80_decks])
+@pytest.mark.parametrize("decks", [compile_80_decks, column_80_decks, monitor_decks])
 def test_column_80_decks_cut_anywhere_match_the_reference(decks, width):
     for deck in decks():
         for cut in cut_short(deck):

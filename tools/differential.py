@@ -18,7 +18,10 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
   whose quote prefixes, arguments, names, comments and strings do;
 * the monitor, keypunch, store-overflow and I datum decks from
   tests/generators.py, and its number decks, which read and print
-  numbers at float32's edges.
+  numbers at float32's edges;
+* each monitor deck again, cut short after each of its cards and at
+  every column of its last card, so that the cards end inside a command
+  or between the cards it is split over.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants,
@@ -73,6 +76,9 @@ def corpus():
         make = getattr(generators, f"{kind}_decks")
         decks.extend((f"{kind.replace('_', ' ')} {i}", cards)
                      for i, cards in enumerate(make()))
+    for i, cards in enumerate(generators.monitor_decks()):
+        decks.extend((f"monitor {i} cut {j}", cut)
+                     for j, cut in enumerate(generators.cut_short(cards)))
     return decks
 
 
