@@ -77,11 +77,8 @@ _INPUT, _OUTPUT, _TERMINATE, _ERASE, _RECURSIVE, _SUPPRESS = _COMMANDS = tuple(
 
 class Terminated(Exception):
     """The session is over: the monitor saw the terminate command, or the
-    cards ran out after a named program, where another may begin."""
-
-
-class UnfinishedProgram(Exception):
-    """The cards ran out inside a program, before its name was read."""
+    cards ran out after a named program, where another may begin, or
+    inside a program, before its name was read."""
 
 
 def monitor(sess):
@@ -171,13 +168,16 @@ def compile_program(sess):
     """Compile until a program completes that should run now.
 
     Named programs met on the way are bound and compilation goes on with
-    the next one.  A catalog diagnostic raises Diagnostic; the cards
-    running out inside a program raise UnfinishedProgram.
+    the next one.  A catalog diagnostic raises Diagnostic.  The cards
+    running out inside a program note it among the reader's diagnostics,
+    mark the session as failed and raise Terminated.
     """
     try:
         _compile(sess)
     except EndOfInput:
-        raise UnfinishedProgram from None
+        sess.reader.diagnostics.append("end of input inside a program")
+        sess.errors_emitted = True
+        raise Terminated from None
 
 
 def _compile(sess):

@@ -20,14 +20,13 @@ the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
 text, in straight code with one round a digit, and puts it on a line
 writer in one call.
 
-Where the float32 round is normal or exact, Dekker's split makes it:
-c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties to even.  So every
-round of the formatter is split, and each digit step of the parser from
-2**24 to 1e30; below 2**24 a digit step gives a whole number, which is a
-float32 already, so it needs no round.  Where the round may be subnormal
-or inf (f32, which a digit step from 1e30 calls, and the parser's scale
-and product) C's double-to-float cast makes it, always through a one-cell
-array("f") made fresh so that callers share no state.
+Every round of the formatter is normal or exact, and Dekker's split
+makes it inline: c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties
+to even.  Each round of the parser may be subnormal or inf, and C's
+double-to-float cast makes it: the scale, the product and each digit step
+from 2**24 on (f32), always through a one-cell array("f") made fresh so
+that callers share no state.  Below 2**24 a digit step gives a whole
+number, which is a float32 already, so it needs no round.
 """
 
 from array import array
@@ -133,12 +132,8 @@ def scan_number(card, i, integer):
     while True:
         if -4032 <= w <= -1728:
             x = value * 10.0 + (w + 4032) // 256
-            if x < 16777216.0:  # 2**24: a whole number, so a float32
-                value = x
-            else:
-                c = x * _SPLIT
-                # the split does not saturate to inf; past 1e30 the cast must
-                value = c - (c - x) if x < 1e30 else f32(x)
+            # below 2**24 a whole number, so a float32 already
+            value = x if x < 16777216.0 else f32(x)
         elif w == DOT and point is None:
             point = i
         else:

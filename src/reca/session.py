@@ -15,8 +15,8 @@ cycle) but keeps earlier definitions.  Every round, clean or not, ends
 with one epilogue: flush the line and page-eject the line printer.  The
 terminate command, or running out of cards between programs, ends the
 session.  Running out inside a program, after its ( and before its name
-is complete, ends it too, with status 1 and a note among the reader's
-diagnostics.
+is complete, ends it the same way, once the compiler has put a note
+among the reader's diagnostics and set status 1.
 
 The input unit and iac, the last character read, live on the card
 reader; the output unit and its width on the line writer.  The monitor,
@@ -93,11 +93,6 @@ class Session:
             interpreter.execute(self)
         except Diagnostic as exc:
             self.diagnose(exc.code)
-        except compiler.UnfinishedProgram:
-            self.reader.diagnostics.append("end of input inside a program")
-            self.errors_emitted = True
-            self.writer.flush()
-            return False
         except (compiler.Terminated, EndOfInput):
             self.writer.flush()
             return False

@@ -84,13 +84,6 @@ class Subroutine:
         self.entry = entry
         self.recursive = recursive
 
-    def __eq__(self, other):
-        return (type(other) is Subroutine and self.entry == other.entry
-                and self.recursive == other.recursive)
-
-    def __repr__(self):
-        return f"Subroutine(entry={self.entry!r}, recursive={self.recursive!r})"
-
 
 def _codes(chars):
     """The class codes of chars, where a ' quotes the character after it."""

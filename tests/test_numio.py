@@ -257,8 +257,9 @@ def test_split_scales_a_subnormal_exactly(m):
 @example(f32(9.999995), 0)
 @example(f32(1e29), 9)
 def test_split_rounds_each_form_numio_rounds(v, d):
-    # the normalisation steps, the rounding bias, a digit of the peel and
-    # a digit step of the parser, wherever the round is normal
+    # the formatter's normalisation steps, rounding bias and digit of the
+    # peel, and a digit step of the parser, which the cast rounds, so that
+    # either round may make it; wherever the round is normal
     forms = (v * 10.0, v * 0.1, v + numio.ROUND_HALF_DIGIT, 10.0 * (v - int(v)),
              v * 10.0 + d)
     for x in forms:
@@ -455,9 +456,11 @@ NUMBER_TEXT = st.text(alphabet="0123456789.E-+& '$;X/%<@#", max_size=24)
 @example(column=0, blanks=0, text="16777216'", filler="", more=[], unit=2,
          integer=False)  # the first digit step to reach 2**24
 @example(column=0, blanks=0, text="16777217'", filler="", more=[], unit=2,
-         integer=False)  # past 2**24, where a step rounds
+         integer=False)  # past 2**24, where a step rounds: a tie, down to even
+@example(column=0, blanks=0, text="16777219'", filler="", more=[], unit=2,
+         integer=False)  # the tie that rounds up to even
 @example(column=0, blanks=0, text="99999999'", filler="", more=[], unit=2,
-         integer=False)  # eight nines: the last step is split
+         integer=False)  # eight nines: the last step is cast
 @example(column=0, blanks=0, text="123456789E-2'", filler="", more=[], unit=2,
          integer=False)  # nine digits, then scaled
 def test_parse_number_matches_the_reference_parsers(

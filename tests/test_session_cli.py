@@ -189,6 +189,17 @@ def test_deck_ending_after_a_named_program_is_clean(deck):
     assert sess.reader.diagnostics == []
 
 
+def test_a_strict_charset_error_leaves_the_pending_echo_unflushed():
+    # the cycle flushes when a round or the deck ends, not when a
+    # CharsetError escapes it: the monitor flushed *( with the (, and the
+    # echo of the rest of the first card stays on the line
+    sess = Session(cards=["*('/1'OX,", "AéB,)"],
+                   config=SessionConfig(strict_charset=True))
+    with pytest.raises(charset.CharsetError):
+        sess.run()
+    assert sess.output == ["*("]
+
+
 # command line front end
 
 

@@ -94,7 +94,9 @@ def test_a_program_named_comma_makes_every_later_comma_a_call():
     sess, _ = run_deck(["*('/1'OX,), "])
     comma = charset.code_of(",")
     assert sess.compile_code[comma] == tables.PREDICATE
-    assert sess.exec_code[comma] == Subroutine(entry=1, recursive=False)
+    binding = sess.exec_code[comma]
+    assert type(binding) is Subroutine
+    assert (binding.entry, binding.recursive) == (1, False)
 
 
 def test_snapshot_holds_both_tables_as_plain_values():

@@ -19,9 +19,10 @@ its own, every deck at widths 80 and 120, under a step budget and an alarm:
 * the monitor, keypunch, store-overflow and I datum decks from
   tests/generators.py, and its number decks, which read and print
   numbers at float32's edges;
-* each monitor deck again, cut short after each of its cards and at
-  every column of its last card, so that the cards end inside a command
-  or between the cards it is split over.
+* each column-80, compile-80 and monitor deck again, cut short after
+  each of its cards and at every column of its last card, so that the
+  cards end inside a token, a name or a command, or between the cards it
+  is split over, as tests/test_properties.py cuts them.
 
 A run is compared by tests/generators.snapshot: output, punch, status,
 reader notes, the reader and writer state, stack, variables, constants,
@@ -76,9 +77,10 @@ def corpus():
         make = getattr(generators, f"{kind}_decks")
         decks.extend((f"{kind.replace('_', ' ')} {i}", cards)
                      for i, cards in enumerate(make()))
-    for i, cards in enumerate(generators.monitor_decks()):
-        decks.extend((f"monitor {i} cut {j}", cut)
-                     for j, cut in enumerate(generators.cut_short(cards)))
+    for kind in ("column_80", "compile_80", "monitor"):
+        for i, cards in enumerate(getattr(generators, f"{kind}_decks")()):
+            decks.extend((f"{kind.replace('_', ' ')} {i} cut {j}", cut)
+                         for j, cut in enumerate(generators.cut_short(cards)))
     return decks
 
 
