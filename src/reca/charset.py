@@ -167,13 +167,8 @@ _GLYPHS = bytes(ord(CHAR_BY_WORD.get(word_from_codepoint(cp), " ")) for cp in ra
 
 
 def decode_words(words):
-    """Render a sequence of storage words as text: as one translation of
-    their code points if every word is 16-bit with low byte 64, as an A1
-    read leaves it, else a word at a time."""
-    try:
-        raw = struct.pack(f"<{len(words)}h", *words)
-    except struct.error:  # a word outside 16 bits, or not an int
-        raw = b""
-    if raw[::2].count(64) == len(words):
-        return raw[1::2].translate(_GLYPHS).decode("latin-1")
-    return "".join(map(char_of, words))
+    """Render a sequence of glyph words, as an A1 read leaves them (a
+    card's view, or a string's cells copied from one), as text: one
+    translation of their code points."""
+    raw = struct.pack(f"<{len(words)}h", *words)
+    return raw[1::2].translate(_GLYPHS).decode("latin-1")

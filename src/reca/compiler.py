@@ -376,16 +376,14 @@ def _compile(sess):
                     ilc += 1
                     if name[0] == BLANK:  # run it now
                         sess.constants_used = sess.constants_committed
-                        sess.writer.echo = True
                         return
                     name1 = (((name[0] - 64) >> 8) & 63) + 1
                     if table[name1] == QUOTE_PREFIX:
                         name1 = (((name[1] - 64) >> 8) & 63) + 65
                     table[name1] = PREDICATE
-                    recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
-                    sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
-                    if recursive:
+                    if sess.exec_code[name1] is DECLARED_RECURSIVE:
                         cells[st.ilc0] = RECURSIVE_MARK
+                    sess.exec_code[name1] = Subroutine(st.ilc0)
                     sess.constants_committed = sess.constants_used
                     st.ilc0 = ilc
                     cells[ilc] = 0

@@ -3,11 +3,13 @@
 Execution walks the program store from the entry cell of the most recent
 program.  Negative cells invoke operations, positive cells are jumps (or
 inline arguments consumed by the preceding operation), and a zero cell
-returns through the entry of the enclosing program.  Nonrecursive calls
-store the return address in the callee's entry cell; recursive callees
-carry a sentinel in the entry and use a pushdown return stack instead,
-which the backward jump that ends the callee pops at once, so no pass
-fetches the sentinel.
+returns through the entry of the enclosing program.  A subroutine's
+binding holds only its entry cell, and its linkage is read from that
+cell: the compiler marks a recursive callee's entry with
+store.RECURSIVE_MARK, and a call to it pushes the return address on a
+pushdown return stack, which the backward jump that ends the callee pops
+at once, so no pass fetches the mark as a cell to run; a call to any
+other callee stores the return address in the entry cell.
 
 All arithmetic is float32.  The loop is deliberately flat and runs some
 four million operations a second: everything hot is a local, the
@@ -231,7 +233,7 @@ def execute(sess):
                     if sess.cancelled:
                         raise _Interrupted
                     entry = b.entry
-                    if b.recursive:
+                    if prog[entry] >= mark:  # a recursive entry
                         if irec > max_rec:
                             raise Diagnostic(DEEP_RECURSION)
                         iret[irec] = ixl + 1

@@ -21,7 +21,10 @@ read in iac.
 Output is text: the writer holds its pending line as one string, takes
 runs of characters onto it and releases it either explicitly or when it
 reaches the width of the current output unit, which the writer holds.
-Storage words are decoded on the way in, by put and put_words.
+Storage words are decoded on the way in, by put and put_words.  Every
+put goes onto the line: the writer's echo flag is only the listing state
+that the monitor and the compiler read, and they pass no echo when it is
+off.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -183,9 +186,9 @@ class LineWriter:
     Each completed line is appended to punch when the unit is the card
     punch, to output otherwise, and then passed to on_line(unit, text) if
     given.  The line printer, unit 3, is width columns wide; the other
-    units are 80.  The echo flag mirrors the listing-suppression switch:
-    when off, buffered puts are discarded silently, but explicit flushes
-    and messages still go through.
+    units are 80.  The echo flag holds the listing switch for the monitor
+    and the compiler to read; the writer itself puts every character it
+    is given.
     """
 
     def __init__(self, output, punch, width=120, on_line=None):
@@ -206,8 +209,6 @@ class LineWriter:
     def put_text(self, text):
         """Append characters, releasing the line exactly where appending
         them one at a time would: whenever it reaches the unit width."""
-        if not self.echo:
-            return
         line = self.buffer + text
         if len(line) >= self.width:
             # an overfull line (the unit narrowed) takes one more character

@@ -77,12 +77,13 @@ DECLARED_RECURSIVE = "DECLARED_RECURSIVE"
 
 
 class Subroutine:
-    """Exec binding of a defined program: entry cell and linkage kind."""
-    __slots__ = ("entry", "recursive")
+    """Exec binding of a defined program: its entry cell.  The linkage
+    kind lives in the store, in that cell: store.RECURSIVE_MARK for a
+    program declared recursive, else its return address."""
+    __slots__ = ("entry",)
 
-    def __init__(self, entry, recursive):
+    def __init__(self, entry):
         self.entry = entry
-        self.recursive = recursive
 
 
 def _codes(chars):

@@ -358,12 +358,13 @@ def _bits(values):
 
 def _binding(value):
     """An exec-table entry as a plain value: an operation number (0 for
-    none), a defined program as [entry, recursive], and the binding of a
-    program declared recursive but not yet defined as its name."""
+    none), a defined program as [entry], whose linkage kind the store
+    cells hold at entry, and the binding of a program declared recursive
+    but not yet defined as its name."""
     if type(value) is int:
         return value
     if hasattr(value, "entry"):
-        return [value.entry, value.recursive]
+        return [value.entry]
     return str(value)
 
 

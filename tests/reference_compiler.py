@@ -24,6 +24,15 @@ card returns the reader's view; and parse_number hands back positions on
 the view, not the card itself.  These functions take the reader, the
 writer, the session or the store as their first argument instead of
 being methods; scan_number, the tables and the store come from reca.
+
+Two changes follow from facts that came to be held once.  This monitor
+and compiler put every character they read and leave it to the line
+writer's echo flag to drop them while the listing is off; the writer no
+longer does, so gated_put_text keeps its put_text as it stood with that
+gate, and the tests patch it onto LineWriter.put_text while these run.
+And a defined program's binding is Subroutine(st.ilc0), its entry alone,
+for the linkage kind is read from the mark this compiler writes in the
+entry cell.
 """
 
 from reca import charset, tables
@@ -202,7 +211,7 @@ def _close_paren(sess):
         name1 = name2
     sess.compile_code[name1] = PREDICATE
     recursive = sess.exec_code[name1] is DECLARED_RECURSIVE
-    sess.exec_code[name1] = Subroutine(st.ilc0, recursive)
+    sess.exec_code[name1] = Subroutine(st.ilc0)
     if recursive:
         st.cells[st.ilc0] = RECURSIVE_MARK
     sess.constants_committed = sess.constants_used
@@ -374,6 +383,22 @@ def emit(st, value):
 def clear(writer):
     """Drop buffered characters without writing them."""
     writer.buffer = ""
+
+
+def gated_put_text(writer, text):
+    """Append characters, releasing the line exactly where appending
+    them one at a time would: whenever it reaches the unit width."""
+    if not writer.echo:
+        return
+    line = writer.buffer + text
+    if len(line) >= writer.width:
+        # an overfull line (the unit narrowed) takes one more character
+        stop = max(writer.width, len(writer.buffer) + 1)
+        while len(line) >= stop:
+            writer.buffer, line = line[:stop], line[stop:]
+            writer._emit()
+            stop = writer.width
+    writer.buffer = line
 
 
 def parse_number(reader, integer=False, echo=None):

@@ -7,7 +7,9 @@ head.  Only the imports changed, so that it runs from the tests, and a
 subroutine's false return became a step with a cancel check, as in the
 live loop, for without one a subroutine that has called itself can
 return false into its own body without end; the limits and constants
-come from reca.interpreter, so that only the loop body is frozen.
+come from reca.interpreter, so that only the loop body is frozen.  A
+call tells a recursive callee by the mark in its entry cell, as the
+returns do, for a defined program's binding holds its entry alone.
 
 _read_datum, the framing of an I datum, is frozen too: a blank skip, a
 read for the quote and one for the slash around the number parser, and
@@ -203,7 +205,7 @@ def execute(sess):
                     raise Diagnostic(UNDEFINED_RECURSIVE)
                 else:  # call a defined subroutine
                     entry = b.entry
-                    if b.recursive:
+                    if prog[entry] >= RECURSIVE_MARK:
                         if irec > RECURSION_LIMIT:
                             raise Diagnostic(DEEP_RECURSION)
                         iret[irec] = ixl + 1

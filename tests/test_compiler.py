@@ -4,7 +4,9 @@ import pytest
 
 import reference_compiler
 from reca import charset, compiler, tables
+from reca.iosys import LineWriter
 from reca.session import Session, SessionConfig, run_deck
+from reca.store import RECURSIVE_MARK
 from reca.tables import DECLARED_RECURSIVE, Subroutine
 
 from conftest import run
@@ -29,15 +31,16 @@ def test_factorial_compiles_to_known_cells():
     ]
     binding = sess.exec_code[90]
     assert type(binding) is Subroutine
-    assert (binding.entry, binding.recursive) == (1, True)
+    assert binding.entry == 1
+    assert sess.store.cells[binding.entry] == RECURSIVE_MARK
 
 
 def test_nonrecursive_definition_has_zero_entry():
     sess = compile_only(["*(A,)Y"])
-    assert sess.store.cells[1] == 0
     binding = sess.exec_code[41]
     assert type(binding) is Subroutine
-    assert (binding.entry, binding.recursive) == (1, False)
+    assert binding.entry == 1
+    assert sess.store.cells[binding.entry] == 0
     assert sess.compile_code[41] == tables.PREDICATE
 
 
@@ -327,6 +330,7 @@ def test_echo_stops_at_the_character_that_raised_the_diagnostic(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiler, "monitor", reference_compiler.monitor)
         mp.setattr(compiler, "_compile", reference_compiler._compile)
+        mp.setattr(LineWriter, "put_text", reference_compiler.gated_put_text)
         ref = Session(cards=cards, config=SessionConfig(width=width))
         assert ref.cycle()
     assert (sess.store.ilc, sess.store.ilc0, sess.store.cells) == (

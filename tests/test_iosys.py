@@ -237,10 +237,10 @@ def words_from(start, count):
 
 @given(st.integers(0, 260), st.integers(0, 260), st.integers(0, 62),
        st.sampled_from([1, 3]), st.sampled_from([1, 3]),
-       st.sampled_from([80, 120]), st.booleans())
-@example(100, 30, 0, 3, 1, 120, True)  # the buffer is already past the new unit's width
-@example(67, 13, 0, 3, 3, 80, True)   # the field fills the line exactly
-def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, width, echo):
+       st.sampled_from([80, 120]))
+@example(100, 30, 0, 3, 1, 120)  # the buffer is already past the new unit's width
+@example(67, 13, 0, 3, 3, 80)   # the field fills the line exactly
+def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, width):
     one, one_lines = collect_writer(width)
     many, many_lines = collect_writer(width)
     one.select(before_unit)
@@ -252,7 +252,6 @@ def test_put_words_matches_repeated_put(n_before, n, start, before_unit, unit, w
     texts, texts_lines = collect_writer(width)
     texts.select(before_unit)
     texts.put_text("".join(map(charset.char_of, words_from(start, n_before))))
-    one.echo = many.echo = texts.echo = echo
     one.select(unit)
     many.select(unit)
     texts.select(unit)
@@ -374,18 +373,6 @@ def test_writer_width_override():
     w, lines = collect_writer(80)
     put_text(w, "Z" * 80, 3)
     assert lines == [(3, "Z" * 80)]
-
-
-def test_writer_echo_suppression():
-    w, lines = collect_writer()
-    w.echo = False
-    put_text(w, "QUIET", 3)
-    w.flush()
-    assert lines == []
-    w.echo = True
-    put_text(w, "LOUD", 3)
-    w.flush()
-    assert lines == [(3, "LOUD")]
 
 
 def test_message_catalog():

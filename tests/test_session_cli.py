@@ -8,9 +8,10 @@ import pytest
 
 from reca import charset, decks
 from reca.cli import main
-from reca.iosys import PAGE_EJECT, LineWriter
+from reca.iosys import PAGE_EJECT, CardReader
 from reca.session import Session, SessionConfig, run_deck
 
+import generators
 from conftest import run
 
 FACTORIAL_DECK = [
@@ -120,28 +121,48 @@ LOWERCASE_PROGRAMS = ["('/1'p,)y   ('/2'l,)z", "(y z,)"]
     ("listing on", 2), ("SessionConfig", 0), ("--no-echo", 0), ("monitor S", 0)])
 def test_no_card_is_decoded_or_echoed_while_the_listing_is_off(
         way, decodes, tmp_path, monkeypatch, capsys):
-    decoded, unlisted = [], []
-    decode_words, put_text = charset.decode_words, LineWriter.put_text
+    decoded, listing = [], []
+    decode_words = charset.decode_words
+    hand_back, next_card = CardReader.hand_back, CardReader.next_card
 
     def counting_decode(words):
         decoded.append(words)
         return decode_words(words)
 
-    def counting_put(writer, text):
-        if not writer.echo:
-            unlisted.append(text)
-        put_text(writer, text)
+    def note(echo):
+        # the echo the monitor and the compiler pass is their writer's
+        # put_text: note the listing switch it was passed under
+        if echo:
+            listing.append(echo.__self__.echo)
+
+    def noting_hand_back(reader, start, stop, echo=None):
+        note(echo)
+        hand_back(reader, start, stop, echo)
+
+    def noting_next_card(reader, start, echo=None):
+        note(echo)
+        return next_card(reader, start, echo)
 
     monkeypatch.setattr(charset, "decode_words", counting_decode)
-    monkeypatch.setattr(LineWriter, "put_text", counting_put)
+    monkeypatch.setattr(CardReader, "hand_back", noting_hand_back)
+    monkeypatch.setattr(CardReader, "next_card", noting_next_card)
     deck = ["*S" if way == "monitor S" else "*", *LOWERCASE_PROGRAMS]
+    config = SessionConfig(echo=way != "SessionConfig", max_steps=2000)
     if way == "--no-echo":
         assert main([write_deck(tmp_path, deck), "--no-echo"]) == 0
     else:
-        config = SessionConfig(echo=way != "SessionConfig")
         assert run_deck(deck, config=config)[1] == 0
     assert len(decoded) == decodes
-    assert unlisted == []
+    if way != "--no-echo":
+        # and the decks whose commands and tokens run across column 80, cut
+        # short anywhere; a *S card turns the listing off for the cycle it
+        # starts
+        for cards in generators.monitor_decks() + generators.compile_80_decks() + \
+                generators.column_80_decks():
+            for cut in generators.cut_short(cards):
+                run_deck(["*S", *cut] if way == "monitor S" else cut, config=config)
+    assert False not in listing
+    assert (True in listing) == (way in ("listing on", "monitor S"))
 
 
 def test_listing_always_config():

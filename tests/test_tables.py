@@ -7,6 +7,7 @@ import json
 
 from reca import charset, interpreter, tables
 from reca.session import run_deck
+from reca.store import RECURSIVE_MARK
 from reca.tables import DECLARED_RECURSIVE, Subroutine
 
 from conftest import run
@@ -96,13 +97,18 @@ def test_a_program_named_comma_makes_every_later_comma_a_call():
     assert sess.compile_code[comma] == tables.PREDICATE
     binding = sess.exec_code[comma]
     assert type(binding) is Subroutine
-    assert (binding.entry, binding.recursive) == (1, False)
+    assert binding.entry == 1
+    assert sess.store.cells[binding.entry] == 0
 
 
 def test_snapshot_holds_both_tables_as_plain_values():
-    fields = snapshot(*run_deck(["*N'Q", "(A,)Y"]))
+    fields = snapshot(*run_deck(["*N'Q N'R", "(A,)Y", "(A,)'R"]))
     assert json.loads(json.dumps(fields)) == fields
     assert fields["compile table"][89] == fields["compile table"][41] == tables.PREDICATE
     assert fields["exec table"][89] == "DECLARED_RECURSIVE"
-    assert fields["exec table"][41] == [1, False]
+    # a defined program by its entry, its linkage kind in the entry cell
+    assert fields["exec table"][41] == [1]
+    assert fields["store cells"][1] == 0
+    assert fields["exec table"][90] == [6]
+    assert fields["store cells"][6] == RECURSIVE_MARK
     assert fields["exec table"][charset.code_of("A")] == 1

@@ -6,7 +6,8 @@ and compare everything each run leaves behind.
 Run from anywhere inside a git checkout; only the standard library is
 needed.  The base revision's src/ is exported with git archive into a
 temporary directory.  Each tree then runs the corpus in a worker process of
-its own, every deck at widths 80 and 120, under a step budget and an alarm:
+its own, every deck at widths 80 and 120, each with the listing on and off,
+under a step budget and an alarm:
 
 * GENERATED decks from tests/generators.py, seeded 0, 1, 2, ..., and the
   first STRADDLED of them again with each program laid at a random card
@@ -49,6 +50,7 @@ from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 WIDTHS = (80, 120)
+LISTINGS = (True, False)  # SessionConfig.echo: the listing on, then off
 PERFBENCH_SEEDS = (1, 2, 3)
 GENERATED = 2000
 STRADDLED = 1000
@@ -101,17 +103,18 @@ def worker(src, corpus_file):
     signal.signal(signal.SIGALRM, _expire)
     for name, cards in json.loads(Path(corpus_file).read_text()):
         for width in WIDTHS:
-            config = SessionConfig(width=width, max_steps=MAX_STEPS)
-            signal.alarm(SECONDS)
-            try:
-                result = snapshot(*run_deck(cards, config=config))
-            except _Alarm:
-                result = None
-            except Exception as exc:  # an escape is a result to compare too
-                result = {"exception": f"{type(exc).__name__}: {exc}"}
-            finally:
-                signal.alarm(0)
-            print(json.dumps(result))
+            for listing in LISTINGS:
+                config = SessionConfig(width=width, echo=listing, max_steps=MAX_STEPS)
+                signal.alarm(SECONDS)
+                try:
+                    result = snapshot(*run_deck(cards, config=config))
+                except _Alarm:
+                    result = None
+                except Exception as exc:  # an escape is a result to compare too
+                    result = {"exception": f"{type(exc).__name__}: {exc}"}
+                finally:
+                    signal.alarm(0)
+                print(json.dumps(result))
 
 
 def export(rev, into):
@@ -124,6 +127,11 @@ def export(rev, into):
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, **safe)
     return into / "src"
+
+
+def describe(run):
+    name, width, listing = run
+    return f"{name}, width {width}, listing {'on' if listing else 'off'}"
 
 
 def first_difference(a, b):
@@ -154,7 +162,8 @@ def main(argv=None):
                 stdout=subprocess.PIPE, text=True)
             for src in (export(args.base, tmp / "base"), CHECKOUT / "src")
         ]
-        runs = [(name, width) for name, _ in decks for width in WIDTHS]
+        runs = [(name, width, listing) for name, _ in decks
+                for width in WIDTHS for listing in LISTINGS]
         identical, differed, hung, excluded = 0, [], [], []
         # read the two workers in step, so neither holds more than a line
         for run, base, this in zip(runs, *(p.stdout for p in procs)):
@@ -174,17 +183,18 @@ def main(argv=None):
     if identical + len(differed) + len(hung) + len(excluded) != len(runs):
         raise SystemExit("differential.py: a worker stopped early")
     print(f"{args.base} against this checkout: {len(runs)} runs of {len(decks)} decks"
-          f" at widths {' and '.join(map(str, WIDTHS))}, step budget {MAX_STEPS}")
+          f" at widths {' and '.join(map(str, WIDTHS))}, the listing on and off,"
+          f" step budget {MAX_STEPS}")
     print(f"  identical {identical}")
     print(f"  differed  {len(differed)}")
     print(f"  hung here {len(hung)} (alarm after {SECONDS} s in this checkout only)")
     print(f"  excluded  {len(excluded)} (alarm after {SECONDS} s in the base)")
-    for (name, width), field in differed:
-        print(f"  differs: {name}, width {width}: first in {field}")
-    for name, width in hung:
-        print(f"  hung here: {name}, width {width}")
-    for name, width in excluded:
-        print(f"  excluded: {name}, width {width}")
+    for run, field in differed:
+        print(f"  differs: {describe(run)}: first in {field}")
+    for run in hung:
+        print(f"  hung here: {describe(run)}")
+    for run in excluded:
+        print(f"  excluded: {describe(run)}")
     return 1 if differed or hung else 0
 
 
