@@ -91,8 +91,7 @@ def translate_card(words, text):
 
 def class_code(word):
     """Dispatch-table index 1..64 for a storage word."""
-    cp = ((word - 64) >> 8) & 0xFF
-    return (cp & 63) + 1
+    return (((word - 64) >> 8) & 63) + 1
 
 
 def quote_extend(code):

@@ -30,8 +30,10 @@ run of blanks with one search of the card's text.  A command that runs
 off the end of its tape is taken again, from its letter, once the next
 card is in: the monitor's one card turn.  After each command the monitor
 walks on from the reader's view and cursor, so after I it walks the card
-as the new input unit reads it.  With the listing off, neither passes an
-echo to the reader.
+as the new input unit reads it.  The listing switch is the round's echo:
+the monitor starts each round from the session's configuration, drops
+the echo at S and returns it, and the compiler is passed it.  With the
+listing off, neither passes an echo to the reader.
 
 The compiler handles every class of character straight off a tape: the
 current card, preceded by the words of the current token that lie on
@@ -40,10 +42,12 @@ separators, the argument character of F, S and =, the bodies of '*
 comments and " strings, the numbers of counters, which numio.scan_number
 scans, and the number, blanks and closing quote of a '/number' constant,
 which numio.scan_constant reads as it does for the data of I, are all
-read off the tape.  A token that runs off the end of the tape is taken
-again, from its first word, once the next card is in: the one card turn
-of the compiler, besides the name read after the level-zero ) and the
-blanks after a bound program's name.  Those blanks are skipped on the
+read off the tape, and so are the three name characters after the
+level-zero ).  A token that runs off the end of the tape is taken again,
+from its first word, once the next card is in: the one card turn of the
+compiler inside a program, and the one place there where the cards can
+run out, which ends the session with a note among the reader's
+diagnostics.  The blanks after a bound program's name are skipped on the
 compiler's own tape, unechoed, and the left parenthesis of the next
 program is taken off it and echoed with the segment it starts; anything
 else there is COMP 04, and the cards running out there end the session
@@ -76,14 +80,14 @@ _INPUT, _OUTPUT, _TERMINATE, _ERASE, _RECURSIVE, _SUPPRESS = _COMMANDS = tuple(
 
 
 class Terminated(Exception):
-    """The session is over: the monitor saw the terminate command, or the
-    cards ran out after a named program, where another may begin, or
-    inside a program, before its name was read."""
+    """The session is over: the monitor saw the terminate command."""
 
 
 def monitor(sess):
-    """Scan cards until compilation starts; returns when ( is consumed and
-    handed back.  The walk keeps its place in locals, as _compile's does:
+    """Scan cards until compilation starts; returns the round's echo when
+    ( is consumed and handed back: the writer's put_text, or None when
+    the configuration turns the listing off or an S command has been
+    read.  The walk keeps its place in locals, as compile_program's does:
     the tape, the index i of its next word, and start (card[start:] is
     not yet echoed); tape[i] is the card's word i - len(tape) + 80.  The
     tape is the current card, the reader's view, preceded only by the
@@ -97,7 +101,7 @@ def monitor(sess):
     as the new unit reads it."""
     reader = sess.reader
     writer = sess.writer
-    echo = writer.put_text if writer.echo else None  # None: the listing is off
+    echo = writer.put_text if sess.config.echo else None  # None: the listing is off
     while True:
         card = reader.next_card(80)  # a control card starts a fresh card
         if card[0] == charset.STAR:
@@ -156,48 +160,41 @@ def monitor(sess):
             sess.compile_code[code] = PREDICATE
             sess.exec_code[code] = DECLARED_RECURSIVE
         elif w == _SUPPRESS:
-            writer.echo = echo = False
+            echo = None
         tape = reader.view
         i = start = reader.cursor
     # the left parenthesis at level zero
     reader.hand_back(start, i - len(tape) + 80, echo)
     writer.flush()
+    return echo
 
 
-def compile_program(sess):
-    """Compile until a program completes that should run now.
+def compile_program(sess, echo):
+    """Compile until a program completes that should run now, passing
+    echo, the round's echo that monitor returns, to the reader with what
+    it reads.  Named programs met on the way are bound and compilation
+    goes on with the next one.  A catalog diagnostic raises Diagnostic.
+    The cards running out inside a program note it among the reader's
+    diagnostics, mark the session as failed and raise EndOfInput; running
+    out in the blanks after a bound name raises EndOfInput alone.
 
-    Named programs met on the way are bound and compilation goes on with
-    the next one.  A catalog diagnostic raises Diagnostic.  The cards
-    running out inside a program note it among the reader's diagnostics,
-    mark the session as failed and raise Terminated.
-    """
-    try:
-        _compile(sess)
-    except EndOfInput:
-        sess.reader.diagnostics.append("end of input inside a program")
-        sess.errors_emitted = True
-        raise Terminated from None
-
-
-def _compile(sess):
-    """Open a program at the store's next free cell and walk a tape of
-    cards from the reader's cursor, just past the program's (.  A program
-    is opened by its entry cell, ilc0, and its level-zero frame: here for
-    the first, and after a bound name for each one that follows, before
-    the blanks up to its ( are skipped.  A missing ( then abandons only the
-    new program, for the next cycle starts the store again at ilc0.  The
-    opening is written out at both places: one loop over programs would
-    need a flag that only the second place sets, and be longer.  The tape
-    is the current card, the reader's view, preceded only by the words of
-    the current token that lie on earlier cards.  The walk's place is kept
-    in locals: the tape, the index i of its next word, the card, start
-    (card[start:] is not yet echoed), ilc, the store's next free cell, and
-    frames, the open parenthesis levels; tape[i] is the card's word
-    i - len(tape) + 80.  The walk hands its place back to the reader by
-    position before anything else reads, writes or looks, and when a
-    diagnostic raised here leaves it; ilc goes back to the store however
-    the walk ends.
+    The walk opens a program at the store's next free cell and walks a
+    tape of cards from the reader's cursor, just past the program's (.  A
+    program is opened by its entry cell, ilc0, and its level-zero frame:
+    here for the first, and after a bound name for each one that follows,
+    before the blanks up to its ( are skipped.  A missing ( then abandons
+    only the new program, for the next cycle starts the store again at
+    ilc0.  The opening is written out at both places: one loop over
+    programs would need a flag that only the second place sets, and be
+    longer.  The tape is the current card, the reader's view, preceded
+    only by the words of the current token that lie on earlier cards.
+    The walk's place is kept in locals: the tape, the index i of its next
+    word, the card, start (card[start:] is not yet echoed), ilc, the
+    store's next free cell, and frames, the open parenthesis levels;
+    tape[i] is the card's word i - len(tape) + 80.  The walk hands its
+    place back to the reader by position before anything else reads,
+    writes or looks, and when a diagnostic raised here leaves it; ilc goes
+    back to the store however the walk ends.
 
     A token that reads past the end of the tape, or a string or comment
     whose closing quote the tape does not hold, raises IndexError.  The
@@ -210,8 +207,11 @@ def _compile(sess):
     on: the operation branch writes its operator cell and its class's
     inline cells as it reads, and takes a constant's pool slot and joins a
     test's false link to the frame only after its last word.  The
-    level-zero ) does not, and turns the card itself for its name and
-    for the blanks after a bound program's name.
+    level-zero ) seals the program before it reads the name, so short of
+    three name characters on the tape it puts its frame back, the chains
+    it has filled zeroed, and is taken again, writing the same cells with
+    the same values.  Only the blanks after a bound program's name are
+    skipped on cards that the walk turns itself.
     The tape may be the reader's card, so the walk never writes to it.
     Only the tape can run out: a branch indexes besides it only the store,
     which has 8 cells of headroom past the ilc > 495 check, frames, which
@@ -222,7 +222,6 @@ def _compile(sess):
     fill_chain = st.fill_chain
     table = sess.compile_code  # only the monitor replaces it
     reader = sess.reader
-    echo = sess.writer.put_text if sess.writer.echo else None
     card = tape = reader.view
     i = start = reader.cursor
     # open the program: its entry cell, and the level-zero frame of
@@ -358,16 +357,16 @@ def _compile(sess):
                         fill_chain(frame[2], ilc)
                     if frames:
                         continue
-                    # level zero: seal the program and read the three name
-                    # characters, turning the card here, for the frame is gone
+                    # level zero: seal the program and take the three name
+                    # characters.  Short of them, the frame goes back with
+                    # its chains, already filled, cut, and the ) is taken
+                    # again on the next card
                     cells[ilc] = st.ilc0
-                    name = []
-                    for _ in range(3):
-                        if i == len(tape):
-                            card = tape = reader.next_card(start, echo)
-                            i = start = 0
-                        name.append(tape[i])
-                        i += 1
+                    name = tape[i:i + 3]
+                    if len(name) < 3:
+                        frames.append([frame[0], 0, 0])
+                        raise IndexError
+                    i += 3
                     reader.hand_back(start, i - len(tape) + 80, echo)
                     sess.writer.flush()
                     if name[2] == LETTER_L or sess.config.listing_always:
@@ -377,9 +376,9 @@ def _compile(sess):
                     if name[0] == BLANK:  # run it now
                         sess.constants_used = sess.constants_committed
                         return
-                    name1 = (((name[0] - 64) >> 8) & 63) + 1
+                    name1 = charset.class_code(name[0])
                     if table[name1] == QUOTE_PREFIX:
-                        name1 = (((name[1] - 64) >> 8) & 63) + 65
+                        name1 = tables.quote_extend(charset.class_code(name[1]))
                     table[name1] = PREDICATE
                     if sess.exec_code[name1] is DECLARED_RECURSIVE:
                         cells[st.ilc0] = RECURSIVE_MARK
@@ -394,14 +393,11 @@ def _compile(sess):
                     # handed back from its last column, which latches what
                     # reading it would: a blank, or the name's last character
                     i = reader.cursor
-                    try:
-                        while i == 80 or card[i] == BLANK:
-                            i += 1
-                            if i >= 80:
-                                card = reader.next_card(79)
-                                i = 0
-                    except EndOfInput:
-                        raise Terminated from None
+                    while i == 80 or card[i] == BLANK:
+                        i += 1
+                        if i >= 80:
+                            card = reader.next_card(79)
+                            i = 0
                     # the ( is echoed with the segment it starts
                     tape, start = card, i
                     i += 1
@@ -414,8 +410,14 @@ def _compile(sess):
                     frames.append([ilc, 0, 0])
             except IndexError:
                 # the tape ran out: read the next card in, keep the token's
-                # words, and take it again
-                card = reader.next_card(start, echo)
+                # words, and take it again.  The cards running out here end
+                # the session inside a program
+                try:
+                    card = reader.next_card(start, echo)
+                except EndOfInput:
+                    reader.diagnostics.append("end of input inside a program")
+                    sess.errors_emitted = True
+                    raise
                 tape = tape[token:] + card if token < len(tape) else card
                 i, ilc, start = 0, token_ilc, 0
     except Diagnostic:

@@ -7,12 +7,14 @@ it.  A scanner (the monitor, the compiler, the parser of I's data) may
 instead take the view itself, walk it with an index of its own, and then
 hand its place back by position through hand_back, the one place that
 does so: echo what it read, latch the last word it took in iac and move
-the reader's cursor past it.  With the listing off a scanner passes no echo, and nothing is
-sliced.  The echo is the view's text, taken the first time any part of
-it is echoed and kept until select runs again.  A card read from a
-plain source line, every character a glyph as it stands and no more
-than 80 of them, with no keypunch substitution made, takes its text
-from the line itself, blank-padded; any other view is decoded once.
+the reader's cursor past it.  With the listing off, which is the
+round's switch and not the reader's, a scanner passes no echo, and
+nothing is sliced.  The echo is the view's text, taken the first time
+any part of it is echoed and kept until select runs again.  A card read
+from a plain source line, every character a glyph as it stands and no
+more than 80 of them, with no keypunch substitution made, takes its
+text from the line itself, blank-padded; any other view is decoded
+once.
 next_card is the one card turn: it hands back the rest of the card,
 reads the next one in and returns its view.  A scanner takes up the walk
 from view and cursor, the used-up card at cursor 80, for no card is read
@@ -22,9 +24,8 @@ Output is text: the writer holds its pending line as one string, takes
 runs of characters onto it and releases it either explicitly or when it
 reaches the width of the current output unit, which the writer holds.
 Storage words are decoded on the way in, by put and put_words.  Every
-put goes onto the line: the writer's echo flag is only the listing state
-that the monitor and the compiler read, and they pass no echo when it is
-off.
+put goes onto the line: the writer holds no listing switch, for the
+monitor and the compiler pass no echo while the listing is off.
 
 Units follow the machine convention: 1 console printer, 2 card
 reader/punch, 3 line printer, 6 keyboard.  Only the card unit applies the
@@ -186,9 +187,8 @@ class LineWriter:
     Each completed line is appended to punch when the unit is the card
     punch, to output otherwise, and then passed to on_line(unit, text) if
     given.  The line printer, unit 3, is width columns wide; the other
-    units are 80.  The echo flag holds the listing switch for the monitor
-    and the compiler to read; the writer itself puts every character it
-    is given.
+    units are 80.  The writer puts every character it is given; the
+    listing switch is the round's, kept by the monitor and the compiler.
     """
 
     def __init__(self, output, punch, width=120, on_line=None):
@@ -199,7 +199,6 @@ class LineWriter:
         self.unit = 3
         self.width = width
         self.buffer = ""
-        self.echo = True
 
     def select(self, unit):
         """Write to unit from now on, at its width."""

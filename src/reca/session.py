@@ -15,8 +15,10 @@ cycle) but keeps earlier definitions.  Every round, clean or not, ends
 with one epilogue: flush the line and page-eject the line printer.  The
 terminate command, or running out of cards between programs, ends the
 session.  Running out inside a program, after its ( and before its name
-is complete, ends it the same way, once the compiler has put a note
-among the reader's diagnostics and set status 1.
+is complete, ends it the same way, once the compiler's card turn has put
+a note among the reader's diagnostics and set status 1.  The listing
+switch belongs to the round: the monitor returns the round's echo, and
+the cycle passes it to the compiler.
 
 The input unit and iac, the last character read, live on the card
 reader; the output unit and its width on the line writer.  The monitor,
@@ -83,13 +85,12 @@ class Session:
     # the top-level cycle
 
     def cycle(self):
-        """One monitor / compile / execute round.  Returns False when the
-        session is over."""
+        """One monitor / compile / execute round, the compiler passed the
+        echo that the monitor returns.  Returns False when the session is
+        over: the terminate command, or the cards running out."""
         self.store.ilc = self.store.ilc0
-        self.writer.echo = self.config.echo
         try:
-            compiler.monitor(self)
-            compiler.compile_program(self)
+            compiler.compile_program(self, compiler.monitor(self))
             interpreter.execute(self)
         except Diagnostic as exc:
             self.diagnose(exc.code)

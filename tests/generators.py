@@ -20,6 +20,7 @@ command, the keypunch glyphs % < @ #, and programs that fill the store;
 datum_decks() decks whose I data are framed well and badly, after blanks
 across cards and across column 80, on the card unit and the keyboard;
 number_decks() decks that read and print numbers at float32's edges.
+BRANCH_DECKS reach branches that no deck drawn by deck(rng) reaches.
 cut_short(deck) gives deck cut short after each card and at each column
 of its last card.
 
@@ -348,6 +349,20 @@ def overflow_decks():
         text = "*(A,)Y  " + " " * ((column - 498) % 80) + "(" + "A" * 489 + ",)"
         decks.append([text[i:i + 80] for i in range(0, len(text), 80)])
     return decks
+
+
+# an R that reads the character = names, and one that reads another; 31
+# constants in one program, one more than the pool holds (COMP 06); and
+# constants whose power of ten overflows a double, read as inf and, for
+# the number zero, nan
+_CONSTANTS = "*(" + "'/1'" * 31 + ",)"
+BRANCH_DECKS = [
+    ["*(R(=A\"MATCH',\"NO MATCH',)X,)   A"],
+    ["*(R(=A\"MATCH',\"NO MATCH',)X,)   B"],
+    [_CONSTANTS[:80], _CONSTANTS[80:]],
+    ["*('/1E400'OX,)"],
+    ["*('/0E400'OX,)"],
+]
 
 
 def _bits(values):

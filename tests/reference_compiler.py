@@ -33,6 +33,14 @@ gate, and the tests patch it onto LineWriter.put_text while these run.
 And a defined program's binding is Subroutine(st.ilc0), its entry alone,
 for the linkage kind is read from the mark this compiler writes in the
 entry cell.
+
+Two more follow from the listing switch becoming the round's value, which
+the monitor returns and the cycle passes to the compiler, and from the
+compiler's wrapper going.  This monitor sets the line writer's echo flag
+from the configuration at the start of a round, as the cycle used to, for
+gated_put_text reads it.  And compile_program is a copy of the wrapper
+that noted the cards running out inside a program: it takes the round's
+echo and ignores it, for this compiler puts every character it reads.
 """
 
 from reca import charset, tables
@@ -59,6 +67,7 @@ def monitor(sess):
     """Scan cards until compilation starts; returns when ( is consumed."""
     reader = sess.reader
     writer = sess.writer
+    writer.echo = sess.config.echo
     while True:
         force_refill(reader)
         w = read_echo(sess)
@@ -119,6 +128,22 @@ def _begin_program(sess):
     st.ilc0 = st.ilc
     emit(st, 0)
     sess.frames = [[st.ilc, 0, 0]]  # [loop target, false chain, true chain]
+
+
+def compile_program(sess, echo):
+    """Compile until a program completes that should run now.
+
+    Named programs met on the way are bound and compilation goes on with
+    the next one.  A catalog diagnostic raises Diagnostic.  The cards
+    running out inside a program note it among the reader's diagnostics,
+    mark the session as failed and raise Terminated.
+    """
+    try:
+        _compile(sess)
+    except EndOfInput:
+        sess.reader.diagnostics.append("end of input inside a program")
+        sess.errors_emitted = True
+        raise Terminated from None
 
 
 def _compile(sess):

@@ -329,7 +329,7 @@ def test_echo_stops_at_the_character_that_raised_the_diagnostic(
     # the store as the per-character compiler leaves it, ilc included
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiler, "monitor", reference_compiler.monitor)
-        mp.setattr(compiler, "_compile", reference_compiler._compile)
+        mp.setattr(compiler, "compile_program", reference_compiler.compile_program)
         mp.setattr(LineWriter, "put_text", reference_compiler.gated_put_text)
         ref = Session(cards=cards, config=SessionConfig(width=width))
         assert ref.cycle()

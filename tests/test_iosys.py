@@ -315,7 +315,7 @@ def read_each(sess, op, limit):
 def run_state(read, cards, config, skip, fill, op, limit):
     """(result, output, buffer, cursor, iac) after skip reads, fill puts and
     one read of op; result is "EOF" when the cards ran out."""
-    width, echo, input_unit, output_unit = config
+    width, input_unit, output_unit = config
     sess = Session(cards=cards, config=SessionConfig(width=width))
     sess.reader.select(input_unit)
     sess.writer.select(output_unit)
@@ -324,7 +324,6 @@ def run_state(read, cards, config, skip, fill, op, limit):
             sess.reader.read()
         for _ in range(fill):
             sess.writer.put(charset.LETTER_C)
-        sess.writer.echo = echo
         result = read(sess, op, limit)
     except EndOfInput:
         result = "EOF"
@@ -332,19 +331,18 @@ def run_state(read, cards, config, skip, fill, op, limit):
 
 
 @given(RUN_CARDS,
-       st.tuples(st.sampled_from([80, 120]), st.booleans(),
-                 st.sampled_from([2, 6]), st.sampled_from([1, 3])),
+       st.tuples(st.sampled_from([80, 120]), st.sampled_from([2, 6]),
+                 st.sampled_from([1, 3])),
        st.integers(0, 170), st.integers(0, 130),
        st.sampled_from(["to_end", "to_end_unechoed", "to_stop", "to_stop_unechoed",
                         "to_quote"]),
        st.integers(1, 90))
-@example(["A" * 79 + "'"], (120, True, 2, 3), 1, 0, "to_quote", 80)  # quote in column 80
-@example(["A" * 80], (80, False, 6, 1), 1, 79, "to_end", 1)  # echo off
-@example(["A@B'" * 20], (80, True, 2, 3), 3, 78, "to_stop", 5)  # the line fills on the way
-@example(["A@B'" * 20], (80, True, 2, 3), 79, 0, "to_stop_unechoed", 5)  # iac latched, no echo
-@example(["A"], (120, True, 2, 3), 80, 0, "to_end_unechoed", 1)  # the cards have run out
-@example(["A@B'"], (120, True, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
-@example(["'(@)"], (120, True, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
+@example(["A" * 79 + "'"], (120, 2, 3), 1, 0, "to_quote", 80)  # quote in column 80
+@example(["A@B'" * 20], (80, 2, 3), 3, 78, "to_stop", 5)  # the line fills on the way
+@example(["A@B'" * 20], (80, 2, 3), 79, 0, "to_stop_unechoed", 5)  # iac latched, no echo
+@example(["A"], (120, 2, 3), 80, 0, "to_end_unechoed", 1)  # the cards have run out
+@example(["A@B'"], (120, 2, 3), 0, 0, "to_quote", 80)  # @ read as a quote
+@example(["'(@)"], (120, 6, 3), 2, 0, "to_quote", 5)  # @ read as itself
 def test_runs_match_reading_each_character(cards, config, skip, fill, op, limit):
     args = cards, config, skip, fill, op, limit
     assert run_state(read_run, *args) == run_state(read_each, *args)

@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 import reference_compiler
 import reference_interpreter
 from generators import (
-    column_80_decks, compile_80_decks, cut_short, deck, keypunch_decks, monitor_decks,
-    snapshot,
+    BRANCH_DECKS, column_80_decks, compile_80_decks, cut_short, deck, keypunch_decks,
+    monitor_decks, snapshot,
 )
 from reca import compiler, interpreter
 from reca.iosys import LineWriter
@@ -69,7 +69,7 @@ def assert_front_end_matches_the_reference(deck, width, listing):
     config = SessionConfig(width=width, echo=listing, max_steps=2000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(compiler, "monitor", reference_compiler.monitor)
-        mp.setattr(compiler, "_compile", reference_compiler._compile)
+        mp.setattr(compiler, "compile_program", reference_compiler.compile_program)
         mp.setattr(LineWriter, "put_text", reference_compiler.gated_put_text)
         expected = snapshot(*run_deck(deck, config=config))
     assert snapshot(*run_deck(deck, config=config)) == expected
@@ -113,3 +113,15 @@ def test_column_80_decks_cut_anywhere_match_the_reference(decks, width, listing)
     for deck in decks():
         for cut in cut_short(deck):
             assert_front_end_matches_the_reference(cut, width, listing)
+
+
+@pytest.mark.parametrize("deck, reached", [
+    (0, "MATCH"), (1, "NO MATCH"), (2, "COMP 06 PROGRAM DEFINED CONSTANT EXCESS"),
+    (3, "inf"), (4, "nan"),
+], ids=["= matches", "= does not match", "COMP 06", "inf constant", "nan constant"])
+def test_branch_decks_reach_their_branches(deck, reached):
+    sess, status = run_deck(BRANCH_DECKS[deck])
+    if reached in ("inf", "nan"):
+        assert str(sess.constants[1]) == reached
+    else:
+        assert reached in sess.output

@@ -121,29 +121,31 @@ LOWERCASE_PROGRAMS = ["('/1'p,)y   ('/2'l,)z", "(y z,)"]
     ("listing on", 2), ("SessionConfig", 0), ("--no-echo", 0), ("monitor S", 0)])
 def test_no_card_is_decoded_or_echoed_while_the_listing_is_off(
         way, decodes, tmp_path, monkeypatch, capsys):
-    decoded, listing = [], []
+    decoded, rounds = [], []
     decode_words = charset.decode_words
-    hand_back, next_card = CardReader.hand_back, CardReader.next_card
+    cycle, hand_back, next_card = Session.cycle, CardReader.hand_back, CardReader.next_card
 
     def counting_decode(words):
         decoded.append(words)
         return decode_words(words)
 
-    def note(echo):
-        # the echo the monitor and the compiler pass is their writer's
-        # put_text: note the listing switch it was passed under
-        if echo:
-            listing.append(echo.__self__.echo)
+    def noting_cycle(sess):
+        # a round notes whether it is its session's first, and then, in
+        # order, whether each hand-back and card turn is passed an echo
+        rounds.append((not hasattr(sess, "noted"), []))
+        sess.noted = True
+        return cycle(sess)
 
     def noting_hand_back(reader, start, stop, echo=None):
-        note(echo)
+        rounds[-1][1].append(echo is not None)
         hand_back(reader, start, stop, echo)
 
     def noting_next_card(reader, start, echo=None):
-        note(echo)
+        rounds[-1][1].append(echo is not None)
         return next_card(reader, start, echo)
 
     monkeypatch.setattr(charset, "decode_words", counting_decode)
+    monkeypatch.setattr(Session, "cycle", noting_cycle)
     monkeypatch.setattr(CardReader, "hand_back", noting_hand_back)
     monkeypatch.setattr(CardReader, "next_card", noting_next_card)
     deck = ["*S" if way == "monitor S" else "*", *LOWERCASE_PROGRAMS]
@@ -155,14 +157,21 @@ def test_no_card_is_decoded_or_echoed_while_the_listing_is_off(
     assert len(decoded) == decodes
     if way != "--no-echo":
         # and the decks whose commands and tokens run across column 80, cut
-        # short anywhere; a *S card turns the listing off for the cycle it
+        # short anywhere; a *S card turns the listing off for the round it
         # starts
         for cards in generators.monitor_decks() + generators.compile_80_decks() + \
                 generators.column_80_decks():
             for cut in generators.cut_short(cards):
                 run_deck(["*S", *cut] if way == "monitor S" else cut, config=config)
-    assert False not in listing
-    assert (True in listing) == (way in ("listing on", "monitor S"))
+    passed = [(first, notes.count(True)) for first, notes in rounds]
+    if way == "listing on":
+        assert any(count for _, count in passed)
+    elif way == "monitor S":
+        # the *S card's own hand-back is passed the echo, and nothing after
+        # it in the round it starts
+        assert all(count == 1 for first, count in passed if first)
+    else:
+        assert not any(count for _, count in passed)
 
 
 def test_listing_always_config():

@@ -18,8 +18,9 @@ under a step budget and an alarm:
   and I data run across the end of a card, and the compile-80 decks,
   whose quote prefixes, arguments, names, comments and strings do;
 * the monitor, keypunch, store-overflow and I datum decks from
-  tests/generators.py, and its number decks, which read and print
-  numbers at float32's edges;
+  tests/generators.py, its number decks, which read and print numbers
+  at float32's edges, and its BRANCH_DECKS, which reach branches that no
+  generated deck reaches;
 * each column-80, compile-80 and monitor deck again, cut short after
   each of its cards and at every column of its last card, so that the
   cards end inside a token, a name or a command, or between the cards it
@@ -30,11 +31,19 @@ reader notes, the reader and writer state, stack, variables, constants,
 every store cell and every row of both dispatch tables.  A run that hits
 the alarm in this checkout but finishes in the base has hung here; a run
 that hits the alarm in the base is excluded, for there is nothing to
-compare it with.  The report gives how many runs were identical, how many
-differed, how many hung here and how many were excluded, names the first
-field that differs for each differing run, and names each run that hung
-here or was excluded.  The exit status is 1 if any run differed or hung
-here, else 0.
+compare it with.
+
+A change meant to alter output names the decks whose runs it alters in
+tools/expected_differences.txt: one fnmatch pattern of deck names a line,
+blank lines and lines starting with # skipped.  Every run of a deck that
+matches a pattern must differ, and every other run must be identical.  The
+report gives how many runs were identical, differed unexpectedly,
+differed as expected, stayed identical though expected to differ, hung
+here and were excluded; it names the first field that differs for each
+run that differed, and names each other run that is not identical and
+each pattern that matches no deck.  The exit status is 1 if any run
+differed unexpectedly, stayed identical though expected to differ or hung
+here, or if a pattern matches no deck; else 0.
 """
 
 import argparse
@@ -46,9 +55,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
+EXPECTED = CHECKOUT / "tools" / "expected_differences.txt"
 WIDTHS = (80, 120)
 LISTINGS = (True, False)  # SessionConfig.echo: the listing on, then off
 PERFBENCH_SEEDS = (1, 2, 3)
@@ -79,6 +90,7 @@ def corpus():
         make = getattr(generators, f"{kind}_decks")
         decks.extend((f"{kind.replace('_', ' ')} {i}", cards)
                      for i, cards in enumerate(make()))
+    decks.extend((f"branch {i}", cards) for i, cards in enumerate(generators.BRANCH_DECKS))
     for kind in ("column_80", "compile_80", "monitor"):
         for i, cards in enumerate(getattr(generators, f"{kind}_decks")()):
             decks.extend((f"{kind.replace('_', ' ')} {i} cut {j}", cut)
@@ -129,6 +141,46 @@ def export(rev, into):
     return into / "src"
 
 
+def expected_patterns(path=EXPECTED):
+    """The deck-name patterns of the runs meant to differ."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+# the kinds of run, in the report's order, and those that fail the verdict
+KINDS = ("identical", "differed", "expected", "unmet", "hung", "excluded")
+FAILING = ("differed", "unmet", "hung")
+
+
+def verdict(results, patterns):
+    """Sort the runs by kind and give the exit status.  results yields
+    (run, base, this) for each run, run being (deck name, width, listing)
+    and base and this its snapshots, None where the alarm hit.  Returns
+    (kinds, unused, status): kinds maps each of KINDS to its runs, each
+    with the first field that differs or None; unused lists the patterns
+    that match no run's deck; status is 1 if any run is of a FAILING kind
+    or any pattern is unused, else 0."""
+    kinds = {kind: [] for kind in KINDS}
+    used = set()
+    for run, base, this in results:
+        matched = {p for p in patterns if fnmatchcase(run[0], p)}
+        used |= matched
+        field = None
+        if base is None:
+            kind = "excluded"
+        elif this is None:
+            kind = "hung"
+        elif base == this:
+            kind = "unmet" if matched else "identical"
+        else:
+            kind = "expected" if matched else "differed"
+            field = first_difference(base, this)
+        kinds[kind].append((run, field))
+    unused = [p for p in patterns if p not in used]
+    failed = unused or any(kinds[kind] for kind in FAILING)
+    return kinds, unused, 1 if failed else 0
+
+
 def describe(run):
     name, width, listing = run
     return f"{name}, width {width}, listing {'on' if listing else 'off'}"
@@ -164,38 +216,32 @@ def main(argv=None):
         ]
         runs = [(name, width, listing) for name, _ in decks
                 for width in WIDTHS for listing in LISTINGS]
-        identical, differed, hung, excluded = 0, [], [], []
         # read the two workers in step, so neither holds more than a line
-        for run, base, this in zip(runs, *(p.stdout for p in procs)):
-            base, this = json.loads(base), json.loads(this)
-            if base is None:
-                excluded.append(run)
-            elif this is None:
-                hung.append(run)
-            elif base == this:
-                identical += 1
-            else:
-                differed.append((run, first_difference(base, this)))
+        results = ((run, json.loads(base), json.loads(this))
+                   for run, base, this in zip(runs, *(p.stdout for p in procs)))
+        kinds, unused, status = verdict(results, expected_patterns())
         for side, p in zip(("base", "this"), procs):
             p.stdout.close()
             if p.wait() != 0:
                 raise SystemExit(f"differential.py: the {side} worker failed")
-    if identical + len(differed) + len(hung) + len(excluded) != len(runs):
+    if sum(map(len, kinds.values())) != len(runs):
         raise SystemExit("differential.py: a worker stopped early")
     print(f"{args.base} against this checkout: {len(runs)} runs of {len(decks)} decks"
           f" at widths {' and '.join(map(str, WIDTHS))}, the listing on and off,"
           f" step budget {MAX_STEPS}")
-    print(f"  identical {identical}")
-    print(f"  differed  {len(differed)}")
-    print(f"  hung here {len(hung)} (alarm after {SECONDS} s in this checkout only)")
-    print(f"  excluded  {len(excluded)} (alarm after {SECONDS} s in the base)")
-    for run, field in differed:
-        print(f"  differs: {describe(run)}: first in {field}")
-    for run in hung:
-        print(f"  hung here: {describe(run)}")
-    for run in excluded:
-        print(f"  excluded: {describe(run)}")
-    return 1 if differed or hung else 0
+    print(f"  identical {len(kinds['identical'])}")
+    print(f"  differed  {len(kinds['differed'])}")
+    print(f"  expected  {len(kinds['expected'])} (differed, as {EXPECTED.name} expects)")
+    print(f"  unmet     {len(kinds['unmet'])} (identical, though {EXPECTED.name} expects"
+          " a difference)")
+    print(f"  hung here {len(kinds['hung'])} (alarm after {SECONDS} s in this checkout only)")
+    print(f"  excluded  {len(kinds['excluded'])} (alarm after {SECONDS} s in the base)")
+    for kind in KINDS[1:]:
+        for run, field in kinds[kind]:
+            print(f"  {kind}: {describe(run)}" + (f": first in {field}" if field else ""))
+    for pattern in unused:
+        print(f"  unused pattern: {pattern}")
+    return status
 
 
 if __name__ == "__main__":
