@@ -15,7 +15,6 @@ A quote prefix shifts a class code into the upper half (65..128) so quoted
 letters get their own table rows.
 """
 
-import re
 import struct
 
 # code points for the 63 assigned card glyphs (one slot of the 64 is unused)
@@ -122,9 +121,13 @@ _DEFAULT_WORD = {
 }
 
 
-# a source line whose every character is a glyph as it stands, within 80
-# columns: its card decodes to the line itself, blank-padded
-is_plain = re.compile(f"[{re.escape(''.join(WORD_BY_CHAR))}]{{0,80}}").fullmatch
+_GLYPH_TEXT = "".join(WORD_BY_CHAR)
+
+
+def is_plain(line):
+    """Whether every character of line is a glyph as it stands, within 80
+    columns: then its card decodes to the line itself, blank-padded."""
+    return len(line) <= 80 and not line.strip(_GLYPH_TEXT)
 
 
 def encode_card(text, strict=False, diagnostics=None):

@@ -25,8 +25,8 @@ reader; the output unit and its width on the line writer.  The monitor,
 the compiler and the interpreter use the two directly.
 """
 
-from dataclasses import dataclass
-from functools import partial
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 from . import compiler, interpreter, tables
 from .iosys import (
@@ -35,13 +35,23 @@ from .iosys import (
 from .store import ProgramStore
 
 
-@dataclass
-class SessionConfig:
-    width: int = 120          # line-printer width, 80 or 120
-    echo: bool = True         # startup listing of source characters
-    max_steps: int | None = None
-    listing_always: bool = False
-    strict_charset: bool = False
+class SessionConfig(SimpleNamespace):
+    """How a session runs:
+
+    width          - the line-printer width, 80 or 120; any other raises
+                     ValueError, for the writer lays out no other
+    echo           - the startup listing of source characters
+    max_steps      - interrupt any single execution after this many steps
+    listing_always - print the object listing of every program
+    strict_charset - raise CharsetError on a character outside the set
+    """
+
+    def __init__(self, width=120, echo=True, max_steps=None, listing_always=False,
+                 strict_charset=False):
+        if width not in (80, 120):
+            raise ValueError(f"line width must be 80 or 120, not {width!r}")
+        super().__init__(width=width, echo=echo, max_steps=max_steps,
+                         listing_always=listing_always, strict_charset=strict_charset)
 
 
 class Session:
@@ -54,7 +64,7 @@ class Session:
         cfg = config or SessionConfig()
         self.config = cfg
         lines = keyboard if cards is None else cards
-        source = lines if callable(lines) else partial(next, iter(lines or ()), None)
+        source = lines if callable(lines) else chain(lines or (), repeat(None)).__next__
         self.reader = CardReader(source, unit=6 if cards is None else 2,
                                  strict=cfg.strict_charset)
         self.output = []          # lines written to printer units

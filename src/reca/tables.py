@@ -13,8 +13,6 @@ and are mutated as a session defines subroutines; the monitor's erase
 command restores the defaults.
 """
 
-import re
-
 from .charset import code_of, quote_extend
 
 # compile classes; an operation's class is also the layout of the cells that
@@ -40,9 +38,10 @@ STRING = 13       # " ... ': the length, then the characters
 RESERVED = 14     # operators of a larger sibling system; rejected
 
 # (name, compile class, characters): an operation's number is its place
-# here, counted from 1, and a ' before a character quotes it.  execute
-# tests the binary group (POW to DIV) and the push group (CONST to DUP) by
-# range, so each must stay contiguous.
+# here, counted from 1, and a ' before a character quotes it.  _codes splits
+# on the quotes, so in a row, here or in _SYNTAX, the quoted characters come
+# last, one after each quote.  execute tests the binary group (POW to DIV)
+# and the push group (CONST to DUP) by range, so each must stay contiguous.
 OPERATIONS = (
     # unary operations and tests
     ("ABS", OPERATOR, "A"), ("COS", OPERATOR, "C"), ("EXP", OPERATOR, "E"),
@@ -88,8 +87,8 @@ class Subroutine:
 
 def _codes(chars):
     """The class codes of chars, where a ' quotes the character after it."""
-    return [quote_extend(code_of(c[1])) if c[0] == "'" else code_of(c)
-            for c in re.findall("'?.", chars)]
+    plain, *quoted = chars.split("'")
+    return [*map(code_of, plain), *(quote_extend(code_of(c)) for c in quoted)]
 
 
 def _build_compile_table():

@@ -201,3 +201,24 @@ def test_encode_card_matches_reference(text, strict):
             return str(exc), notes
 
     assert encode(charset.encode_card) == encode(reference_encode)
+
+
+
+# what a card cannot hold as it stands: a lowercase letter, the ASCII
+# stand-in for the not-sign, and characters outside the set
+STRAY = [c.lower() for c in ALL_CHARS if c.lower() != c] + ["~", "{", "é", "\t"]
+
+
+@given(st.text(alphabet=ALL_CHARS, max_size=89), st.sampled_from([None, *STRAY]),
+       st.integers(0, 89))
+@example("".join(ALL_CHARS), None, 0)
+@example("A" * 80, None, 0)
+@example("A" * 81, None, 0)
+@example("(¢¬'/1'OX,)", None, 0)
+@example("A¬" * 40, "¢", 80)
+def test_a_plain_line_is_its_own_card(glyphs, stray, at):
+    # the card reader skips the decode of a plain line; the card of any
+    # other line decodes to something else
+    line = glyphs if stray is None else glyphs[:at] + stray + glyphs[at:]
+    card = charset.decode_words(charset.encode_card(line))
+    assert charset.is_plain(line) == (card == line.ljust(80))

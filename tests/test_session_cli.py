@@ -97,6 +97,26 @@ def test_a_session_reads_cards_or_a_keyboard_not_both():
         Session(cards=["*('/1'OX,)"], keyboard=["*('/2'OX,)"])
 
 
+def test_a_config_keeps_its_fields_in_order_with_their_defaults():
+    config = SessionConfig(80, False, 5, True, True)
+    assert repr(config) == ("SessionConfig(width=80, echo=False, max_steps=5,"
+                            " listing_always=True, strict_charset=True)")
+    assert SessionConfig() == SessionConfig(120, True, None, False, False) != config
+
+
+@pytest.mark.parametrize("width", [0, -1, 79, 81, 132])
+def test_a_config_rejects_a_width_the_writer_cannot_lay_out(width):
+    # at width 0 the writer would release empty lines without end, and at
+    # width 10 it would split the 13-character field that O prints
+    with pytest.raises(ValueError):
+        SessionConfig(width=width)
+
+
+@pytest.mark.parametrize("width", [80, 120])
+def test_a_config_takes_either_printer_width(width):
+    assert SessionConfig(width=width).width == width
+
+
 def test_echo_default_restored_each_cycle():
     # suppression requested by a deck lasts for one program only
     sess, status = run_deck(["*S ('/1'L,)", "*('/2'L,)"])
