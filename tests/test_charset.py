@@ -205,8 +205,10 @@ def test_encode_card_matches_reference(text, strict):
 
 
 # what a card cannot hold as it stands: a lowercase letter, the ASCII
-# stand-in for the not-sign, and characters outside the set
-STRAY = [c.lower() for c in ALL_CHARS if c.lower() != c] + ["~", "{", "é", "\t"]
+# stand-in for the not-sign, and characters outside the set, within
+# latin-1 and past it (dotless i folds to I)
+STRAY = [c.lower() for c in ALL_CHARS if c.lower() != c] + [
+    "~", "{", "\\", "é", "\t", "\u0131", "\U0001f600"]
 
 
 @given(st.text(alphabet=ALL_CHARS, max_size=89), st.sampled_from([None, *STRAY]),
@@ -215,6 +217,7 @@ STRAY = [c.lower() for c in ALL_CHARS if c.lower() != c] + ["~", "{", "é", "\t"
 @example("A" * 80, None, 0)
 @example("A" * 81, None, 0)
 @example("(¢¬'/1'OX,)", None, 0)
+@example("(¢¬'/1'OX,)", "~", 3)  # the stand-in beside the not-sign
 @example("A¬" * 40, "¢", 80)
 def test_a_plain_line_is_its_own_card(glyphs, stray, at):
     # the card reader skips the decode of a plain line; the card of any
