@@ -17,8 +17,11 @@ may start on a used-up card: parse_number then turns the card through
 the reader's next_card, as the compiler's turn does, and scans again over
 the datum's words so far and the next card.  The formatter builds
 the fixed 13-character scientific form [blank][sign]d.dddddE[sign]dd as
-text, in straight code with one round a digit, and puts it on a line
-writer in one call.
+text and puts it on a line writer in one call.  Its six digits are those
+of a peel with one float32 round a digit, whose five rounds move them
+from the exact n = mantissa * 100000 by less than 0.0054 in all; so
+they are int(n) unless n lies within 0.01 of a whole number, and only
+there, about 2% of values, does the peel run.
 
 Every round of the formatter is normal or exact, and Dekker's split
 makes it inline: c = x * (2**29 + 1); c - (c - x) is x to 24 bits, ties
@@ -167,13 +170,43 @@ def scan_number(card, i, integer):
     return f[0], i
 
 
+def _peel(v):
+    """The six digits of float32 v in [0, 10) as one int, peeled off by
+    scale-and-truncate, one float32 round a digit."""
+    # v - d is exact for a float32 v below 10; only the times 10 rounds
+    d = q = int(v)
+    for _ in range(5):
+        x = 10.0 * (v - d)
+        c = x * _SPLIT
+        v = c - (c - x)
+        d = int(v)
+        q = 10 * q + d
+    return q
+
+
+# the exponent's text, indexed by the exponent: E dd at 0 to 49, E-dd at -1 to -50
+_EXPONENT = [f"E {k:02}" for k in range(50)] + [f"E-{k:02}" for k in range(50, 0, -1)]
+
+
 def scientific_text(value):
     """The 13-character field of float32 value, [blank][sign]d.dddddE[sign]dd.
 
     The mantissa is normalized by repeated float32 multiplies into [1, 10)
     (overshoot then divide back, so the rounding trail matches the
-    original fixed sequence), biased by half the last digit, and its six
-    digits peeled off by scale-and-truncate, one float32 round a digit.
+    original fixed sequence) and biased by half the last digit.  Its six
+    digits are those _peel gives, by scale-and-truncate with one float32
+    round a digit, but they are read off n = v * 100000 where that is
+    sure to give the same:
+
+    - n is exact: v's 24-bit significand times 100000, 12 significant
+      bits, fits a double's 53.
+    - Each of the peel's five rounds is of a value below 10, so it is off
+      by at most half a float32 ulp there, 2**-21; the round that gives
+      digit i, 1 to 5, counts 10**(5 - i) times in n.  So the peel's six
+      digits are floor(n + e) for some |e| <= 11111 * 2**-21 < 0.0054.
+    - Where n's fraction lies in (0.01, 0.99), floor(n + e) is int(n).
+      Only within 0.01 of a whole number, about 2% of values, does the
+      peel run.
     """
     if value - value != 0:  # infinity or nan would never normalize
         raise OverflowError("value is not representable")
@@ -201,32 +234,12 @@ def scientific_text(value):
         c = x * _SPLIT
         v = c - (c - x)
         k += 1
-    # v - int(v) is exact for a float32 v below 10; only the times 10 rounds
-    d0 = int(v)
-    x = 10.0 * (v - d0)
-    c = x * _SPLIT
-    v = c - (c - x)
-    d1 = int(v)
-    x = 10.0 * (v - d1)
-    c = x * _SPLIT
-    v = c - (c - x)
-    d2 = int(v)
-    x = 10.0 * (v - d2)
-    c = x * _SPLIT
-    v = c - (c - x)
-    d3 = int(v)
-    x = 10.0 * (v - d3)
-    c = x * _SPLIT
-    v = c - (c - x)
-    d4 = int(v)
-    x = 10.0 * (v - d4)
-    c = x * _SPLIT
-    d5 = int(c - (c - x))
-    e1, e0 = divmod(-k if k < 0 else k, 10)  # two digits for a float32's exponent
-    digits = "0123456789"
-    return (f" {'-' if value < 0 else ' '}{digits[d0]}.{digits[d1]}{digits[d2]}"
-            f"{digits[d3]}{digits[d4]}{digits[d5]}E{'-' if k < 0 else ' '}"
-            f"{digits[e1]}{digits[e0]}")
+    n = v * 100000.0
+    q = int(n)
+    if not 0.01 < n - q < 0.99:
+        q = _peel(v)
+    s = str(q + 1000000)
+    return f"{' -' if value < 0 else '  '}{s[1]}.{s[2:]}{_EXPONENT[k]}"
 
 
 def format_scientific(writer, value):

@@ -41,7 +41,8 @@ class SessionConfig(SimpleNamespace):
     width          - the line-printer width, 80 or 120; any other raises
                      ValueError, for the writer lays out no other
     echo           - the startup listing of source characters
-    max_steps      - interrupt any single execution after this many steps
+    max_steps      - interrupt any single execution after this many steps;
+                     None or an int of 0 or more, any other raises ValueError
     listing_always - print the object listing of every program
     strict_charset - raise CharsetError on a character outside the set
     """
@@ -50,6 +51,8 @@ class SessionConfig(SimpleNamespace):
                  strict_charset=False):
         if width not in (80, 120):
             raise ValueError(f"line width must be 80 or 120, not {width!r}")
+        if max_steps is not None and not (isinstance(max_steps, int) and max_steps >= 0):
+            raise ValueError(f"max_steps must be None or 0 or more, not {max_steps!r}")
         super().__init__(width=width, echo=echo, max_steps=max_steps,
                          listing_always=listing_always, strict_charset=strict_charset)
 

@@ -172,23 +172,63 @@ def reference_words(value):
 @example(f32(-0.99999994))
 @example(f32(1.4000049829483032))  # the digits depend on the round after the first
 @example(f32(1.0803149938583374))  # and on the round after the second
+@example(f32(3.9843649864196777))  # biased times 10**5 is 398436.9993: the peel gives 398437
+@example(f32(1.671975016593933))   # biased times 10**5 is 167198.0023: the peel gives 167197
 def test_scientific_text_matches_reference(v):
     assert scientific_text(v) == charset.decode_words(reference_words(v))
 
 
-def test_scientific_text_matches_reference_in_every_binade():
-    # every exponent field but the all-ones one (inf and nan), 0 being the
-    # subnormals and zero; in each, the first, the last and 100 seeded
-    # mantissas, with either sign
+def every_binade():
+    """(bit pattern, value) over every exponent field but the all-ones one
+    (inf and nan), 0 being the subnormals and zero; in each, the first,
+    the last and 100 seeded mantissas, with either sign."""
     rng = random.Random(1973)
     for exponent in range(255):
         mantissas = [0, (1 << 23) - 1] + [rng.getrandbits(23) for _ in range(100)]
         for mantissa in mantissas:
             for sign in (0, 1 << 31):
                 bits = sign | exponent << 23 | mantissa
-                v = struct.unpack("<f", struct.pack("<I", bits))[0]
-                assert scientific_text(v) == charset.decode_words(reference_words(v)), \
-                    hex(bits)
+                yield bits, struct.unpack("<f", struct.pack("<I", bits))[0]
+
+
+def test_scientific_text_matches_reference_in_every_binade(monkeypatch):
+    # the fields are the frozen formatter's, whether the digits come from
+    # the one multiply or, near a digit boundary, from the peel
+    peel = numio._peel
+    peeled = []
+
+    def counting_peel(v):
+        peeled.append(v)
+        return peel(v)
+
+    monkeypatch.setattr(numio, "_peel", counting_peel)
+    formatted = 0
+    for bits, v in every_binade():
+        assert scientific_text(v) == charset.decode_words(reference_words(v)), hex(bits)
+        formatted += 1
+    assert 0 < len(peeled) < formatted
+
+
+def assert_peel_near(v):
+    # the bound the formatter's guard rests on: the peel's six digits are
+    # floor(n + e) with |e| < 0.0054, n = v * 10**5 being exact
+    n = v * 100000.0
+    assert math.floor(n - 0.0054) <= numio._peel(v) <= math.floor(n + 0.0054), v
+
+
+@given(st.floats(min_value=0.0, max_value=10.0, exclude_max=True, width=32))
+@example(0.0)
+@example(f32(9.999999))
+@example(f32(3.9843699932098389))  # the biased mantissas of the @example rows above
+@example(f32(1.6719800233840942))
+def test_the_peel_is_within_its_bound_of_the_exact_product(v):
+    assert_peel_near(v)
+
+
+def test_the_peel_is_within_its_bound_in_every_binade_below_ten():
+    for _, v in every_binade():
+        if 0.0 <= v < 10.0:
+            assert_peel_near(v)
 
 
 FLT_MAX = f32(3.4028235e38)

@@ -117,6 +117,19 @@ def test_a_config_takes_either_printer_width(width):
     assert SessionConfig(width=width).width == width
 
 
+@pytest.mark.parametrize("max_steps", [-1, 2.5, "3"])
+def test_a_config_rejects_a_step_budget_that_is_not_a_count(max_steps):
+    # -1 would interrupt at once as 0 does, and "3" would raise TypeError
+    # inside run_deck, where the command line rejects both
+    with pytest.raises(ValueError):
+        SessionConfig(max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [None, 0, 5])
+def test_a_config_takes_no_budget_or_a_count(max_steps):
+    assert SessionConfig(max_steps=max_steps).max_steps == max_steps
+
+
 def test_echo_default_restored_each_cycle():
     # suppression requested by a deck lasts for one program only
     sess, status = run_deck(["*S ('/1'L,)", "*('/2'L,)"])
