@@ -119,8 +119,8 @@ def test_a_config_takes_either_printer_width(width):
 
 @pytest.mark.parametrize("max_steps", [-1, 2.5, "3"])
 def test_a_config_rejects_a_step_budget_that_is_not_a_count(max_steps):
-    # -1 would interrupt at once as 0 does, and "3" would raise TypeError
-    # inside run_deck, where the command line rejects both
+    # -1 would interrupt at once as 0 does, where the command line rejects
+    # it, and "3" would let a TypeError escape run_deck
     with pytest.raises(ValueError):
         SessionConfig(max_steps=max_steps)
 
