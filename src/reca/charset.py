@@ -4,9 +4,10 @@ Every character lives in three forms:
 
 * text       - the Python character as it appears on a card or a printed line
 * word       - a signed 16-bit storage word, the value an A1-format read
-               would leave in memory: code point * 256 + 64, wrapped to
-               two's complement.  Letters land in the negative range, which
-               the rest of the system exploits freely.
+               would leave in memory: the glyph's EBCDIC (cp037) byte, its
+               code point, followed by a blank, 0x40; that is code point *
+               256 + 64, wrapped to two's complement.  Letters land in the
+               negative range, which the rest of the system exploits freely.
 * class code - a small index 1..64 used to subscript dispatch tables,
                recovered from the word by masking the low six bits of the
                code point and adding one.
@@ -17,24 +18,9 @@ letters get their own table rows.
 
 import struct
 
-# code points for the 63 assigned card glyphs (one slot of the 64 is unused)
-_CODEPOINTS = {
-    " ": 0x40,
-    "¢": 0x4A, ".": 0x4B, "<": 0x4C, "(": 0x4D, "+": 0x4E, "|": 0x4F,
-    "&": 0x50,
-    "!": 0x5A, "$": 0x5B, "*": 0x5C, ")": 0x5D, ";": 0x5E, "¬": 0x5F,
-    "-": 0x60, "/": 0x61,
-    ",": 0x6B, "%": 0x6C, "_": 0x6D, ">": 0x6E, "?": 0x6F,
-    ":": 0x7A, "#": 0x7B, "@": 0x7C, "'": 0x7D, "=": 0x7E, '"': 0x7F,
-}
-for _i, _c in enumerate("ABCDEFGHI"):
-    _CODEPOINTS[_c] = 0xC1 + _i
-for _i, _c in enumerate("JKLMNOPQR"):
-    _CODEPOINTS[_c] = 0xD1 + _i
-for _i, _c in enumerate("STUVWXYZ"):
-    _CODEPOINTS[_c] = 0xE2 + _i
-for _i, _c in enumerate("0123456789"):
-    _CODEPOINTS[_c] = 0xF0 + _i
+# the 63 assigned card glyphs (one slot of the 64 is unused), in code-point
+# order; their code points are their bytes in EBCDIC, code page 037
+_GLYPH_TEXT = ' ¢.<(+|&!$*);¬-/,%_>?:#@\'="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789'
 
 # ASCII stand-in for the not-sign, the one glyph most keyboards lack
 DEFAULT_ALIASES = {"~": "¬"}
@@ -49,7 +35,8 @@ def word_from_codepoint(cp):
     return _wrap16(cp * 256 + 64)
 
 
-WORD_BY_CHAR = {c: word_from_codepoint(cp) for c, cp in _CODEPOINTS.items()}
+WORD_BY_CHAR = {c: word_from_codepoint(cp)
+                for c, cp in zip(_GLYPH_TEXT, _GLYPH_TEXT.encode("cp037"))}
 CHAR_BY_WORD = {w: c for c, w in WORD_BY_CHAR.items()}
 
 BLANK = WORD_BY_CHAR[" "]           # 16448
@@ -119,9 +106,6 @@ _DEFAULT_WORD = {
     for ch in (*WORD_BY_CHAR, *map(str.lower, WORD_BY_CHAR), *DEFAULT_ALIASES)
     if (w := WORD_BY_CHAR.get(DEFAULT_ALIASES.get(ch, ch).upper())) is not None
 }
-
-
-_GLYPH_TEXT = "".join(WORD_BY_CHAR)
 
 
 def is_plain(line):

@@ -38,7 +38,7 @@ from .store import ProgramStore
 class SessionConfig(SimpleNamespace):
     """How a session runs:
 
-    width          - the line-printer width, 80 or 120; any other raises
+    width          - the line-printer width, the int 80 or 120; any other raises
                      ValueError, for the writer lays out no other
     echo           - the startup listing of source characters
     max_steps      - interrupt any single execution after this many steps;
@@ -49,7 +49,7 @@ class SessionConfig(SimpleNamespace):
 
     def __init__(self, width=120, echo=True, max_steps=None, listing_always=False,
                  strict_charset=False):
-        if width not in (80, 120):
+        if not isinstance(width, int) or width not in (80, 120):
             raise ValueError(f"line width must be 80 or 120, not {width!r}")
         if max_steps is not None and not (isinstance(max_steps, int) and max_steps >= 0):
             raise ValueError(f"max_steps must be None or 0 or more, not {max_steps!r}")

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
 import re
 import signal
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,17 @@ from reca.session import SessionConfig, run_deck
 from reca.store import RECURSIVE_MARK
 
 FIELD = re.compile(r"-?\d\.\d{5}E[- ]\d\d")
+CHECKOUT = Path(__file__).resolve().parent.parent
+
+
+def load_file(path):
+    """The module in path, relative to the checkout, loaded afresh and
+    left out of sys.modules, for a tool or benchmark file outside any
+    package."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, CHECKOUT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def is_digit_word(word):

@@ -33,6 +33,26 @@ def test_known_storage_words():
     assert charset.WORD_BY_CHAR["*"] == 23616
 
 
+# every glyph's code point, stated as runs of consecutive code points
+# without the cp037 codec that charset takes them from
+CODE_POINT_RUNS = {
+    0x40: " ",
+    0x4A: "¢.<(+|", 0x50: "&", 0x5A: "!$*);¬", 0x60: "-/",
+    0x6B: ",%_>?", 0x7A: ":#@'=\"",
+    0xC1: "ABCDEFGHI", 0xD1: "JKLMNOPQR", 0xE2: "STUVWXYZ", 0xF0: "0123456789",
+}
+
+
+def test_every_glyph_word_in_code_point_order():
+    # the word is the code point followed by a blank, 0x40, read as a
+    # signed 16-bit value
+    expected = [(c, (first + i) * 256 + 0x40 - (0x10000 if first >= 0x80 else 0))
+                for first, run in CODE_POINT_RUNS.items()
+                for i, c in enumerate(run)]
+    assert len(expected) == 63
+    assert list(charset.WORD_BY_CHAR.items()) == expected
+
+
 def test_digit_words_span_negative_range():
     assert [charset.WORD_BY_CHAR[d] for d in "09"] == [-4032, -1728]
     for v in range(10):

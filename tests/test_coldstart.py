@@ -1,18 +1,17 @@
 """The summary of tools/coldstart.py on fixed times, with the tool loaded
 by path."""
 
-import importlib.util
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-_spec = importlib.util.spec_from_file_location("coldstart_tool", TOOLS / "coldstart.py")
-coldstart = importlib.util.module_from_spec(_spec)
-sys.path.insert(0, str(TOOLS))  # the tool imports differential.py beside it
+from conftest import CHECKOUT, load_file
+
+TOOLS = str(CHECKOUT / "tools")
+sys.path.insert(0, TOOLS)  # the tool imports differential.py beside it
 try:
-    _spec.loader.exec_module(coldstart)
+    coldstart = load_file("tools/coldstart.py")
 finally:
-    sys.path.remove(str(TOOLS))
+    sys.path.remove(TOOLS)
 
 
 def test_the_summary_of_one_command():

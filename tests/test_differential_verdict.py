@@ -3,15 +3,11 @@ with the tool loaded by path: every run of a deck that matches a pattern
 must differ, every other run must be identical, and a pattern must match
 some deck."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "differential.py"
-_spec = importlib.util.spec_from_file_location("differential_tool", TOOL)
-differential = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(differential)
+from conftest import load_file
+
+differential = load_file("tools/differential.py")
 
 SAME = {"output": ["  1.00000E 00"], "status": 0}
 OTHER = {"output": ["  2.00000E 00"], "status": 0}

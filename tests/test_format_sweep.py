@@ -2,13 +2,9 @@
 numio.scientific_text and its reference, and reports one when the two
 differ."""
 
-import importlib.util
-from pathlib import Path
+from conftest import load_file
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "format_sweep.py"
-_spec = importlib.util.spec_from_file_location("format_sweep", TOOL)
-format_sweep = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(format_sweep)
+format_sweep = load_file("tools/format_sweep.py")
 
 
 def test_the_sweep_finds_no_mismatch(capsys):

@@ -18,10 +18,13 @@ from reca.iosys import BAD_DATUM, CardReader, Diagnostic, EndOfInput, LineWriter
 from reca.numio import f32, format_number, parse_text, scientific_text
 from reca.session import Session
 
-from conftest import digit_value, digit_word, is_digit_word, run, table_rows
+from conftest import digit_value, is_digit_word, load_file, run, table_rows
 from generators import COLUMN_80_TOKENS, number_decks, straddling_decks
 
 SHAPE = re.compile(r"^ [ -]\d\.\d{5}E[ -]\d\d$")
+# the frozen formatter, one float32 round a step and one a digit, that the
+# sweep tool also compares scientific_text with
+reference_text = load_file("tools/format_sweep.py").reference_text
 
 
 def value_of(field):
@@ -118,47 +121,6 @@ def test_parse_formats_back(v):
     assert math.isclose(parsed, f32(value_of(format_number(v))), rel_tol=1e-6, abs_tol=1e-9)
 
 
-def reference_words(value):
-    """The formatter as it was before scientific_words: one f32 call per
-    rounding step and one put per character."""
-    out = []
-    put = out.append
-    if value - value != 0:
-        raise OverflowError("value is not representable")
-    k = 0
-    sign = charset.MINUS if value < 0 else charset.BLANK
-    put(charset.BLANK)
-    v = value if value >= 0 else -value
-    if v > 0:
-        while v < 10.0:
-            v = f32(v * 10.0)
-            k -= 1
-        while v >= 10.0:
-            v = f32(v * 0.1)
-            k += 1
-    v = f32(v + numio.ROUND_HALF_DIGIT)
-    if v >= 10.0:
-        v = f32(v * 0.1)
-        k += 1
-    put(sign)
-    n = int(v)
-    put(digit_word(n))
-    put(charset.DOT)
-    for _ in range(5):
-        v = f32(10.0 * f32(v - n))
-        n = int(v)
-        put(digit_word(n))
-    put(charset.LETTER_E)
-    if k < 0:
-        put(charset.MINUS)
-        k = -k
-    else:
-        put(charset.BLANK)
-    put(digit_word(k // 10))
-    put(digit_word(k % 10))
-    return out
-
-
 @given(st.floats(allow_nan=False, allow_infinity=False, width=32))
 @example(0.0)
 @example(-0.0)
@@ -175,7 +137,7 @@ def reference_words(value):
 @example(f32(3.9843649864196777))  # biased times 10**5 is 398436.9993: the peel gives 398437
 @example(f32(1.671975016593933))   # biased times 10**5 is 167198.0023: the peel gives 167197
 def test_scientific_text_matches_reference(v):
-    assert scientific_text(v) == charset.decode_words(reference_words(v))
+    assert scientific_text(v) == reference_text(v)
 
 
 def every_binade():
@@ -204,7 +166,7 @@ def test_scientific_text_matches_reference_in_every_binade(monkeypatch):
     monkeypatch.setattr(numio, "_peel", counting_peel)
     formatted = 0
     for bits, v in every_binade():
-        assert scientific_text(v) == charset.decode_words(reference_words(v)), hex(bits)
+        assert scientific_text(v) == reference_text(v), hex(bits)
         formatted += 1
     assert 0 < len(peeled) < formatted
 
@@ -527,7 +489,7 @@ def test_number_decks_print_what_the_reference_parser_and_formatter_give():
             value = reference_parse_float(reader.read)
             if value - value != 0:
                 break
-            expected.append("".join(map(charset.char_of, reference_words(value))))
+            expected.append(reference_text(value))
         lines, status = run(deck)
         assert [line for line in lines if SHAPE.match(line)] == expected, deck
         assert status == (0 if len(expected) == len(data) else 1), deck

@@ -104,10 +104,11 @@ def test_a_config_keeps_its_fields_in_order_with_their_defaults():
     assert SessionConfig() == SessionConfig(120, True, None, False, False) != config
 
 
-@pytest.mark.parametrize("width", [0, -1, 79, 81, 132])
+@pytest.mark.parametrize("width", [0, -1, 79, 81, 132, 80.0, 120.0])
 def test_a_config_rejects_a_width_the_writer_cannot_lay_out(width):
-    # at width 0 the writer would release empty lines without end, and at
-    # width 10 it would split the 13-character field that O prints
+    # at width 0 the writer would release empty lines without end, at
+    # width 10 it would split the 13-character field that O prints, and
+    # 80.0, equal to 80, would let a TypeError escape run_deck when it slices
     with pytest.raises(ValueError):
         SessionConfig(width=width)
 

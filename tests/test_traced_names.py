@@ -2,17 +2,13 @@
 reca under test, so that renaming or removing one fails here and not
 only when the benchmark runs."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import reca
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+from conftest import load_file
+
+tracer = load_file("perfbench/tracer.py")
 
 
 @pytest.mark.parametrize("module, path, span", tracer.TARGETS,

@@ -7,8 +7,9 @@ Run from anywhere inside a git checkout; only the standard library is
 needed.  It draws random 32-bit patterns from --seed, skips those of inf
 and nan, and formats each of the first --count finite values two ways:
 with this checkout's numio.scientific_text, and with reference_text
-below, the formatter's rounding trail as tests/test_numio.py's
-reference_words keeps it, one struct round a step and one round a digit.
+below, the frozen formatter's rounding trail, one struct round a step
+and one round a digit.  tests/test_numio.py compares scientific_text
+with the same reference_text, on chosen values and in every binade.
 It prints how many values it compared and how many fields differed, and
 the bit patterns of the first mismatches with both fields.  The exit
 status is 1 on any mismatch, else 0.
